@@ -20,6 +20,7 @@ the simplex.
 
 from __future__ import annotations
 
+import math
 import time
 from dataclasses import dataclass
 
@@ -257,12 +258,16 @@ class FitConfig:
     def __post_init__(self):
         if self.rule not in RULES:
             raise ValidationError(f"unknown rule {self.rule!r}; expected one of {RULES}")
-        if self.eta < 0:
-            raise ValidationError("eta must be nonnegative")
+        if not (math.isfinite(self.eta) and self.eta >= 0):
+            raise ValidationError("eta must be a finite nonnegative number")
         if self.max_iters < 0:
             raise ValidationError("max_iters must be nonnegative")
         if self.tol_ll is None and self.tol_param is None:
             raise ValidationError("at most one stopping tolerance may be disabled")
+        for name in ("tol_ll", "tol_param"):
+            tol = getattr(self, name)
+            if tol is not None and not math.isfinite(tol):
+                raise ValidationError(f"{name} must be finite")
         if self.init not in INITS:
             raise ValidationError(f"unknown init {self.init!r}; expected one of {INITS}")
         if self.init == "file" and self.init_theta is None:

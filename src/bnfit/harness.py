@@ -25,7 +25,7 @@ import numpy as np
 
 from .estimation import FitConfig, fit
 from .inference import posterior_marginal
-from .model import Network, ValidationError, random_init, uniform_init
+from .model import BnError, Network, ValidationError, random_init, uniform_init
 from .netio import (
     MISSING,
     DataCase,
@@ -337,8 +337,10 @@ def run_experiment(config: ExperimentConfig, out_dir: str) -> dict:
         )
         try:
             result = fit(truth.with_theta(theta0), train, fit_config, test)
-        except Exception as e:
-            raise type(e)(f"arm {arm.label}: {e}") from None
+        except BnError as e:
+            # Relabel in place: the type and fields such as case_index stay.
+            e.args = (f"arm {arm.label}: {e}",)
+            raise
         learned = truth.with_theta(result.theta)
         _write(os.path.join(arm_dir, "trace.csv"), format_trace(result.trace))
         _write(

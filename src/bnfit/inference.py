@@ -8,6 +8,19 @@ Two independent routes compute the same quantities:
   once.  Products keep a separate per-case log-scale accumulator, so
   probabilities far below float underflow stay representable.
 
+  A likelihood pass eliminates every variable once and releases each
+  factor as soon as its bucket has consumed it.  The family posteriors
+  come from the same elimination differentiated in reverse (Darwiche
+  2003): P(x_i, pa_i | y) = theta_i * dP(y)/dtheta_i / P(y).  The
+  forward pass records each bucket on a tape; the reverse sweep walks the
+  tape backwards and gives every factor a bucket consumed an adjoint:
+  the bucket output's adjoint times the bucket's other factors, summed
+  down to the factor's scope.  A family posterior is its evidence-folded
+  CPT factor times that factor's adjoint, normalized per case, so
+  per-case scalars cancel: the forward log-scales, and the rescaling of
+  adjoints that leave float range.  Each message is released once its
+  bucket's reverse step is done.
+
 * The oracle route (`enumerate_*`) sums over all joint completions.  It
   exists for tests and sanity checks and shares no code with the main
   route beyond the network types.
@@ -20,8 +33,9 @@ over (j, k): they partition the evidence-conditioned joint.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import lru_cache, reduce
 
 import numpy as np
 
@@ -30,9 +44,9 @@ from .netio import DataCase, MISSING
 
 MAX_ENUM_STATES = 1 << 20
 
-# Factor entries stay raw floats until they sink below this; then the
-# per-case maximum is pulled out into the log-scale accumulator, keeping
-# evidence probabilities far below float underflow representable.
+# Factor entries stay raw floats until a case's total sinks below this;
+# then that total is pulled out into the case's log-scale accumulator,
+# keeping evidence probabilities far below float underflow representable.
 RESCALE_TRIGGER = 1e-100
 
 
@@ -77,28 +91,55 @@ def _multiply(factors: list[_Factor], arities: tuple[int, ...]) -> _Factor:
     return _Factor(union, values, logscale)
 
 
+def _sum_axes(values: np.ndarray, axes: tuple[int, ...]) -> np.ndarray:
+    """`values` summed over `axes`.
+
+    Batched sums run as a matrix-vector product over a copy with the
+    summed axes moved last; numpy's own reduction over a few short axes
+    is several times slower.
+    """
+    if values.shape[0] == 1:
+        return values.sum(axis=axes)
+    keep = [a for a in range(values.ndim) if a not in axes]
+    moved = values.transpose(keep + list(axes))
+    shape = moved.shape[: len(keep)]
+    flat = np.ascontiguousarray(moved).reshape(math.prod(shape), -1)
+    return (flat @ np.ones(flat.shape[1])).reshape(shape)
+
+
 def _sum_out(factor: _Factor, var: int) -> _Factor:
-    ax = 1 + factor.scope.index(var)
-    values = factor.values.sum(axis=ax)
+    values = _sum_axes(factor.values, (1 + factor.scope.index(var),))
     scope = tuple(v for v in factor.scope if v != var)
     return _Factor(scope, values, factor.logscale)
 
 
-def _maybe_rescale(factor: _Factor) -> _Factor:
-    """Pull per-case maxima into the log-scale accumulator when needed.
+def _case_divisors(values: np.ndarray, high: float = np.inf) -> np.ndarray | None:
+    """Per-case totals of the cases whose total left [RESCALE_TRIGGER, high].
 
-    Cases whose values are identically zero are left alone; they signal
-    zero-probability evidence and are reported by the caller.
+    Returns None when no case needs rescaling.  Other cases get divisor
+    1, and so do cases that are identically zero: they signal
+    zero-probability evidence and are reported by the caller.  Totals
+    rather than maxima, because they are the cheaper per-case reduction.
     """
-    if factor.values.size == 0 or float(factor.values.max()) > RESCALE_TRIGGER:
+    if values.shape[0] == 1:
+        total = float(values.sum())
+        if RESCALE_TRIGGER < total <= high or not total > 0.0:
+            return None
+        return np.full((1,) * values.ndim, total)
+    total = _sum_axes(values, tuple(range(1, values.ndim)))
+    move = (total > 0.0) & ((total <= RESCALE_TRIGGER) | (total > high))
+    if not move.any():
+        return None
+    return np.where(move, total, 1.0).reshape((-1,) + (1,) * (values.ndim - 1))
+
+
+def _maybe_rescale(factor: _Factor) -> _Factor:
+    """Pull the totals of near-underflowing cases into the log-scale accumulator."""
+    div = _case_divisors(factor.values)
+    if div is None:
         return factor
-    flat = factor.values.reshape(factor.values.shape[0], -1)
-    m = flat.max(axis=1)
-    safe = np.where(m > 0.0, m, 1.0)
-    shape = (-1,) + (1,) * (factor.values.ndim - 1)
-    values = factor.values / safe.reshape(shape)
-    logscale = factor.logscale + np.log(safe)
-    return _Factor(factor.scope, values, logscale)
+    logscale = factor.logscale + np.log(div.reshape(-1))
+    return _Factor(factor.scope, factor.values / div, logscale)
 
 
 @lru_cache(maxsize=1024)
@@ -146,40 +187,78 @@ def _cpt_factor(network: Network, i: int, evidence: np.ndarray | None) -> _Facto
 
 def _evidence_columns(structure: NetworkStructure, values: np.ndarray) -> list[np.ndarray | None]:
     """Per variable: (B, r) indicator-or-ones matrix, or None if never observed."""
+    missing = values < 0
+    observed = ~missing.all(axis=0)
     out: list[np.ndarray | None] = []
     for i in range(structure.n_vars):
-        col = values[:, i]
-        obs = col >= 0
-        if not np.any(obs):
+        if not observed[i]:
             out.append(None)
             continue
-        ev = np.ones((values.shape[0], structure.arity(i)))
-        ev[obs] = 0.0
-        ev[np.nonzero(obs)[0], col[obs]] = 1.0
-        out.append(ev)
+        states = np.arange(structure.arity(i))
+        ev = (values[:, i, None] == states) | missing[:, i, None]
+        out.append(ev.astype(np.float64))
     return out
 
 
-def _eliminate(factors: list[_Factor], elim: frozenset[int], arities: tuple[int, ...]) -> _Factor:
-    order = _min_degree_order(tuple(f.scope for f in factors), elim)
-    for var in order:
-        touching = [f for f in factors if var in f.scope]
-        rest = [f for f in factors if var not in f.scope]
-        merged = _maybe_rescale(_sum_out(_multiply(touching, arities), var))
-        factors = rest + [merged]
-    return _multiply(factors, arities)
-
-
-def _run_queries(
-    network: Network, values: np.ndarray, query_sets: list[tuple[int, ...]]
-) -> list[_Factor]:
-    """One elimination per query set, sharing the evidence-folded factors."""
+def _cpt_factors(network: Network, values: np.ndarray) -> list[_Factor]:
     s = network.structure
-    arities = tuple(s.arity(i) for i in range(s.n_vars))
     evidence = _evidence_columns(s, values)
-    base = [_cpt_factor(network, i, evidence[i]) for i in range(s.n_vars)]
-    all_vars = frozenset(range(s.n_vars))
-    return [_eliminate(list(base), all_vars - frozenset(qs), arities) for qs in query_sets]
+    return [_cpt_factor(network, i, evidence[i]) for i in range(s.n_vars)]
+
+
+def _arities(structure: NetworkStructure) -> tuple[int, ...]:
+    return tuple(structure.arity(i) for i in range(structure.n_vars))
+
+
+# One bucket of an elimination: the ids of the factors it multiplies, the
+# union of their scopes, and the scope of the message it produces.
+_Bucket = tuple[list[int], tuple[int, ...], tuple[int, ...]]
+
+
+def _eliminate(
+    factors: list[_Factor | None],
+    elim: frozenset[int],
+    arities: tuple[int, ...],
+    tape: list[_Bucket] | None = None,
+) -> _Factor:
+    """Sum the variables in `elim` out of the product of `factors`.
+
+    Without a tape, each factor is released as soon as its bucket
+    consumes it.  With one, every bucket's message is appended to
+    `factors`, so a factor's id is its position there, and each bucket
+    is recorded; the final product of the leftover factors is recorded
+    as one more bucket and appended as the last factor.
+    """
+    order = _min_degree_order(tuple(f.scope for f in factors), elim)
+    live = list(enumerate(factors))
+    for var in order:
+        touching = [kf for kf in live if var in kf[1].scope]
+        live = [kf for kf in live if var not in kf[1].scope]
+        product = _multiply([f for _, f in touching], arities)
+        message = _maybe_rescale(_sum_out(product, var))
+        if tape is not None:
+            tape.append(([k for k, _ in touching], product.scope, message.scope))
+            factors.append(message)
+        live.append((len(factors) - 1, message))
+    result = _multiply([f for _, f in live], arities)
+    if tape is not None:
+        tape.append(([k for k, _ in live], result.scope, result.scope))
+        factors.append(result)
+    return result
+
+
+def _family_posterior(
+    structure: NetworkStructure, i: int, factor: _Factor, adjoint: np.ndarray, n_cases: int
+) -> np.ndarray:
+    """Evidence-folded CPT factor times its adjoint, CPT-shaped and normalized per case."""
+    target = list(structure.parents[i]) + [i]
+    perm = [factor.scope.index(v) for v in target]
+    joint = (factor.values * adjoint).transpose([0] + [1 + p for p in perm])
+    joint = np.ascontiguousarray(joint).reshape(joint.shape[0], *structure.table_shape(i))
+    total = _sum_axes(joint, (1, 2))
+    _raise_zero(np.broadcast_to(total, (n_cases,)), "family posteriors")
+    post = joint / total.reshape(-1, 1, 1)
+    return np.broadcast_to(post, (n_cases,) + post.shape[1:])
 
 
 def _raise_zero(total: np.ndarray, what: str) -> None:
@@ -218,12 +297,11 @@ def log_marginal_likelihood(network: Network, case: DataCase) -> float:
 
 def log_likelihood_cases(network: Network, values: np.ndarray) -> np.ndarray:
     """log P(y) for every row of an (N, V) case matrix."""
-    res = _run_queries(network, values, [()])[0]
-    total = res.values.reshape(res.values.shape[0], -1).sum(axis=1)
-    total = np.broadcast_to(total, (values.shape[0],))
-    logscale = np.broadcast_to(res.logscale, (values.shape[0],))
+    s = network.structure
+    res = _eliminate(_cpt_factors(network, values), frozenset(range(s.n_vars)), _arities(s))
+    total = np.broadcast_to(res.values, (values.shape[0],))
     _raise_zero(total, "log-likelihood")
-    return np.log(total) + logscale
+    return np.log(total) + res.logscale
 
 
 def family_posteriors(network: Network, case: DataCase) -> list[np.ndarray]:
@@ -237,27 +315,42 @@ def batch_family_posteriors(
 ) -> tuple[list[np.ndarray], np.ndarray]:
     """Family posteriors for every case row, plus per-case log-likelihoods.
 
-    Returns ([(N, q_i, r_i) arrays], (N,) log-likelihood vector).  The
-    log-likelihood is read off the normalizer of the first family query.
+    Returns ([(N, q_i, r_i) arrays], (N,) log-likelihood vector), both
+    from one forward elimination and its reverse sweep.
     """
     s = network.structure
     n_cases = values.shape[0]
-    query_sets = [tuple(sorted(set(s.parents[i]) | {i})) for i in range(s.n_vars)]
-    results = _run_queries(network, values, query_sets)
-    posteriors = []
-    loglik: np.ndarray | None = None
-    for i, res in enumerate(results):
-        target = list(s.parents[i]) + [i]
-        perm = [res.scope.index(v) for v in target]
-        vals = res.values.transpose([0] + [1 + p for p in perm])
-        vals = np.ascontiguousarray(vals).reshape(vals.shape[0], *s.table_shape(i))
-        total = vals.reshape(vals.shape[0], -1).sum(axis=1)
-        _raise_zero(np.broadcast_to(total, (n_cases,)), "family posteriors")
-        if loglik is None:
-            loglik = np.broadcast_to(np.log(total) + res.logscale, (n_cases,)).copy()
-        post = vals / total.reshape(-1, 1, 1)
-        posteriors.append(np.broadcast_to(post, (n_cases,) + post.shape[1:]))
-    assert loglik is not None
+    arities = _arities(s)
+    factors: list[_Factor | None] = list(_cpt_factors(network, values))
+    tape: list[_Bucket] = []
+    root = _eliminate(factors, frozenset(range(s.n_vars)), arities, tape)
+    total = np.broadcast_to(root.values, (n_cases,))
+    _raise_zero(total, "family posteriors")
+    loglik = np.log(total) + root.logscale
+
+    posteriors: list[np.ndarray] = [np.empty(0)] * s.n_vars
+    adjoints = {len(factors) - 1: np.ones(1)}
+    for step in reversed(range(len(tape))):
+        touching, union, out_scope = tape[step]
+        upstream = _align(adjoints.pop(s.n_vars + step), out_scope, union, arities)
+        aligned = {u: _align(factors[u].values, factors[u].scope, union, arities) for u in touching}
+        for t in touching:
+            f = factors[t]
+            # The bucket's other factors first: their product is mostly
+            # smaller than the union, which the upstream adjoint nearly spans.
+            adj = reduce(np.multiply, [aligned[u] for u in touching if u != t] + [upstream])
+            axes = tuple(1 + p for p, v in enumerate(union) if v not in f.scope)
+            if axes:
+                adj = _sum_axes(adj, axes)
+            div = _case_divisors(adj, 1.0 / RESCALE_TRIGGER)
+            if div is not None:
+                adj = adj / div
+            if t < s.n_vars:
+                posteriors[t] = _family_posterior(s, t, f, adj, n_cases)
+            else:
+                adjoints[t] = np.broadcast_to(adj, adj.shape[:1] + f.values.shape[1:])
+        for t in touching:
+            factors[t] = None
     return posteriors, loglik
 
 
@@ -265,7 +358,9 @@ def posterior_marginal(network: Network, case: DataCase, var_ids: list[int]) -> 
     """Joint posterior over the given variables, axes in the given order."""
     if len(set(var_ids)) != len(var_ids):
         raise ValidationError("duplicate variables in marginal query")
-    res = _run_queries(network, case.states[None, :], [tuple(sorted(var_ids))])[0]
+    s = network.structure
+    elim = frozenset(range(s.n_vars)) - frozenset(var_ids)
+    res = _eliminate(_cpt_factors(network, case.states[None, :]), elim, _arities(s))
     perm = [res.scope.index(v) for v in var_ids]
     vals = res.values.transpose([0] + [1 + p for p in perm])[0]
     total = vals.sum()

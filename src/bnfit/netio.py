@@ -238,9 +238,13 @@ def load_dataset(text: str, structure: NetworkStructure) -> DataSet:
     """Parse a dataset CSV against a structure.
 
     The header may be any permutation or subset of the variables;
-    variables absent from the header are missing in every case.
+    variables absent from the header are missing in every case.  A UTF-8
+    byte order mark before the header and blank lines at the end are
+    ignored; a blank line anywhere else is a short row.
     """
-    lines = text.splitlines()
+    lines = text.removeprefix("\ufeff").splitlines()
+    while lines and not lines[-1]:
+        lines.pop()
     if not lines:
         raise ValidationError("dataset file is empty")
     header = lines[0].split(",")

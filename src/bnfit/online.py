@@ -23,6 +23,7 @@ in a different order generally gives a different model.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, replace
 from typing import Iterable, Sequence
 
@@ -68,10 +69,10 @@ class LearningRateSchedule:
         if self.kind == "fixed" and not (0.0 < self.eta <= ETA_MAX):
             raise ValidationError(f"fixed rate must be in (0, {ETA_MAX}]")
         if self.kind == "inverse_t":
-            if not self.c > 0:
-                raise ValidationError("inverse_t needs c > 0")
-            if self.t0 < 0:
-                raise ValidationError("inverse_t needs t0 >= 0")
+            if not (math.isfinite(self.c) and self.c > 0):
+                raise ValidationError("inverse_t needs a finite c > 0")
+            if not (math.isfinite(self.t0) and self.t0 >= 0):
+                raise ValidationError("inverse_t needs a finite t0 >= 0")
 
     @classmethod
     def fixed(cls, eta: float) -> "LearningRateSchedule":

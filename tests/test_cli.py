@@ -66,6 +66,15 @@ class TestFit:
                    "--out", out)
         assert code == 0
 
+    @pytest.mark.parametrize("flag, value", [("--eta", "nan"), ("--eta", "inf"), ("--tol-ll", "nan")])
+    def test_non_finite_setting_exit_2(self, tmp_path, chain3_file, capsys, flag, value):
+        data = tmp_path / "train.csv"
+        run("sample", "--network", chain3_file, "--n", 20, "--seed", 1, "--out", data)
+        code = run("fit", "--network", chain3_file, "--data", data, flag, value,
+                   "--out", tmp_path / "fitted.json")
+        assert code == 2
+        assert "finite" in capsys.readouterr().err
+
     def test_zero_probability_data_exit_3(self, tmp_path):
         det = tree8().with_theta(
             # make T0 deterministic: state s0 impossible in the data below

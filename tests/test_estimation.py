@@ -352,6 +352,17 @@ class TestFit:
         with pytest.raises(ValidationError):
             FitConfig("em", 1.0, 10, tol_ll=None, tol_param=None)
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_eta_rejected(self, bad):
+        with pytest.raises(ValidationError, match="eta"):
+            FitConfig("em", bad, 10)
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    @pytest.mark.parametrize("name", ["tol_ll", "tol_param"])
+    def test_non_finite_tolerance_rejected(self, name, bad):
+        with pytest.raises(ValidationError, match=name):
+            FitConfig("em", 1.0, 10, **{name: bad})
+
     def test_test_ll_recorded(self):
         net = chain3()
         train = forward_sample(net, 60, seed=9)

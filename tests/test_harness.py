@@ -6,6 +6,7 @@ import os
 import numpy as np
 import pytest
 
+from bnfit import harness
 from bnfit.estimation import FitConfig, fit
 from bnfit.harness import (
     EvalSpec,
@@ -25,6 +26,7 @@ from bnfit.model import (
     ParameterVector,
     ValidationError,
     Variable,
+    ZeroProbabilityError,
     random_init,
 )
 from bnfit.netio import MISSING, DataCase, format_dataset
@@ -255,6 +257,29 @@ class TestRunExperiment:
         a0 = summary["arms"][0]
         a1 = summary["arms"][1]
         assert a0["final_train_ll"] == a1["final_train_ll"]
+
+    def test_arm_error_keeps_type_and_case_index(self, tmp_path, monkeypatch):
+        def impossible(*args, **kwargs):
+            raise ZeroProbabilityError("iteration 2: case 7 has probability 0", case_index=7)
+
+        monkeypatch.setattr(harness, "fit", impossible)
+        config = self.small_config(tmp_path, [ExperimentArm("em", 1.5)])
+        with pytest.raises(ZeroProbabilityError) as info:
+            run_experiment(config, str(tmp_path / "out"))
+        assert info.value.case_index == 7
+        assert str(info.value) == "arm em_1.5: iteration 2: case 7 has probability 0"
+
+    def test_non_package_error_propagates_unchanged(self, tmp_path, monkeypatch):
+        error = UnicodeDecodeError("utf-8", b"\xff", 0, 1, "invalid start byte")
+
+        def broken(*args, **kwargs):
+            raise error
+
+        monkeypatch.setattr(harness, "fit", broken)
+        config = self.small_config(tmp_path, [ExperimentArm("em", 1.0)])
+        with pytest.raises(UnicodeDecodeError) as info:
+            run_experiment(config, str(tmp_path / "out"))
+        assert info.value is error
 
     def test_config_json_roundtrip(self):
         doc = {

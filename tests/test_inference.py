@@ -2,8 +2,11 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from bnfit.inference import (
+    batch_family_posteriors,
     enumerate_case_probability,
     enumerate_family_posteriors,
     enumerate_joint,
@@ -30,6 +33,7 @@ from util import (
     oracle_family_posteriors,
     random_network,
     random_partial_case,
+    random_tables,
 )
 
 
@@ -234,3 +238,92 @@ class TestParentMarginals:
         expected = n * np.log(0.01)
         assert np.isfinite(ll)
         assert ll == pytest.approx(expected, rel=1e-12)
+
+
+def binary_chain(n: int, rng: np.random.Generator) -> Network:
+    variables = tuple(Variable(i, f"X{i}", ("s0", "s1")) for i in range(n))
+    parents = ((),) + tuple((i - 1,) for i in range(1, n))
+    s = NetworkStructure(variables, parents)
+    return Network(s, random_tables(rng, s))
+
+
+class TestForwardBackwardSweep:
+    """batch_family_posteriors' single elimination and reverse sweep
+    against the enumeration oracle and closed forms."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        n_vars=st.integers(1, 8),
+        observed=st.lists(st.sampled_from([0.0, 0.3, 0.7, 1.0]), min_size=1, max_size=6),
+    )
+    def test_random_dags_match_enumeration(self, seed, n_vars, observed):
+        """Fully observed, partly observed and empty cases share one batch."""
+        rng = np.random.default_rng(seed)
+        net = random_network(rng, n_vars)
+        cases = [random_partial_case(rng, net.structure, p) for p in observed]
+        posts, lls = batch_family_posteriors(net, np.stack([c.states for c in cases]))
+        assert lls.shape == (len(cases),)
+        for c, case in enumerate(cases):
+            want = enumerate_family_posteriors(net, case)
+            for i in range(n_vars):
+                np.testing.assert_allclose(posts[i][c], want[i], rtol=0, atol=1e-10)
+            assert lls[c] == pytest.approx(np.log(enumerate_case_probability(net, case)), abs=1e-10)
+
+    def test_mixed_batch_rescales_only_the_small_cases(self):
+        """In one batch an underflowing fully observed case, a partly
+        observed case and an empty case each match their own solo run."""
+        n = 1000
+        rng = np.random.default_rng(21)
+        net = binary_chain(n, rng)
+        full = rng.integers(0, 2, size=n)
+        partial = full.copy()
+        partial[rng.random(n) < 0.5] = MISSING
+        values = np.stack([full, partial, np.full(n, MISSING)])
+        posts, lls = batch_family_posteriors(net, values)
+        expected_full = sum(
+            np.log(net.theta.tables[i][full[i - 1] if i else 0, full[i]]) for i in range(n)
+        )
+        assert expected_full < np.log(np.finfo(float).tiny)
+        assert lls[0] == pytest.approx(expected_full, rel=1e-12)
+        assert lls[2] == pytest.approx(0.0, abs=1e-12)
+        np.testing.assert_allclose(log_likelihood_cases(net, values), lls, rtol=1e-12)
+        for c in range(3):
+            solo_posts, solo_ll = batch_family_posteriors(net, values[c : c + 1])
+            assert lls[c] == pytest.approx(solo_ll[0], rel=1e-12, abs=1e-12)
+            for i in range(n):
+                np.testing.assert_allclose(posts[i][c], solo_posts[i][0], rtol=0, atol=1e-12)
+        prior = parent_config_marginals(net)
+        for i in range(n):
+            np.testing.assert_allclose(
+                posts[i][2], prior[i][:, None] * net.theta.tables[i], rtol=0, atol=1e-12
+            )
+
+    @pytest.mark.parametrize("hidden", [0, 1, 1000, 1998, 1999])
+    def test_long_chain_below_float_underflow(self, hidden):
+        """About 2000 observed binary links and one hidden variable: P(e)
+        underflows a float, the posteriors stay exact."""
+        n = 2000
+        rng = np.random.default_rng(hidden)
+        net = binary_chain(n, rng)
+        t = net.theta.tables
+        states = rng.integers(0, 2, size=n)
+        states[hidden] = MISSING
+        posts, lls = batch_family_posteriors(net, states[None, :])
+        assert np.isfinite(lls[0]) and lls[0] < np.log(np.finfo(float).tiny)
+        for post in posts:
+            assert np.all(np.isfinite(post))
+            assert post.sum() == pytest.approx(1.0, abs=1e-12)
+        # P(X_k | Markov blanket) ∝ θ_k[x_{k-1}, ·] · θ_{k+1}[·, x_{k+1}]
+        row = states[hidden - 1] if hidden else 0
+        marginal = t[hidden][row].copy()
+        if hidden + 1 < n:
+            marginal *= t[hidden + 1][:, states[hidden + 1]]
+        marginal /= marginal.sum()
+        expected = np.zeros(t[hidden].shape)
+        expected[row] = marginal
+        np.testing.assert_allclose(posts[hidden][0], expected, rtol=0, atol=1e-12)
+        if hidden + 1 < n:
+            child = np.zeros((2, 2))
+            child[:, states[hidden + 1]] = marginal
+            np.testing.assert_allclose(posts[hidden + 1][0], child, rtol=0, atol=1e-12)

@@ -137,6 +137,22 @@ class TestLoadDataset:
         with pytest.raises(ValidationError, match="empty cell"):
             load_dataset("A,B\na1,\n", net.structure)
 
+    def test_utf8_bom_before_header_accepted(self):
+        net = parse_network(TWO_NODE)
+        ds = load_dataset("\ufeffA,B\na1,b2\n", net.structure)
+        assert ds.values.tolist() == [[1, 2]]
+
+    def test_trailing_blank_lines_accepted(self):
+        net = parse_network(TWO_NODE)
+        for text in ("A,B\na1,b2\n\n", "A,B\na1,b2\n\n\n", "A,B\r\na1,b2\r\n\r\n"):
+            ds = load_dataset(text, net.structure)
+            assert ds.values.tolist() == [[1, 2]]
+
+    def test_blank_line_between_rows_rejected(self):
+        net = parse_network(TWO_NODE)
+        with pytest.raises(ValidationError, match="row 2"):
+            load_dataset("A,B\na1,b2\n\na0,b0\n", net.structure)
+
     def test_header_permutation_and_subset(self):
         net = parse_network(TWO_NODE)
         ds = load_dataset("B,A\nb2,a0\n", net.structure)

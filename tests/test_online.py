@@ -50,6 +50,11 @@ class TestSchedules:
         assert sched.row_rates(0, mass)[0] == 2.0  # 4/1 clipped to eta_max
         assert sched.row_rates(7, mass)[0] == pytest.approx(0.5)
 
+    @pytest.mark.parametrize("c, t0", [(math.inf, 0.0), (math.nan, 0.0), (1.0, math.nan), (1.0, math.inf)])
+    def test_inverse_t_non_finite_rejected(self, c, t0):
+        with pytest.raises(ValidationError, match="finite"):
+            LearningRateSchedule.inverse_t(c, t0)
+
     def test_per_row_count_rates(self):
         sched = LearningRateSchedule.per_row_count()
         mass = np.array([0.0, 1.0, 3.0])
