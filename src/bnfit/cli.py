@@ -22,11 +22,12 @@ from .harness import (
 )
 from .model import NumericalError, ValidationError
 from .netio import (
-    format_dataset,
-    format_trace,
     read_dataset,
     read_network,
+    write_dataset,
     write_network,
+    write_text,
+    write_trace,
 )
 from .online import LearningRateSchedule, run_stream
 from .spectral import build_report, report_to_json
@@ -43,11 +44,6 @@ def _bool(text: str) -> bool:
     if low in ("0", "false", "no", "off"):
         return False
     raise argparse.ArgumentTypeError(f"expected a boolean, got {text!r}")
-
-
-def _write(path: str, text: str) -> None:
-    with open(path, "w", encoding="utf-8", newline="\n") as f:
-        f.write(text)
 
 
 def _parse_schedule(text: str) -> LearningRateSchedule:
@@ -69,7 +65,7 @@ def _cmd_sample(args) -> int:
     network = read_network(args.network)
     complete = forward_sample(network, args.n, args.seed)
     spec = MissingnessSpec(_names(args.hidden), args.obscure, args.seed + 1)
-    _write(args.out, format_dataset(obscure(complete, spec)))
+    write_dataset(obscure(complete, spec), args.out)
     return 0
 
 
@@ -95,7 +91,7 @@ def _cmd_fit(args) -> int:
     )
     result = fit(network, data, config, test)
     if args.trace:
-        _write(args.trace, format_trace(result.trace))
+        write_trace(result.trace, args.trace)
     write_network(network.with_theta(result.theta), args.out, name="fitted")
     print(
         f"{result.termination} after {result.iterations} iterations, "
@@ -114,7 +110,7 @@ def _cmd_online(args) -> int:
         for rec in result.trace:
             ll = "" if rec.case_ll is None else f"{rec.case_ll:.17g}"
             lines.append(f"{rec.t},{ll},{rec.step_l2:.17g},{int(rec.skipped)}")
-        _write(args.trace, "\n".join(lines) + "\n")
+        write_text(args.trace, "\n".join(lines) + "\n")
     write_network(result.state.network, args.out, name="adapted")
     print(f"processed {len(result.trace)} cases, skipped {result.n_skipped}")
     return 0
@@ -127,7 +123,7 @@ def _cmd_spectral(args) -> int:
     data = read_dataset(args.data, network.structure)
     etas = [float(x) for x in args.etas.split(",") if x]
     report = build_report(network.with_theta(theta), data, etas)
-    _write(args.out, report_to_json(report))
+    write_text(args.out, report_to_json(report))
     print(
         f"lambda=[{report.lambda_min:.6f}, {report.lambda_max:.6f}], "
         f"eta_star={report.eta_star:.6f}"
@@ -141,7 +137,7 @@ def _cmd_eval(args) -> int:
     data = read_dataset(args.data, truth.structure)
     spec = EvalSpec(_names(args.targets))
     result = evaluate_queries(learned, truth, data, spec)
-    _write(args.out, json.dumps(result, indent=2) + "\n")
+    write_text(args.out, json.dumps(result, indent=2) + "\n")
     overall = result["overall"]
     print(f"mean_abs={overall['mean_abs']}, mean_rel={overall['mean_rel']}")
     return 0

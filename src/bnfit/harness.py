@@ -24,16 +24,24 @@ from dataclasses import dataclass
 import numpy as np
 
 from .estimation import FitConfig, fit
-from .inference import posterior_marginal
-from .model import BnError, Network, ValidationError, random_init, uniform_init
+from .inference import batch_posterior_marginals, posterior_marginal
+from .model import (
+    BnError,
+    Network,
+    ValidationError,
+    ZeroProbabilityError,
+    random_init,
+    uniform_init,
+)
 from .netio import (
     MISSING,
     DataCase,
     DataSet,
-    format_dataset,
-    format_trace,
     read_network,
-    serialize_network,
+    write_dataset,
+    write_network,
+    write_text,
+    write_trace,
 )
 from .networks import builtin_network
 
@@ -107,84 +115,75 @@ class QueryError:
     n_rel_excluded: int
 
 
+def _mean(x: np.ndarray) -> float | None:
+    """Mean of the non-NaN entries, None when there are none."""
+    x = x[~np.isnan(x)]
+    return float(np.mean(x)) if x.size else None
+
+
+def _errors(states: tuple[str, ...], p_learned: np.ndarray, p_true: np.ndarray):
+    """Error report of (N, r) learned posteriors of a target against true
+    ones, with its per-case absolute and relative errors.  A relative
+    error is NaN, and excluded, where the true probability is 0, and for
+    a case where that holds in every state."""
+    absolute = np.abs(p_learned - p_true)
+    kept = p_true > 0.0
+    relative = np.divide(absolute, p_true, out=np.full_like(absolute, np.nan), where=kept)
+    case_abs = absolute.mean(axis=1)
+    with np.errstate(invalid="ignore"):
+        case_rel = np.where(kept, relative, 0.0).sum(axis=1) / kept.sum(axis=1)
+    entry = {
+        "n_cases": len(absolute),
+        "mean_abs": _mean(case_abs),
+        "mean_rel": _mean(case_rel),
+        "n_rel_excluded": int(np.sum(~kept)),
+        "per_state": [
+            {"state": name, "mean_abs": _mean(absolute[:, k]), "mean_rel": _mean(relative[:, k])}
+            for k, name in enumerate(states)
+        ],
+    }
+    return entry, case_abs, case_rel
+
+
 def query_error(
     learned: Network, truth: Network, case: DataCase, target: str
 ) -> QueryError:
-    s = truth.structure
-    v = s.by_name(target)
+    v = truth.structure.by_name(target)
     if case.states[v.index] != MISSING:
         raise ValidationError(f"target {target!r} is observed in the case")
     p_learned = posterior_marginal(learned, case, [v.index])
     p_true = posterior_marginal(truth, case, [v.index])
-    per_state = []
-    abs_list = []
-    rel_list = []
-    excluded = 0
-    for k in range(v.arity):
-        a = float(abs(p_learned[k] - p_true[k]))
-        abs_list.append(a)
-        if p_true[k] > 0.0:
-            r = a / float(p_true[k])
-            rel_list.append(r)
-            per_state.append((a, r))
-        else:
-            excluded += 1
-            per_state.append((a, None))
-    relative = float(np.mean(rel_list)) if rel_list else None
-    return QueryError(float(np.mean(abs_list)), relative, tuple(per_state), excluded)
+    entry, _, _ = _errors(v.states, p_learned[None], p_true[None])
+    per_state = tuple((e["mean_abs"], e["mean_rel"]) for e in entry["per_state"])
+    return QueryError(entry["mean_abs"], entry["mean_rel"], per_state, entry["n_rel_excluded"])
 
 
 def evaluate_queries(
     learned: Network, truth: Network, dataset: DataSet, spec: EvalSpec
 ) -> dict:
     """Mean absolute/relative error per target over the cases where the
-    target is unobserved, plus a per-state breakdown."""
-    s = truth.structure
+    target is unobserved, plus a per-state breakdown.  Each target costs
+    one batched query per network."""
     out: dict = {"targets": {}, "overall": {}}
-    all_abs: list[float] = []
-    all_rel: list[float] = []
+    all_abs = [np.empty(0)]
+    all_rel = [np.empty(0)]
     for target in spec.targets:
-        v = s.by_name(target)
-        abs_list: list[float] = []
-        rel_list: list[float] = []
-        per_state_abs = [[] for _ in range(v.arity)]
-        per_state_rel = [[] for _ in range(v.arity)]
-        excluded = 0
-        n_cases = 0
-        for l in range(len(dataset)):
-            case = dataset.case(l)
-            if case.states[v.index] != MISSING:
-                continue
-            n_cases += 1
-            err = query_error(learned, truth, case, target)
-            abs_list.append(err.absolute)
-            if err.relative is not None:
-                rel_list.append(err.relative)
-            excluded += err.n_rel_excluded
-            for k, (a, r) in enumerate(err.per_state):
-                per_state_abs[k].append(a)
-                if r is not None:
-                    per_state_rel[k].append(r)
-        entry = {
-            "n_cases": n_cases,
-            "mean_abs": float(np.mean(abs_list)) if abs_list else None,
-            "mean_rel": float(np.mean(rel_list)) if rel_list else None,
-            "n_rel_excluded": excluded,
-            "per_state": [
-                {
-                    "state": v.states[k],
-                    "mean_abs": float(np.mean(per_state_abs[k])) if per_state_abs[k] else None,
-                    "mean_rel": float(np.mean(per_state_rel[k])) if per_state_rel[k] else None,
-                }
-                for k in range(v.arity)
-            ],
-        }
-        out["targets"][target] = entry
-        all_abs.extend(abs_list)
-        all_rel.extend(rel_list)
+        v = truth.structure.by_name(target)
+        rows = np.nonzero(dataset.values[:, v.index] == MISSING)[0]
+        posts = []
+        for which, network in (("learned", learned), ("true", truth)):
+            try:
+                posts.append(batch_posterior_marginals(network, dataset.values[rows], [v.index]))
+            except ZeroProbabilityError as e:
+                row = int(rows[e.case_index])
+                msg = f"query {target!r} under the {which} network: case {row} has probability 0"
+                raise ZeroProbabilityError(msg, case_index=row) from None
+        out["targets"][target], case_abs, case_rel = _errors(v.states, *posts)
+        all_abs.append(case_abs)
+        all_rel.append(case_rel)
     out["overall"] = {
-        "mean_abs": float(np.mean(all_abs)) if all_abs else None,
-        "mean_rel": float(np.mean(all_rel)) if all_rel else None,
+        "mean_abs": _mean(np.concatenate(all_abs)),
+        "mean_rel": _mean(np.concatenate(all_rel)),
     }
     return out
 
@@ -267,11 +266,6 @@ def _sha256(path: str) -> str:
     return digest.hexdigest()
 
 
-def _write(path: str, text: str) -> None:
-    with open(path, "w", encoding="utf-8", newline="\n") as f:
-        f.write(text)
-
-
 def run_experiment(config: ExperimentConfig, out_dir: str) -> dict:
     """Sample, obscure, fit every arm from one shared init, evaluate.
 
@@ -290,7 +284,7 @@ def run_experiment(config: ExperimentConfig, out_dir: str) -> dict:
         MissingnessSpec(config.hidden, config.obscure_prob, config.seed + 1),
     )
     train_path = os.path.join(out_dir, "train.csv")
-    _write(train_path, format_dataset(train))
+    write_dataset(train, train_path)
 
     test = None
     test_path = None
@@ -301,7 +295,7 @@ def run_experiment(config: ExperimentConfig, out_dir: str) -> dict:
             MissingnessSpec(config.hidden, config.obscure_prob, config.seed + 3),
         )
         test_path = os.path.join(out_dir, "test.csv")
-        _write(test_path, format_dataset(test))
+        write_dataset(test, test_path)
 
     if config.init == "random":
         theta0 = random_init(structure, config.init_seed)
@@ -342,11 +336,8 @@ def run_experiment(config: ExperimentConfig, out_dir: str) -> dict:
             e.args = (f"arm {arm.label}: {e}",)
             raise
         learned = truth.with_theta(result.theta)
-        _write(os.path.join(arm_dir, "trace.csv"), format_trace(result.trace))
-        _write(
-            os.path.join(arm_dir, "learned.json"),
-            serialize_network(learned, name=f"learned_{arm.label}"),
-        )
+        write_trace(result.trace, os.path.join(arm_dir, "trace.csv"))
+        write_network(learned, os.path.join(arm_dir, "learned.json"), name=f"learned_{arm.label}")
         entry: dict = {
             "rule": arm.rule,
             "eta": arm.eta,
@@ -365,5 +356,5 @@ def run_experiment(config: ExperimentConfig, out_dir: str) -> dict:
             )
         summary["arms"].append(entry)
 
-    _write(os.path.join(out_dir, "summary.json"), json.dumps(summary, indent=2) + "\n")
+    write_text(os.path.join(out_dir, "summary.json"), json.dumps(summary, indent=2) + "\n")
     return summary

@@ -21,6 +21,9 @@ Two independent routes compute the same quantities:
   adjoints that leave float range.  Each message is released once its
   bucket's reverse step is done.
 
+  A marginal query is batched over cases too: one elimination of every
+  variable outside the query answers it for a whole case matrix.
+
 * The oracle route (`enumerate_*`) sums over all joint completions.  It
   exists for tests and sanity checks and shares no code with the main
   route beyond the network types.
@@ -33,6 +36,7 @@ over (j, k): they partition the evidence-conditioned joint.
 
 from __future__ import annotations
 
+import heapq
 import math
 from dataclasses import dataclass
 from functools import lru_cache, reduce
@@ -144,28 +148,26 @@ def _maybe_rescale(factor: _Factor) -> _Factor:
 
 @lru_cache(maxsize=1024)
 def _min_degree_order(scopes: tuple[tuple[int, ...], ...], elim: frozenset[int]) -> tuple[int, ...]:
-    """Min-degree elimination ordering; ties broken by variable id."""
+    """Min-degree elimination ordering; ties broken by variable id.
+
+    A lazy min-heap on (degree, id); popped entries gone stale are skipped."""
     nbrs: dict[int, set[int]] = {}
     for sc in scopes:
         for a in sc:
-            nbrs.setdefault(a, set())
-        for a in sc:
-            for b in sc:
-                if a != b:
-                    nbrs[a].add(b)
-    remaining = set(elim) & set(nbrs)
+            nbrs.setdefault(a, set()).update(b for b in sc if b != a)
+    heap = [(len(nbrs[v]), v) for v in elim if v in nbrs]
+    heapq.heapify(heap)
     order = []
-    while remaining:
-        v = min(remaining, key=lambda x: (len(nbrs[x]), x))
+    while heap:
+        degree, v = heapq.heappop(heap)
+        if v not in nbrs or degree != len(nbrs[v]):
+            continue
         order.append(v)
         vs = nbrs.pop(v)
         for a in vs:
-            nbrs[a].discard(v)
-        for a in vs:
-            for b in vs:
-                if a != b:
-                    nbrs[a].add(b)
-        remaining.discard(v)
+            nbrs[a] = (nbrs[a] | vs) - {a, v}
+            if a in elim:
+                heapq.heappush(heap, (len(nbrs[a]), a))
     return tuple(order)
 
 
@@ -255,9 +257,14 @@ def _family_posterior(
     perm = [factor.scope.index(v) for v in target]
     joint = (factor.values * adjoint).transpose([0] + [1 + p for p in perm])
     joint = np.ascontiguousarray(joint).reshape(joint.shape[0], *structure.table_shape(i))
-    total = _sum_axes(joint, (1, 2))
-    _raise_zero(np.broadcast_to(total, (n_cases,)), "family posteriors")
-    post = joint / total.reshape(-1, 1, 1)
+    return _normalize(joint, n_cases, "family posteriors")
+
+
+def _normalize(joint: np.ndarray, n_cases: int, what: str) -> np.ndarray:
+    """Each case's joint divided by its total, broadcast to n_cases rows."""
+    total = _sum_axes(joint, tuple(range(1, joint.ndim)))
+    _raise_zero(np.broadcast_to(total, (n_cases,)), what)
+    post = joint / total.reshape((-1,) + (1,) * (joint.ndim - 1))
     return np.broadcast_to(post, (n_cases,) + post.shape[1:])
 
 
@@ -354,21 +361,22 @@ def batch_family_posteriors(
     return posteriors, loglik
 
 
-def posterior_marginal(network: Network, case: DataCase, var_ids: list[int]) -> np.ndarray:
-    """Joint posterior over the given variables, axes in the given order."""
+def batch_posterior_marginals(network: Network, values: np.ndarray, var_ids: list[int]) -> np.ndarray:
+    """Joint posterior over `var_ids`, axes in the given order, for every
+    row of an (N, V) case matrix; a read-only view when no case has evidence."""
     if len(set(var_ids)) != len(var_ids):
         raise ValidationError("duplicate variables in marginal query")
     s = network.structure
     elim = frozenset(range(s.n_vars)) - frozenset(var_ids)
-    res = _eliminate(_cpt_factors(network, case.states[None, :]), elim, _arities(s))
+    res = _eliminate(_cpt_factors(network, values), elim, _arities(s))
     perm = [res.scope.index(v) for v in var_ids]
-    vals = res.values.transpose([0] + [1 + p for p in perm])[0]
-    total = vals.sum()
-    if not total > 0.0:
-        raise ZeroProbabilityError(
-            "marginal query: evidence has probability 0", case_index=None
-        )
-    return vals / total
+    joint = res.values.transpose([0] + [1 + p for p in perm])
+    return _normalize(joint, values.shape[0], "marginal query")
+
+
+def posterior_marginal(network: Network, case: DataCase, var_ids: list[int]) -> np.ndarray:
+    """Joint posterior over the given variables, axes in the given order."""
+    return batch_posterior_marginals(network, case.states[None, :], var_ids)[0]
 
 
 def parent_config_marginals(network: Network) -> list[np.ndarray]:

@@ -226,9 +226,14 @@ def read_network(path: str) -> Network:
         return parse_network(f.read())
 
 
-def write_network(network: Network, path: str, name: str = "network") -> None:
+def write_text(path: str, text: str) -> None:
+    """Write text as UTF-8 with newlines untranslated."""
     with open(path, "w", encoding="utf-8", newline="\n") as f:
-        f.write(serialize_network(network, name=name))
+        f.write(text)
+
+
+def write_network(network: Network, path: str, name: str = "network") -> None:
+    write_text(path, serialize_network(network, name=name))
 
 
 # -- dataset files --------------------------------------------------------
@@ -293,8 +298,7 @@ def format_dataset(dataset: DataSet) -> str:
 
 
 def write_dataset(dataset: DataSet, path: str) -> None:
-    with open(path, "w", encoding="utf-8", newline="\n") as f:
-        f.write(format_dataset(dataset))
+    write_text(path, format_dataset(dataset))
 
 
 # -- trace files ----------------------------------------------------------
@@ -326,5 +330,4 @@ def format_trace(records: Iterable) -> str:
 
 
 def write_trace(records: Iterable, path: str) -> None:
-    with open(path, "w", encoding="utf-8", newline="\n") as f:
-        f.write(format_trace(records))
+    write_text(path, format_trace(records))

@@ -161,6 +161,21 @@ class TestEval:
         assert doc["targets"]["M"]["n_cases"] == 40
         assert doc["overall"]["mean_abs"] == pytest.approx(0.0, abs=1e-12)
 
+    def test_zero_probability_case_exit_3(self, tmp_path, chain3_file, capsys):
+        """Case 1 has A = s1, which the true network rules out."""
+        det = chain3().with_theta(
+            type(chain3().theta)([np.array([[1.0, 0.0]])] + list(chain3().theta.tables[1:]))
+        )
+        truth = tmp_path / "det.json"
+        write_network(det, str(truth))
+        data = tmp_path / "d.csv"
+        data.write_text("A,M,B\ns0,?,s1\ns1,?,s0\n")
+        code = run("eval", "--learned", chain3_file, "--truth", truth,
+                   "--data", data, "--targets", "M", "--out", tmp_path / "errors.json")
+        assert code == 3
+        err = capsys.readouterr().err
+        assert "'M'" in err and "true network" in err and "case 1 " in err
+
 
 class TestExperiment:
     def test_config_run(self, tmp_path):

@@ -19,6 +19,7 @@ from bnfit.harness import (
     query_error,
     run_experiment,
 )
+from bnfit import inference
 from bnfit.inference import enumerate_joint
 from bnfit.model import (
     Network,
@@ -29,7 +30,7 @@ from bnfit.model import (
     ZeroProbabilityError,
     random_init,
 )
-from bnfit.netio import MISSING, DataCase, format_dataset
+from bnfit.netio import MISSING, DataCase, DataSet, format_dataset
 from bnfit.networks import builtin_network, chain3, tree8, twolayer15
 
 from util import random_network
@@ -177,6 +178,154 @@ class TestQueryError:
         )
         result = evaluate_queries(learned, net, eval_cases, EvalSpec(("T7",)))
         assert result["targets"]["T7"]["mean_abs"] < 0.01
+
+
+def _mean_or_none(xs):
+    return float(np.mean(xs)) if xs else None
+
+
+def reference_evaluate(learned, truth, dataset, targets):
+    """evaluate_queries as a loop of single-case query_error calls."""
+    out = {"targets": {}, "overall": {}}
+    all_abs, all_rel = [], []
+    for target in targets:
+        v = truth.structure.by_name(target)
+        errs = [
+            query_error(learned, truth, dataset.case(l), target)
+            for l in range(len(dataset))
+            if dataset.values[l, v.index] == MISSING
+        ]
+        abs_list = [e.absolute for e in errs]
+        rel_list = [e.relative for e in errs if e.relative is not None]
+        out["targets"][target] = {
+            "n_cases": len(errs),
+            "mean_abs": _mean_or_none(abs_list),
+            "mean_rel": _mean_or_none(rel_list),
+            "n_rel_excluded": sum(e.n_rel_excluded for e in errs),
+            "per_state": [
+                {
+                    "state": name,
+                    "mean_abs": _mean_or_none([e.per_state[k][0] for e in errs]),
+                    "mean_rel": _mean_or_none(
+                        [e.per_state[k][1] for e in errs if e.per_state[k][1] is not None]
+                    ),
+                }
+                for k, name in enumerate(v.states)
+            ],
+        }
+        all_abs += abs_list
+        all_rel += rel_list
+    out["overall"] = {"mean_abs": _mean_or_none(all_abs), "mean_rel": _mean_or_none(all_rel)}
+    return out
+
+
+def assert_same_report(got, want):
+    if isinstance(want, dict):
+        assert list(got) == list(want)
+        for key in want:
+            assert_same_report(got[key], want[key])
+    elif isinstance(want, list):
+        assert len(got) == len(want)
+        for g, w in zip(got, want):
+            assert_same_report(g, w)
+    elif isinstance(want, float):
+        assert type(got) is float and got == pytest.approx(want, rel=1e-12, abs=1e-15)
+    else:
+        assert type(got) is type(want) and got == want
+
+
+def zero_entry_network() -> Network:
+    """A -> T -> {B, C} with T ternary; T's CPT has zero entries."""
+    names = [("A", 2), ("T", 3), ("B", 2), ("C", 2)]
+    variables = tuple(
+        Variable(i, name, tuple(f"s{k}" for k in range(r))) for i, (name, r) in enumerate(names)
+    )
+    s = NetworkStructure(variables, ((), (0,), (1,), (1,)))
+    tables = [
+        np.array([[0.6, 0.4]]),
+        np.array([[0.7, 0.3, 0.0], [0.0, 0.0, 1.0]]),
+        np.array([[0.9, 0.1], [0.3, 0.7], [0.2, 0.8]]),
+        np.array([[0.6, 0.4], [0.1, 0.9], [0.5, 0.5]]),
+    ]
+    return Network(s, ParameterVector(tables))
+
+
+class TestEvaluateQueries:
+    """The batched evaluate_queries against a loop of query_error calls."""
+
+    @staticmethod
+    def data(truth, n, seed):
+        """A always observed, T mostly missing, B and C sometimes."""
+        values = forward_sample(truth, n, seed).values.copy()
+        rng = np.random.default_rng(seed)
+        for i, p in ((1, 0.7), (2, 0.4), (3, 0.4)):
+            values[rng.random(n) < p, i] = MISSING
+        return DataSet(truth.structure, values)
+
+    def test_matches_per_case_loop(self):
+        truth = zero_entry_network()
+        learned = truth.with_theta(random_init(truth.structure, 3))
+        data = self.data(truth, 80, seed=4)
+        targets = ("T", "B", "A", "C")
+        got = evaluate_queries(learned, truth, data, EvalSpec(targets))
+        assert_same_report(got, reference_evaluate(learned, truth, data, targets))
+        assert got["targets"]["T"]["n_rel_excluded"] >= got["targets"]["T"]["n_cases"] > 0
+        assert got["targets"]["A"] == {
+            "n_cases": 0,
+            "mean_abs": None,
+            "mean_rel": None,
+            "n_rel_excluded": 0,
+            "per_state": [{"state": s, "mean_abs": None, "mean_rel": None} for s in ("s0", "s1")],
+        }
+        json.dumps(got)
+
+    def test_state_with_zero_true_probability_everywhere(self):
+        """With A = s0 in every case, T = s2 has true probability 0 in
+        every query, so its relative error is None."""
+        truth = zero_entry_network()
+        learned = truth.with_theta(random_init(truth.structure, 5))
+        data = self.data(truth, 80, seed=6)
+        data = DataSet(truth.structure, data.values[data.values[:, 0] == 0])
+        got = evaluate_queries(learned, truth, data, EvalSpec(("T",)))
+        assert_same_report(got, reference_evaluate(learned, truth, data, ("T",)))
+        entry = got["targets"]["T"]
+        assert entry["n_rel_excluded"] == entry["n_cases"] > 0
+        assert entry["per_state"][2]["mean_rel"] is None
+        assert entry["per_state"][2]["mean_abs"] > 0.0
+        row = int(np.nonzero(data.values[:, 1] == MISSING)[0][0])
+        assert query_error(learned, truth, data.case(row), "T").per_state[2][1] is None
+
+    def test_two_eliminations_per_target(self, monkeypatch):
+        calls = []
+        eliminate = inference._eliminate
+
+        def counting(*args, **kwargs):
+            calls.append(1)
+            return eliminate(*args, **kwargs)
+
+        monkeypatch.setattr(inference, "_eliminate", counting)
+        truth = zero_entry_network()
+        learned = truth.with_theta(random_init(truth.structure, 7))
+        for n in (10, 200):
+            calls.clear()
+            evaluate_queries(learned, truth, self.data(truth, n, seed=n), EvalSpec(("T", "B", "C")))
+            assert len(calls) == 6
+
+    @pytest.mark.parametrize("which", ["learned", "true"])
+    def test_zero_probability_names_dataset_row(self, which):
+        """Row 2 is impossible under the deterministic network; it is the
+        second query case for M, and the error names row 2."""
+        det = chain3().with_theta(
+            ParameterVector([np.array([[1.0, 0.0]])] + [t.copy() for t in chain3().theta.tables[1:]])
+        )
+        learned, truth = (det, chain3()) if which == "learned" else (chain3(), det)
+        values = np.array([[0, 1, 0], [0, MISSING, 1], [1, MISSING, 0], [0, 0, MISSING]])
+        data = DataSet(det.structure, values)
+        with pytest.raises(ZeroProbabilityError) as info:
+            evaluate_queries(learned, truth, data, EvalSpec(("B", "M")))
+        assert info.value.case_index == 2
+        assert "'M'" in str(info.value) and f"{which} network" in str(info.value)
+        assert "case 2 " in str(info.value)
 
 
 class TestRunExperiment:

@@ -6,7 +6,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from bnfit.inference import (
+    _min_degree_order,
     batch_family_posteriors,
+    batch_posterior_marginals,
     enumerate_case_probability,
     enumerate_family_posteriors,
     enumerate_joint,
@@ -31,6 +33,7 @@ from bnfit.networks import chain3
 from util import (
     oracle_case_probability,
     oracle_family_posteriors,
+    oracle_marginal,
     random_network,
     random_partial_case,
     random_tables,
@@ -327,3 +330,100 @@ class TestForwardBackwardSweep:
             child = np.zeros((2, 2))
             child[:, states[hidden + 1]] = marginal
             np.testing.assert_allclose(posts[hidden + 1][0], child, rtol=0, atol=1e-12)
+
+
+def reference_min_degree_order(scopes, elim):
+    """Min-degree order by a full scan of the remaining variables per step."""
+    nbrs = {}
+    for sc in scopes:
+        for a in sc:
+            nbrs.setdefault(a, set())
+        for a in sc:
+            for b in sc:
+                if a != b:
+                    nbrs[a].add(b)
+    remaining = set(elim) & set(nbrs)
+    order = []
+    while remaining:
+        v = min(remaining, key=lambda x: (len(nbrs[x]), x))
+        order.append(v)
+        vs = nbrs.pop(v)
+        for a in vs:
+            nbrs[a].discard(v)
+        for a in vs:
+            for b in vs:
+                if a != b:
+                    nbrs[a].add(b)
+        remaining.discard(v)
+    return tuple(order)
+
+
+class TestMinDegreeOrder:
+    @settings(max_examples=300, deadline=None)
+    @given(
+        scopes=st.lists(
+            st.lists(st.integers(0, 11), min_size=1, max_size=4, unique=True).map(
+                lambda vs: tuple(sorted(vs))
+            ),
+            max_size=14,
+        ),
+        elim=st.frozensets(st.integers(0, 13)),
+    )
+    def test_heap_order_equals_full_scan(self, scopes, elim):
+        scopes = tuple(scopes)
+        assert _min_degree_order(scopes, elim) == reference_min_degree_order(scopes, elim)
+
+    def test_long_chain(self):
+        n = 2000
+        scopes = ((0,),) + tuple((i - 1, i) for i in range(1, n))
+        elim = frozenset(range(0, n, 2))
+        assert _min_degree_order(scopes, elim) == reference_min_degree_order(scopes, elim)
+
+
+class TestBatchPosteriorMarginals:
+    """batch_posterior_marginals' one elimination per batch against the
+    enumeration oracle."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        n_vars=st.integers(2, 7),
+        n_query=st.integers(1, 2),
+        observed=st.lists(st.sampled_from([0.0, 0.3, 0.7, 1.0]), min_size=1, max_size=6),
+    )
+    def test_random_dags_match_enumeration(self, seed, n_vars, n_query, observed):
+        """Fully observed, partly observed and empty cases share one batch."""
+        rng = np.random.default_rng(seed)
+        net = random_network(rng, n_vars)
+        var_ids = [int(v) for v in rng.choice(n_vars, size=n_query, replace=False)]
+        cases = [random_partial_case(rng, net.structure, p) for p in observed]
+        got = batch_posterior_marginals(net, np.stack([c.states for c in cases]), var_ids)
+        assert got.shape == (len(cases),) + tuple(net.structure.arity(v) for v in var_ids)
+        for c, case in enumerate(cases):
+            want = oracle_marginal(net, case, var_ids)
+            np.testing.assert_allclose(got[c], want, rtol=0, atol=1e-10)
+            np.testing.assert_allclose(
+                posterior_marginal(net, case, var_ids), want, rtol=0, atol=1e-10
+            )
+
+    def test_empty_batch_of_cases(self):
+        net = chain3()
+        values = np.full((4, 3), MISSING)
+        got = batch_posterior_marginals(net, values, [2, 0])
+        want = oracle_marginal(net, DataCase(values[0]), [2, 0])
+        for c in range(4):
+            np.testing.assert_allclose(got[c], want, rtol=0, atol=1e-12)
+
+    def test_zero_probability_names_batch_row(self):
+        net = deterministic_chain()
+        values = np.array([[0, MISSING], [MISSING, 1], [1, MISSING], [MISSING, 1]])
+        with pytest.raises(ZeroProbabilityError) as info:
+            batch_posterior_marginals(net, values, [1])
+        assert info.value.case_index == 2
+        with pytest.raises(ZeroProbabilityError) as info:
+            posterior_marginal(net, DataCase(values[2]), [1])
+        assert info.value.case_index == 0
+
+    def test_duplicate_variables_rejected(self):
+        with pytest.raises(ValidationError):
+            batch_posterior_marginals(chain3(), np.full((2, 3), MISSING), [1, 1])

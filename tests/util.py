@@ -134,3 +134,12 @@ def oracle_complete_counts(network: Network, values: np.ndarray) -> list[np.ndar
         for i in range(s.n_vars):
             acc[i][parent_row_of(s, i, row), int(row[i])] += 1.0
     return [a / values.shape[0] for a in acc]
+
+
+def oracle_marginal(network: Network, case: DataCase, var_ids: list[int]) -> np.ndarray:
+    """P(var_ids | case), axes in the given order, by summing completions."""
+    s = network.structure
+    acc = np.zeros(tuple(s.arity(v) for v in var_ids))
+    for a in all_assignments(s, case):
+        acc[tuple(int(a[v]) for v in var_ids)] += oracle_joint_of_assignment(network, a)
+    return acc / acc.sum()
