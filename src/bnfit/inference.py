@@ -3,10 +3,13 @@
 Two independent routes compute the same quantities:
 
 * The main route is variable elimination with a min-degree ordering.  It
-  is batched over data cases: factors carry a leading case axis so one
+  is batched over data cases: factors carry a trailing case axis so one
   elimination pass answers a query for every case in a dataset chunk at
-  once.  Products keep a separate per-case log-scale accumulator, so
-  probabilities far below float underflow stay representable.
+  once.  The case axis is innermost, so every multiply, sum-out and
+  per-case total runs over contiguous case vectors rather than over the
+  two or three states of a variable.  Products keep a separate per-case
+  log-scale accumulator, so probabilities far below float underflow stay
+  representable.  Results are returned case-first.
 
   A likelihood pass eliminates every variable once and releases each
   factor as soon as its bucket has consumed it.  The family posteriors
@@ -37,7 +40,6 @@ over (j, k): they partition the evidence-conditioned joint.
 from __future__ import annotations
 
 import heapq
-import math
 from dataclasses import dataclass
 from functools import lru_cache, reduce
 
@@ -59,11 +61,11 @@ RESCALE_TRIGGER = 1e-100
 
 @dataclass
 class _Factor:
-    """values[b, ...] * exp(logscale[b]) over the sorted variable scope.
+    """values[..., b] * exp(logscale[b]) over the sorted variable scope.
 
-    The leading axis is the case batch; it may have length 1 and rely on
-    broadcasting when the factor is case-independent.  ``logscale`` is a
-    scalar 0.0 until a rescale makes it a per-case array.
+    The last (innermost) axis is the case batch; it may have length 1 and
+    rely on broadcasting when the factor is case-independent.
+    ``logscale`` is a scalar 0.0 until a rescale makes it a per-case array.
     """
 
     scope: tuple[int, ...]
@@ -77,10 +79,8 @@ def _align(
     """Reshape `values` with singleton axes so it broadcasts over the union."""
     if scope == union:
         return values
-    shape = (values.shape[0],) + tuple(
-        arities[v] if v in scope else 1 for v in union
-    )
-    return values.reshape(shape)
+    shape = tuple(arities[v] if v in scope else 1 for v in union)
+    return values.reshape(shape + values.shape[-1:])
 
 
 def _multiply(factors: list[_Factor], arities: tuple[int, ...]) -> _Factor:
@@ -95,24 +95,8 @@ def _multiply(factors: list[_Factor], arities: tuple[int, ...]) -> _Factor:
     return _Factor(union, values, logscale)
 
 
-def _sum_axes(values: np.ndarray, axes: tuple[int, ...]) -> np.ndarray:
-    """`values` summed over `axes`.
-
-    Batched sums run as a matrix-vector product over a copy with the
-    summed axes moved last; numpy's own reduction over a few short axes
-    is several times slower.
-    """
-    if values.shape[0] == 1:
-        return values.sum(axis=axes)
-    keep = [a for a in range(values.ndim) if a not in axes]
-    moved = values.transpose(keep + list(axes))
-    shape = moved.shape[: len(keep)]
-    flat = np.ascontiguousarray(moved).reshape(math.prod(shape), -1)
-    return (flat @ np.ones(flat.shape[1])).reshape(shape)
-
-
 def _sum_out(factor: _Factor, var: int) -> _Factor:
-    values = _sum_axes(factor.values, (1 + factor.scope.index(var),))
+    values = factor.values.sum(axis=factor.scope.index(var))
     scope = tuple(v for v in factor.scope if v != var)
     return _Factor(scope, values, factor.logscale)
 
@@ -125,16 +109,23 @@ def _case_divisors(values: np.ndarray, high: float = np.inf) -> np.ndarray | Non
     zero-probability evidence and are reported by the caller.  Totals
     rather than maxima, because they are the cheaper per-case reduction.
     """
-    if values.shape[0] == 1:
-        total = float(values.sum())
-        if RESCALE_TRIGGER < total <= high or not total > 0.0:
-            return None
-        return np.full((1,) * values.ndim, total)
-    total = _sum_axes(values, tuple(range(1, values.ndim)))
+    total = _case_totals(values)
+    if total.shape[0] == 1:
+        # A batch of one (an online step) is decided on a Python float,
+        # which is cheaper than the array reductions below.
+        t = float(total[0])
+        return None if RESCALE_TRIGGER < t <= high or not t > 0.0 else total
+    if RESCALE_TRIGGER < total.min() and total.max() <= high:
+        return None
     move = (total > 0.0) & ((total <= RESCALE_TRIGGER) | (total > high))
     if not move.any():
         return None
-    return np.where(move, total, 1.0).reshape((-1,) + (1,) * (values.ndim - 1))
+    return np.where(move, total, 1.0)
+
+
+def _case_totals(values: np.ndarray) -> np.ndarray:
+    """Sum over every variable axis of a case-last array: one total per case."""
+    return values.reshape(-1, values.shape[-1]).sum(axis=0)
 
 
 def _maybe_rescale(factor: _Factor) -> _Factor:
@@ -142,7 +133,7 @@ def _maybe_rescale(factor: _Factor) -> _Factor:
     div = _case_divisors(factor.values)
     if div is None:
         return factor
-    logscale = factor.logscale + np.log(div.reshape(-1))
+    logscale = factor.logscale + np.log(div)
     return _Factor(factor.scope, factor.values / div, logscale)
 
 
@@ -179,16 +170,16 @@ def _cpt_factor(network: Network, i: int, evidence: np.ndarray | None) -> _Facto
     values = network.theta.tables[i].reshape(shape)
     perm = sorted(range(len(axis_vars)), key=lambda p: axis_vars[p])
     scope = tuple(axis_vars[p] for p in perm)
-    values = values.transpose(tuple(perm))[None]
+    values = values.transpose(tuple(perm))[..., None]
     if evidence is not None:
         pos = scope.index(i)
-        ev_shape = (evidence.shape[0],) + (1,) * pos + (s.arity(i),) + (1,) * (len(scope) - pos - 1)
+        ev_shape = (1,) * pos + (s.arity(i),) + (1,) * (len(scope) - pos - 1) + evidence.shape[-1:]
         values = values * evidence.reshape(ev_shape)
     return _Factor(scope, values, 0.0)
 
 
 def _evidence_columns(structure: NetworkStructure, values: np.ndarray) -> list[np.ndarray | None]:
-    """Per variable: (B, r) indicator-or-ones matrix, or None if never observed."""
+    """Per variable: (r, B) indicator-or-ones matrix, or None if never observed."""
     missing = values < 0
     observed = ~missing.all(axis=0)
     out: list[np.ndarray | None] = []
@@ -197,7 +188,7 @@ def _evidence_columns(structure: NetworkStructure, values: np.ndarray) -> list[n
             out.append(None)
             continue
         states = np.arange(structure.arity(i))
-        ev = (values[:, i, None] == states) | missing[:, i, None]
+        ev = (values[:, i] == states[:, None]) | missing[:, i]
         out.append(ev.astype(np.float64))
     return out
 
@@ -255,16 +246,21 @@ def _family_posterior(
     """Evidence-folded CPT factor times its adjoint, CPT-shaped and normalized per case."""
     target = list(structure.parents[i]) + [i]
     perm = [factor.scope.index(v) for v in target]
-    joint = (factor.values * adjoint).transpose([0] + [1 + p for p in perm])
-    joint = np.ascontiguousarray(joint).reshape(joint.shape[0], *structure.table_shape(i))
+    joint = (factor.values * adjoint).transpose(perm + [len(perm)])
+    joint = joint.reshape(*structure.table_shape(i), joint.shape[-1])
     return _normalize(joint, n_cases, "family posteriors")
 
 
 def _normalize(joint: np.ndarray, n_cases: int, what: str) -> np.ndarray:
-    """Each case's joint divided by its total, broadcast to n_cases rows."""
-    total = _sum_axes(joint, tuple(range(1, joint.ndim)))
-    _raise_zero(np.broadcast_to(total, (n_cases,)), what)
-    post = joint / total.reshape((-1,) + (1,) * (joint.ndim - 1))
+    """Each case's joint divided by its total, broadcast to n_cases cases.
+
+    `joint` is case-last; the result is its view with the case axis first.
+    """
+    total = _case_totals(joint)
+    _raise_zero(total, what)
+    post = (joint / total).transpose([joint.ndim - 1, *range(joint.ndim - 1)])
+    if post.shape[0] == n_cases:
+        return post
     return np.broadcast_to(post, (n_cases,) + post.shape[1:])
 
 
@@ -346,16 +342,17 @@ def batch_family_posteriors(
             # The bucket's other factors first: their product is mostly
             # smaller than the union, which the upstream adjoint nearly spans.
             adj = reduce(np.multiply, [aligned[u] for u in touching if u != t] + [upstream])
-            axes = tuple(1 + p for p, v in enumerate(union) if v not in f.scope)
+            axes = tuple(p for p, v in enumerate(union) if v not in f.scope)
             if axes:
-                adj = _sum_axes(adj, axes)
+                adj = adj.sum(axis=axes)
             div = _case_divisors(adj, 1.0 / RESCALE_TRIGGER)
             if div is not None:
                 adj = adj / div
             if t < s.n_vars:
                 posteriors[t] = _family_posterior(s, t, f, adj, n_cases)
             else:
-                adjoints[t] = np.broadcast_to(adj, adj.shape[:1] + f.values.shape[1:])
+                shape = f.values.shape[:-1] + adj.shape[-1:]
+                adjoints[t] = adj if adj.shape == shape else np.broadcast_to(adj, shape)
         for t in touching:
             factors[t] = None
     return posteriors, loglik
@@ -370,7 +367,7 @@ def batch_posterior_marginals(network: Network, values: np.ndarray, var_ids: lis
     elim = frozenset(range(s.n_vars)) - frozenset(var_ids)
     res = _eliminate(_cpt_factors(network, values), elim, _arities(s))
     perm = [res.scope.index(v) for v in var_ids]
-    joint = res.values.transpose([0] + [1 + p for p in perm])
+    joint = res.values.transpose(perm + [len(perm)])
     return _normalize(joint, values.shape[0], "marginal query")
 
 

@@ -9,7 +9,9 @@ The EM and EG rules divide by an estimate of the parent-configuration
 mass.  Which estimate depends on the schedule:
 
 * ``fixed`` and ``inverse_t`` use the prior marginal P(Pa_i = j) under
-  the current model, without conditioning on the incoming case.
+  the current model, without conditioning on the incoming case.  It
+  comes from the step's own inference pass, as the posteriors of an
+  all-missing row batched with the case.
 * ``per_row_count`` uses the case-conditioned mass P(Pa_i = j | y) and a
   rate of 1 / (visits + 1).  On a fully observed stream this makes each
   row an exact running average of its cases, so one pass reproduces the
@@ -30,7 +32,9 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from .estimation import ROW_MASS_FLOOR, _eg_rows, _em_rows
-from .inference import batch_family_posteriors, parent_config_marginals
+# parent_config_marginals is not called here; it stays bound in this
+# module because perfbench/tracing.py wraps it by this name.
+from .inference import batch_family_posteriors, parent_config_marginals  # noqa: F401
 from .model import (
     PROB_FLOOR,
     Network,
@@ -38,8 +42,9 @@ from .model import (
     ValidationError,
     ZeroProbabilityError,
     clamp_rows,
+    param_delta_stats,
 )
-from .netio import DataCase, DataSet
+from .netio import MISSING, DataCase, DataSet
 
 ETA_MAX = 2.0
 
@@ -128,17 +133,21 @@ def init_online_state(network: Network) -> OnlineState:
     return OnlineState(network, 0, masses)
 
 
-def _case_posteriors(state: OnlineState, case: DataCase) -> tuple[list[np.ndarray], float]:
-    posts, lls = batch_family_posteriors(state.network, case.states[None, :])
-    return [p[0] for p in posts], float(lls[0])
+def _case_posteriors(
+    state: OnlineState, case: DataCase, prior_mass: bool = False
+) -> tuple[list[np.ndarray], list[np.ndarray], float]:
+    """The case's family posteriors, a parent mass per family, and log P(case).
 
-
-def _mass_estimates(
-    state: OnlineState, posts: list[np.ndarray], schedule: LearningRateSchedule
-) -> list[np.ndarray]:
-    if schedule.conditioned_mass:
-        return [p.sum(axis=1) for p in posts]
-    return parent_config_marginals(state.network)
+    The mass is P(Pa_i = j | case), or with `prior_mass` the prior
+    P(Pa_i = j): an all-missing row then joins the case in the same
+    inference pass, and its family posteriors summed over the child's
+    states are the prior parent marginals.
+    """
+    rows = case.states[None, :]
+    if prior_mass:
+        rows = np.vstack([rows, np.full_like(rows, MISSING)])
+    posts, lls = batch_family_posteriors(state.network, rows)
+    return [p[0] for p in posts], [p[-1].sum(axis=1) for p in posts], float(lls[0])
 
 
 def _advance(
@@ -164,8 +173,7 @@ def online_em_step(
     the 1e-9 scale, while dropping the floor entirely would let exact
     zeros reject later cases as impossible.
     """
-    posts, case_ll = _case_posteriors(state, case)
-    mass = _mass_estimates(state, posts, schedule)
+    posts, mass, case_ll = _case_posteriors(state, case, not schedule.conditioned_mass)
     floor = RUNNING_AVG_FLOOR if schedule.conditioned_mass else PROB_FLOOR
     tables = []
     for i, t in enumerate(state.theta.tables):
@@ -178,8 +186,7 @@ def online_eg_step(
     state: OnlineState, case: DataCase, schedule: LearningRateSchedule
 ) -> OnlineState:
     """Single-case EG(eta): exponentiated-gradient reweighting of each row."""
-    posts, case_ll = _case_posteriors(state, case)
-    mass = _mass_estimates(state, posts, schedule)
+    posts, mass, case_ll = _case_posteriors(state, case, not schedule.conditioned_mass)
     tables = []
     for i, t in enumerate(state.theta.tables):
         rates = schedule.row_rates(state.t, state.visit_mass[i])
@@ -195,7 +202,7 @@ def online_gp_step(
     The gradient of log P(y) is the case posterior over the table entry;
     rows the case does not touch have a zero gradient and stay put.
     """
-    posts, case_ll = _case_posteriors(state, case)
+    posts, _, case_ll = _case_posteriors(state, case)
     tables = []
     for i, t in enumerate(state.theta.tables):
         rates = schedule.row_rates(state.t, state.visit_mass[i])
@@ -257,9 +264,6 @@ def run_stream(
             trace.append(OnlineTraceRecord(t_before, None, 0.0, True))
             state = replace(state, t=state.t + 1, last_case_ll=None)
             continue
-        sq = 0.0
-        for a, b in zip(state.theta.tables, theta_before.tables):
-            d = a - b
-            sq += float(np.sum(d * d))
-        trace.append(OnlineTraceRecord(t_before, state.last_case_ll, float(np.sqrt(sq)), False))
+        _, step_l2 = param_delta_stats(state.theta, theta_before)
+        trace.append(OnlineTraceRecord(t_before, state.last_case_ll, step_l2, False))
     return OnlineRunResult(state, tuple(trace), n_skipped)

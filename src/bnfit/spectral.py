@@ -30,7 +30,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .estimation import SufficientStats, _em_rows, expected_stats, is_fixpoint
-from .model import Network, NumericalError, ParameterVector, ValidationError
+from .model import Network, NumericalError, ParameterVector, ValidationError, param_delta_stats
 from .netio import DataSet
 
 # Dense eigendecomposition only: refuse larger free-coordinate charts.
@@ -207,13 +207,7 @@ def empirical_rate(thetas: list[ParameterVector], theta_star: ParameterVector) -
     Uses the trailing run of iterates that are near the fixpoint (below
     NEAR_FIXPOINT) but still above the numerical noise floor.
     """
-    dists = []
-    for th in thetas:
-        sq = 0.0
-        for a, b in zip(th.tables, theta_star.tables):
-            d = a - b
-            sq += float(np.sum(d * d))
-        dists.append(float(np.sqrt(sq)))
+    dists = [param_delta_stats(th, theta_star)[1] for th in thetas]
     window: list[float] = []
     for d in reversed(dists):
         if DISTANCE_FLOOR < d < NEAR_FIXPOINT:

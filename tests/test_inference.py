@@ -427,3 +427,61 @@ class TestBatchPosteriorMarginals:
     def test_duplicate_variables_rejected(self):
         with pytest.raises(ValidationError):
             batch_posterior_marginals(chain3(), np.full((2, 3), MISSING), [1, 1])
+
+
+class TestBatchInvariance:
+    """Row c of a batched result equals a solo run of row c: the case axis
+    of every factor is innermost, and a factor whose variable is never
+    observed in the batch keeps case length 1 and broadcasts."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        n_vars=st.integers(2, 8),
+        observed=st.lists(st.sampled_from([0.0, 0.3, 0.7, 1.0]), min_size=1, max_size=6),
+        n_unobserved=st.integers(0, 3),
+    )
+    def test_row_matches_solo_run(self, seed, n_vars, observed, n_unobserved):
+        rng = np.random.default_rng(seed)
+        net = random_network(rng, n_vars)
+        s = net.structure
+        values = np.stack([random_partial_case(rng, s, p).states for p in observed])
+        values[:, rng.choice(n_vars, size=min(n_unobserved, n_vars), replace=False)] = MISSING
+        var_ids = [int(v) for v in rng.choice(n_vars, size=2, replace=False)]
+        n = len(observed)
+
+        posts, lls = batch_family_posteriors(net, values)
+        ll_only = log_likelihood_cases(net, values)
+        margs = batch_posterior_marginals(net, values, var_ids)
+        assert lls.shape == ll_only.shape == (n,)
+        assert margs.shape == (n,) + tuple(s.arity(v) for v in var_ids)
+        for i in range(n_vars):
+            assert posts[i].shape == (n,) + s.table_shape(i)
+
+        for c in range(n):
+            solo = values[c : c + 1]
+            solo_posts, solo_lls = batch_family_posteriors(net, solo)
+            assert lls[c] == pytest.approx(solo_lls[0], rel=1e-12, abs=1e-12)
+            assert ll_only[c] == pytest.approx(log_likelihood_cases(net, solo)[0], rel=1e-12, abs=1e-12)
+            for i in range(n_vars):
+                assert solo_posts[i].shape == (1,) + s.table_shape(i)
+                np.testing.assert_allclose(posts[i][c], solo_posts[i][0], rtol=0, atol=1e-12)
+            solo_margs = batch_posterior_marginals(net, solo, var_ids)
+            assert solo_margs.shape == (1,) + margs.shape[1:]
+            np.testing.assert_allclose(margs[c], solo_margs[0], rtol=0, atol=1e-12)
+
+    def test_unobserved_batch_broadcasts_to_every_row(self):
+        """With no evidence at all every factor has case length 1; results
+        still have one row per case."""
+        rng = np.random.default_rng(5)
+        net = random_network(rng, 6)
+        values = np.full((3, 6), MISSING)
+        posts, lls = batch_family_posteriors(net, values)
+        np.testing.assert_allclose(lls, np.zeros(3), atol=1e-12)
+        prior = parent_config_marginals(net)
+        for i in range(6):
+            assert posts[i].shape == (3,) + net.structure.table_shape(i)
+            for c in range(3):
+                np.testing.assert_allclose(posts[i][c].sum(axis=1), prior[i], rtol=0, atol=1e-12)
+        assert log_likelihood_cases(net, values).shape == (3,)
+        assert batch_posterior_marginals(net, values, [4]).shape == (3, net.structure.arity(4))

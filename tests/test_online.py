@@ -4,22 +4,26 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from bnfit.estimation import SufficientStats, em_eta_step, expected_stats, fit, FitConfig
+from bnfit.estimation import SufficientStats, _eg_rows, _em_rows, em_eta_step, expected_stats, fit, FitConfig
 from bnfit.harness import forward_sample
-from bnfit.inference import family_posteriors, parent_config_marginals
+from bnfit.inference import family_posteriors, log_marginal_likelihood, parent_config_marginals
 from bnfit.model import (
     Network,
     NetworkStructure,
     ParameterVector,
     ValidationError,
     Variable,
+    ZeroProbabilityError,
     random_init,
 )
 from bnfit.netio import MISSING, DataCase, DataSet
 from bnfit.networks import chain3, tree8
 from bnfit.online import (
     LearningRateSchedule,
+    _case_posteriors,
     init_online_state,
     online_eg_step,
     online_em_step,
@@ -27,7 +31,7 @@ from bnfit.online import (
     run_stream,
 )
 
-from util import oracle_complete_counts, random_network
+from util import oracle_complete_counts, random_network, random_partial_case
 
 
 def binary_root(p0=0.5) -> Network:
@@ -117,6 +121,48 @@ class TestOnlineEmStep:
         posts = family_posteriors(net, case)
         out = online_em_step(state, case, LearningRateSchedule.fixed(0.5))
         np.testing.assert_allclose(out.visit_mass[2], posts[2].sum(axis=1), atol=1e-12)
+
+
+class TestPriorMassFold:
+    """Under the fixed and inverse_t schedules the EM and EG steps take
+    P(Pa_i = j) from an all-missing row that joins the case's own
+    inference pass, not from a second inference."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        n_vars=st.integers(1, 7),
+        p_observed=st.sampled_from([0.0, 0.4, 1.0]),
+    )
+    def test_folded_mass_equals_parent_config_marginals(self, seed, n_vars, p_observed):
+        rng = np.random.default_rng(seed)
+        net = random_network(rng, n_vars)
+        case = random_partial_case(rng, net.structure, p_observed)
+        posts, mass, case_ll = _case_posteriors(init_online_state(net), case, prior_mass=True)
+        prior = parent_config_marginals(net)
+        solo = family_posteriors(net, case)
+        assert case_ll == pytest.approx(log_marginal_likelihood(net, case), rel=1e-12, abs=1e-12)
+        for i in range(n_vars):
+            np.testing.assert_allclose(mass[i], prior[i], rtol=0, atol=1e-12)
+            np.testing.assert_allclose(posts[i], solo[i], rtol=0, atol=1e-12)
+
+    @pytest.mark.parametrize(
+        "schedule", [LearningRateSchedule.fixed(0.7), LearningRateSchedule.inverse_t(2.0, 1.0)]
+    )
+    @pytest.mark.parametrize("step, rows", [(online_em_step, _em_rows), (online_eg_step, _eg_rows)])
+    def test_step_divides_by_prior_mass(self, schedule, step, rows):
+        rng = np.random.default_rng(13)
+        net = random_network(rng, 6)
+        state = init_online_state(net)
+        for _ in range(3):
+            state = step(state, random_partial_case(rng, net.structure, 0.5), schedule)
+        case = random_partial_case(rng, net.structure, 0.5)
+        posts = family_posteriors(state.network, case)
+        prior = parent_config_marginals(state.network)
+        out = step(state, case, schedule)
+        for i, t in enumerate(state.theta.tables):
+            want = rows(t, posts[i], prior[i], schedule.row_rates(state.t, state.visit_mass[i]))
+            np.testing.assert_allclose(out.theta.tables[i], want, rtol=0, atol=1e-12)
 
 
 class TestOnlineEgStep:
@@ -230,6 +276,55 @@ class TestRunStream:
         assert result.trace[0].skipped and result.trace[0].case_ll is None
         assert not result.trace[1].skipped
         assert result.state.t == 2
+
+    @pytest.mark.parametrize(
+        "schedule",
+        [
+            LearningRateSchedule.fixed(0.5),
+            LearningRateSchedule.inverse_t(1.0),
+            LearningRateSchedule.per_row_count(),
+        ],
+    )
+    @pytest.mark.parametrize("rule", ["em", "eg", "gp"])
+    def test_zero_probability_case_names_case_zero(self, rule, schedule):
+        """The appended all-missing row never takes the blame: the error
+        names the case itself, and run_stream skips it."""
+        net = binary_root(1.0)
+        impossible = DataCase(np.array([1]))
+        step = {"em": online_em_step, "eg": online_eg_step, "gp": online_gp_step}[rule]
+        with pytest.raises(ZeroProbabilityError) as info:
+            step(init_online_state(net), impossible, schedule)
+        assert info.value.case_index == 0
+        result = run_stream(net, [impossible, DataCase(np.array([0]))], rule, schedule)
+        assert result.n_skipped == 1
+        assert result.trace[0].skipped and not result.trace[1].skipped
+
+    @settings(max_examples=20, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        n_vars=st.integers(1, 7),
+        n_cases=st.integers(1, 80),
+    )
+    def test_running_average_identity_shuffled(self, seed, n_vars, n_cases):
+        """Any order of a complete stream gives the batch conditional
+        frequencies under per_row_count; unvisited rows keep their start."""
+        rng = np.random.default_rng(seed)
+        net = random_network(rng, n_vars)
+        values = forward_sample(net, n_cases, seed=int(rng.integers(2**31))).values
+        theta0 = random_init(net.structure, int(rng.integers(2**31)))
+        counts = oracle_complete_counts(net, values)
+        for _ in range(2):
+            stream = [DataCase(row) for row in values[rng.permutation(n_cases)]]
+            result = run_stream(net.with_theta(theta0), stream, "em", LearningRateSchedule.per_row_count())
+            assert result.n_skipped == 0
+            for i in range(n_vars):
+                mass = counts[i].sum(axis=1)
+                got = result.state.theta.tables[i]
+                for j in range(counts[i].shape[0]):
+                    if mass[j] > 0:
+                        np.testing.assert_allclose(got[j], counts[i][j] / mass[j], rtol=0, atol=1e-12)
+                    else:
+                        np.testing.assert_allclose(got[j], theta0.tables[i][j], rtol=0, atol=1e-15)
 
     def test_deterministic_start_stays_finite_all_rules(self):
         """Hard zeros in the starting model must not poison the updates;
