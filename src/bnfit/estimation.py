@@ -23,6 +23,7 @@ from __future__ import annotations
 import math
 import time
 from dataclasses import dataclass
+from typing import Iterator
 
 import numpy as np
 
@@ -34,6 +35,7 @@ from .inference import (
 from .model import (
     PROB_FLOOR,
     Network,
+    NumericalError,
     ParameterVector,
     ValidationError,
     ZeroProbabilityError,
@@ -80,27 +82,50 @@ def expected_stats(network: Network, dataset: DataSet) -> SufficientStats:
     return stats
 
 
-def expected_stats_with_ll(network: Network, dataset: DataSet) -> tuple[SufficientStats, float]:
-    """E-step plus the mean train log-likelihood from the same pass."""
+def _e_step_blocks(
+    network: Network, dataset: DataSet
+) -> Iterator[tuple[int, list[np.ndarray], np.ndarray]]:
+    """Yield (start, family posteriors, log-likelihoods) per E_STEP_CHUNK block.
+
+    `start` is the block's first row in `dataset`; the rest is what
+    `_block_posteriors` gives for that block.
+    """
     n = len(dataset)
     if n == 0:
         raise ValidationError("cannot compute expected statistics of an empty dataset")
+    for start in range(0, n, E_STEP_CHUNK):
+        yield (start, *_block_posteriors(network, dataset, start))
+
+
+def _block_posteriors(
+    network: Network, dataset: DataSet, start: int
+) -> tuple[list[np.ndarray], np.ndarray]:
+    """`batch_family_posteriors` of the E_STEP_CHUNK-row block from `start`.
+
+    A zero-probability case is reported by its row in `dataset`.
+    """
+    try:
+        return batch_family_posteriors(network, dataset.values[start : start + E_STEP_CHUNK])
+    except ZeroProbabilityError as e:
+        raise _zero_probability(start + (e.case_index or 0)) from None
+
+
+def _zero_probability(row: int) -> ZeroProbabilityError:
+    return ZeroProbabilityError(
+        f"case {row} has probability 0 under the current parameters", case_index=row
+    )
+
+
+def expected_stats_with_ll(network: Network, dataset: DataSet) -> tuple[SufficientStats, float]:
+    """E-step plus the mean train log-likelihood from the same pass."""
     s = network.structure
     sums = [np.zeros(s.table_shape(i)) for i in range(s.n_vars)]
     ll_total = 0.0
-    for start in range(0, n, E_STEP_CHUNK):
-        block = dataset.values[start : start + E_STEP_CHUNK]
-        try:
-            posts, lls = batch_family_posteriors(network, block)
-        except ZeroProbabilityError as e:
-            idx = start + (e.case_index or 0)
-            raise ZeroProbabilityError(
-                f"case {idx} has probability 0 under the current parameters",
-                case_index=idx,
-            ) from None
+    for _, posts, lls in _e_step_blocks(network, dataset):
         for i in range(s.n_vars):
             sums[i] += posts[i].sum(axis=0)
         ll_total += float(lls.sum())
+    n = len(dataset)
     joint = [a / n for a in sums]
     return SufficientStats.from_joint(joint), ll_total / n
 
@@ -335,7 +360,9 @@ def fit(
     Trace row 0 records the initial point; row s records the state after
     s updates.  ``warm_start_em1`` makes the first update a plain EM(1)
     step before switching to the configured rule, mirroring the usual
-    protocol for eta > 1 runs.
+    protocol for eta > 1 runs.  An update that leaves a non-finite table
+    entry (a diverging step under a very large eta) raises NumericalError
+    naming the iteration, the rule and eta.
     """
     theta = _initial_theta(network, config)
     net = network.with_theta(theta)
@@ -365,6 +392,11 @@ def fit(
         else:
             rule, eta = config.rule, config.eta
         new_theta = _apply_rule(theta, stats, rule, eta)
+        if not all(np.isfinite(t).all() for t in new_theta.tables):
+            raise NumericalError(
+                f"iteration {s}: the {rule} update with eta={eta!r} "
+                "gave non-finite parameters"
+            )
         net = network.with_theta(new_theta)
         try:
             stats, new_train_ll = expected_stats_with_ll(net, dataset)

@@ -183,15 +183,19 @@ def parse_network(text: str) -> Network:
             raise ValidationError(
                 f"CPT row {j} of {v.name!r} sums to {sums[j]!r}, not 1"
             )
-        tables.append(rows / sums[:, None])
+        # A row whose sum is 1 up to the rounding of the sum is kept as
+        # written, so a serialized network parses back to the same floats.
+        exact = off <= r * np.finfo(np.float64).eps
+        tables.append(np.where(exact[:, None], rows, rows / sums[:, None]))
     return Network(structure, ParameterVector(tables))
 
 
 def serialize_network(network: Network, name: str = "network") -> str:
     """Canonical text form: declared order, 17 significant digits.
 
-    parse_network(serialize_network(n)) reproduces n's structure exactly
-    and its parameters to within one float round-trip.
+    parse_network(serialize_network(n)) reproduces n's structure and its
+    parameters exactly: 17 digits round-trip every float, and the parser
+    keeps rows whose sum is 1 up to rounding.
     """
     s = network.structure
     lines = ["{"]

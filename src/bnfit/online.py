@@ -135,30 +135,32 @@ def init_online_state(network: Network) -> OnlineState:
 
 def _case_posteriors(
     state: OnlineState, case: DataCase, prior_mass: bool = False
-) -> tuple[list[np.ndarray], list[np.ndarray], float]:
-    """The case's family posteriors, a parent mass per family, and log P(case).
+) -> tuple[list[np.ndarray], list[np.ndarray], list[np.ndarray], float]:
+    """The case's family posteriors, two parent masses per family, and log P(case).
 
-    The mass is P(Pa_i = j | case), or with `prior_mass` the prior
-    P(Pa_i = j): an all-missing row then joins the case in the same
-    inference pass, and its family posteriors summed over the child's
-    states are the prior parent marginals.
+    The first mass is P(Pa_i = j | case), which every step adds to the
+    visit masses.  The second is the one the row update divides by: the
+    same list, or with `prior_mass` the prior P(Pa_i = j).  An all-missing
+    row then joins the case in the same inference pass, and its family
+    posteriors summed over the child's states are the prior parent
+    marginals.
     """
     rows = case.states[None, :]
     if prior_mass:
         rows = np.vstack([rows, np.full_like(rows, MISSING)])
     posts, lls = batch_family_posteriors(state.network, rows)
-    return [p[0] for p in posts], [p[-1].sum(axis=1) for p in posts], float(lls[0])
+    visits = [p[0].sum(axis=1) for p in posts]
+    mass = [p[-1].sum(axis=1) for p in posts] if prior_mass else visits
+    return [p[0] for p in posts], visits, mass, float(lls[0])
 
 
 def _advance(
     state: OnlineState,
     theta: ParameterVector,
-    posts: list[np.ndarray],
+    visits: list[np.ndarray],
     case_ll: float,
 ) -> OnlineState:
-    masses = tuple(
-        m + p.sum(axis=1) for m, p in zip(state.visit_mass, posts)
-    )
+    masses = tuple(m + v for m, v in zip(state.visit_mass, visits))
     return OnlineState(state.network.with_theta(theta), state.t + 1, masses, case_ll)
 
 
@@ -173,25 +175,25 @@ def online_em_step(
     the 1e-9 scale, while dropping the floor entirely would let exact
     zeros reject later cases as impossible.
     """
-    posts, mass, case_ll = _case_posteriors(state, case, not schedule.conditioned_mass)
+    posts, visits, mass, case_ll = _case_posteriors(state, case, not schedule.conditioned_mass)
     floor = RUNNING_AVG_FLOOR if schedule.conditioned_mass else PROB_FLOOR
     tables = []
     for i, t in enumerate(state.theta.tables):
         rates = schedule.row_rates(state.t, state.visit_mass[i])
         tables.append(_em_rows(t, posts[i], mass[i], rates, floor=floor))
-    return _advance(state, ParameterVector(tables, _validate=False), posts, case_ll)
+    return _advance(state, ParameterVector(tables, _validate=False), visits, case_ll)
 
 
 def online_eg_step(
     state: OnlineState, case: DataCase, schedule: LearningRateSchedule
 ) -> OnlineState:
     """Single-case EG(eta): exponentiated-gradient reweighting of each row."""
-    posts, mass, case_ll = _case_posteriors(state, case, not schedule.conditioned_mass)
+    posts, visits, mass, case_ll = _case_posteriors(state, case, not schedule.conditioned_mass)
     tables = []
     for i, t in enumerate(state.theta.tables):
         rates = schedule.row_rates(state.t, state.visit_mass[i])
         tables.append(_eg_rows(t, posts[i], mass[i], rates))
-    return _advance(state, ParameterVector(tables, _validate=False), posts, case_ll)
+    return _advance(state, ParameterVector(tables, _validate=False), visits, case_ll)
 
 
 def online_gp_step(
@@ -202,7 +204,7 @@ def online_gp_step(
     The gradient of log P(y) is the case posterior over the table entry;
     rows the case does not touch have a zero gradient and stay put.
     """
-    posts, _, case_ll = _case_posteriors(state, case)
+    posts, visits, _, case_ll = _case_posteriors(state, case)
     tables = []
     for i, t in enumerate(state.theta.tables):
         rates = schedule.row_rates(state.t, state.visit_mass[i])
@@ -210,7 +212,7 @@ def online_gp_step(
             grad = np.where(posts[i] > 0.0, posts[i] / np.maximum(t, 1e-300), 0.0)
         step = grad - grad.mean(axis=1, keepdims=True)
         tables.append(clamp_rows(t + rates[:, None] * step))
-    return _advance(state, ParameterVector(tables, _validate=False), posts, case_ll)
+    return _advance(state, ParameterVector(tables, _validate=False), visits, case_ll)
 
 
 _STEPS = {"em": online_em_step, "eg": online_eg_step, "gp": online_gp_step}

@@ -17,6 +17,15 @@ simplex).  Eigenvalues below a cutoff are treated as a rank-deficient
 subspace and excluded, mirroring the restriction to the span of the
 per-case posterior vectors; the report flags when that happens.
 
+Each coordinate has four probe images (steps +h, -h, +h/2, -h/2), but
+costs one E-step, not four.  P(y; theta) is multilinear in the CPT
+entries: every term of the sum over completions holds exactly one entry
+of each table.  A probe moves entries of one table only, so each case's
+probability, and each unnormalized family joint P(x_f, pa_f, y) = theta_f
+* dP/dtheta_f, is affine in the step delta (dP/dtheta_f contains no
+entry of table f).  The base pass, shared by all coordinates, and one
+pass at +h fix both lines, and so the exact posteriors at all four steps.
+
 The theory's contraction factor is stated in a reweighted norm; the
 empirical rate reported here is measured in the plain L2 norm, so
 predicted-versus-measured comparisons are approximate by design.
@@ -29,7 +38,15 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .estimation import SufficientStats, _em_rows, expected_stats, is_fixpoint
+from .estimation import (
+    SufficientStats,
+    _block_posteriors,
+    _e_step_blocks,
+    _em_rows,
+    _zero_probability,
+    expected_stats,
+    is_fixpoint,
+)
 from .model import Network, NumericalError, ParameterVector, ValidationError, param_delta_stats
 from .netio import DataSet
 
@@ -125,11 +142,70 @@ def _probe(theta: ParameterVector, i: int, j: int, k: int, delta: float) -> Para
     return ParameterVector(tables, _validate=False)
 
 
+# Probe steps in units of h: the images at +h, -h, +h/2 and -h/2.
+_STEPS = np.array([1.0, -1.0, 0.5, -0.5])
+
+
 def jacobian(network: Network, dataset: DataSet, h: float = FD_STEP) -> np.ndarray:
     """Estimate M = I - grad(Phi) at eta = 1 on the free-coordinate chart.
 
     Central differences at steps h and h/2; the two estimates are
     Richardson-combined and must agree to FD_AGREEMENT entrywise.
+
+    The four probe images of a coordinate take one inference pass, at
+    +h, besides the base pass all coordinates share.  A probe moves
+    entries of one table only, and P(y) is multilinear in the tables, so
+    a case's probability and its unnormalized family joints are affine
+    in the step: with s = delta / h and rho = P(y; +h) / P(y), the
+    family posterior at delta is exactly
+
+        (p0 + s * (rho * p1 - p0)) / (1 + s * (rho - 1)),
+
+    where p0 and p1 are the posteriors at the base point and at +h.  Each
+    image then goes through the same EM update as `phi_apply`.  A step
+    that would make some case's probability nonpositive raises
+    ZeroProbabilityError naming its row, as evaluating it directly would.
+    """
+    return _jacobian(network, dataset, h)[0]
+
+
+def _case_last(post: np.ndarray) -> np.ndarray:
+    """(N, q, r) family posteriors as a (q * r, N) matrix, a view if it can be."""
+    return np.moveaxis(post, 0, -1).reshape(-1, post.shape[0])
+
+
+def _block_image_sums(
+    base: list[np.ndarray],
+    lls: np.ndarray,
+    moved: list[np.ndarray],
+    moved_lls: np.ndarray,
+    start: int,
+) -> list[np.ndarray]:
+    """Per family, one block's case sums of the posteriors at the four steps.
+
+    `base` and `lls` come from the base pass, `base` as (q * r, N)
+    matrices; `moved` and `moved_lls` from the pass at +h.  Returns
+    (4, q * r) arrays, one row per step in _STEPS order.
+    """
+    rho = np.exp(moved_lls - lls)
+    # P(y; theta + step * h) / P(y; theta), one column per step
+    scale = 1.0 + np.multiply.outer(rho - 1.0, _STEPS)
+    _, bad = np.nonzero(~(scale > 0.0).T)
+    if bad.size:
+        raise _zero_probability(start + int(bad[0]))
+    weights = 1.0 / scale
+    w0 = (1.0 - _STEPS) * weights
+    w1 = _STEPS * weights * rho[:, None]
+    return [(p0 @ w0 + _case_last(p1) @ w1).T for p0, p1 in zip(base, moved)]
+
+
+def _jacobian(network: Network, dataset: DataSet, h: float) -> tuple[np.ndarray, float]:
+    """`jacobian`, and the fixpoint residual read from its base pass.
+
+    Cases are taken one E_STEP_CHUNK block at a time, and within a block
+    one coordinate at a time, so only the block's base posteriors and one
+    probe's are held; the case sums of every image's statistics are
+    accumulated per family as (m, 4, q_i * r_i) arrays.
     """
     coords = _free_coords(network)
     m = len(coords)
@@ -137,32 +213,47 @@ def jacobian(network: Network, dataset: DataSet, h: float = FD_STEP) -> np.ndarr
         raise ValidationError(
             f"free-coordinate dimension {m} exceeds {MAX_JACOBIAN_DIM}"
         )
-    stats = expected_stats(network, dataset)
-    ok, residual = is_fixpoint(network.theta, stats, FIXPOINT_TOL)
-    if not ok:
-        raise NotAFixpointError(
-            f"analysis point has fixpoint residual {residual:.3g} > {FIXPOINT_TOL}"
-        )
-
-    def grad_phi(step: float) -> np.ndarray:
-        cols = np.empty((m, m))
+    s = network.structure
+    theta = network.theta
+    n = len(dataset)
+    base_sums = [np.zeros(s.table_shape(i)) for i in range(s.n_vars)]
+    image_sums = [np.zeros((m, len(_STEPS), t.size)) for t in theta.tables]
+    for start, base, lls in _e_step_blocks(network, dataset):
+        for f, p in enumerate(base):
+            base_sums[f] += p.sum(axis=0)
+        # The base statistics are complete once the last block's base pass
+        # is in: a one-block dataset off the fixpoint runs no probe.
+        if start + len(lls) == n:
+            stats = SufficientStats.from_joint([a / n for a in base_sums])
+            ok, residual = is_fixpoint(theta, stats, FIXPOINT_TOL)
+            if not ok:
+                raise NotAFixpointError(
+                    f"analysis point has fixpoint residual {residual:.3g} > {FIXPOINT_TOL}"
+                )
+        base = [_case_last(p) for p in base]
         for c, (i, j, k) in enumerate(coords):
-            plus = phi_apply(network.with_theta(_probe(network.theta, i, j, k, step)),
-                             dataset, 1.0, clamp=False)
-            minus = phi_apply(network.with_theta(_probe(network.theta, i, j, k, -step)),
-                              dataset, 1.0, clamp=False)
-            cols[:, c] = (_to_free(plus, coords) - _to_free(minus, coords)) / (2.0 * step)
-        return cols
+            probe = network.with_theta(_probe(theta, i, j, k, h))
+            sums = _block_image_sums(base, lls, *_block_posteriors(probe, dataset, start), start)
+            for f, total in enumerate(sums):
+                image_sums[f][c] += total
 
-    j_h = grad_phi(h)
-    j_half = grad_phi(h / 2.0)
+    images = np.empty((len(_STEPS), m, m))
+    for c, (i, j, k) in enumerate(coords):
+        for d, step in enumerate(_STEPS * h):
+            stats = SufficientStats.from_joint(
+                [a[c, d].reshape(t.shape) / n for a, t in zip(image_sums, theta.tables)]
+            )
+            image = _phi_from_stats(_probe(theta, i, j, k, step), stats, 1.0, clamp=False)
+            images[d, :, c] = _to_free(image, coords)
+    j_h = (images[0] - images[1]) / (2.0 * h)
+    j_half = (images[2] - images[3]) / h
     disagreement = float(np.max(np.abs(j_h - j_half)))
     if disagreement > FD_AGREEMENT:
         raise NumericalError(
             f"finite-difference estimates at h and h/2 disagree by {disagreement:.3g}"
         )
     grad = (4.0 * j_half - j_h) / 3.0
-    return np.eye(m) - grad
+    return np.eye(m) - grad, residual
 
 
 def eigen_range(m_matrix: np.ndarray, cutoff: float = EIGEN_CUTOFF) -> tuple[float, float, bool]:
@@ -229,9 +320,7 @@ def build_report(
     empirical: dict[float, float] | None = None,
 ) -> SpectralReport:
     """Jacobian, eigenvalue range, eta_star, and a rho table for the etas."""
-    stats = expected_stats(network, dataset)
-    _, residual = is_fixpoint(network.theta, stats, FIXPOINT_TOL)
-    m_matrix = jacobian(network, dataset)
+    m_matrix, residual = _jacobian(network, dataset, FD_STEP)
     lmin, lmax, deficient = eigen_range(m_matrix)
     entries = []
     for eta in etas:

@@ -75,6 +75,15 @@ class TestFit:
         assert code == 2
         assert "finite" in capsys.readouterr().err
 
+    def test_diverging_update_exit_3(self, tmp_path, chain3_file, capsys):
+        data = tmp_path / "train.csv"
+        run("sample", "--network", chain3_file, "--n", 50, "--seed", 1, "--out", data)
+        with np.errstate(over="ignore", invalid="ignore"):
+            code = run("fit", "--network", chain3_file, "--data", data, "--rule", "gp",
+                       "--eta", "1e308", "--init", "uniform", "--out", tmp_path / "o.json")
+        assert code == 3
+        assert "non-finite parameters" in capsys.readouterr().err
+
     def test_zero_probability_data_exit_3(self, tmp_path):
         det = tree8().with_theta(
             # make T0 deterministic: state s0 impossible in the data below

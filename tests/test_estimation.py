@@ -22,6 +22,7 @@ from bnfit.estimation import (
 from bnfit.harness import MissingnessSpec, forward_sample, obscure
 from bnfit.inference import enumerate_joint
 from bnfit.model import (
+    NumericalError,
     ParameterVector,
     ValidationError,
     ZeroProbabilityError,
@@ -362,6 +363,16 @@ class TestFit:
     def test_non_finite_tolerance_rejected(self, name, bad):
         with pytest.raises(ValidationError, match=name):
             FitConfig("em", 1.0, 10, **{name: bad})
+
+    def test_non_finite_update_named(self):
+        """A diverging GP step: the update overflows, and the fit names the
+        iteration, the rule and eta instead of a zero-probability case."""
+        net = chain3()
+        data = forward_sample(net, 50, seed=1)
+        with np.errstate(over="ignore", invalid="ignore"):
+            with pytest.raises(NumericalError, match=r"iteration 2: the gp update with eta=1e\+308") as info:
+                fit(net, data, FitConfig(rule="gp", eta=1e308, init="uniform"))
+        assert not isinstance(info.value, ZeroProbabilityError)
 
     def test_test_ll_recorded(self):
         net = chain3()

@@ -2,12 +2,15 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from bnfit.estimation import FitConfig, TraceRecord, fit
 from bnfit.harness import forward_sample
 from bnfit.model import ValidationError, uniform_init
 from bnfit.netio import (
     MISSING,
+    DataSet,
     dataset_from_cases,
     format_dataset,
     format_trace,
@@ -179,6 +182,34 @@ class TestLoadDataset:
         ds = dataset_from_cases(net.structure, cases)
         again = load_dataset(format_dataset(ds), net.structure)
         np.testing.assert_array_equal(again.values, ds.values)
+
+
+class TestRoundTrip:
+    @settings(max_examples=60, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        n_vars=st.integers(1, 8),
+        n_rows=st.integers(0, 30),
+        p_missing=st.sampled_from([0.0, 0.3, 1.0]),
+    )
+    def test_network_and_dataset_round_trip(self, seed, n_vars, n_rows, p_missing):
+        rng = np.random.default_rng(seed)
+        net = random_network(rng, n_vars, arities=(2, 3, 5))
+        text = serialize_network(net)
+        again = parse_network(text)
+        assert again.structure == net.structure
+        for a, b in zip(again.theta.tables, net.theta.tables):
+            np.testing.assert_array_equal(a, b)
+        assert serialize_network(again) == text
+
+        s = net.structure
+        values = np.stack([rng.integers(0, s.arity(i), n_rows) for i in range(n_vars)], axis=1)
+        values[rng.random(values.shape) < p_missing] = MISSING
+        data = DataSet(s, values)
+        csv = format_dataset(data)
+        loaded = load_dataset(csv, s)
+        np.testing.assert_array_equal(loaded.values, data.values)
+        assert format_dataset(loaded) == csv
 
 
 class TestTraceFormat:

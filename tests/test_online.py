@@ -138,13 +138,16 @@ class TestPriorMassFold:
         rng = np.random.default_rng(seed)
         net = random_network(rng, n_vars)
         case = random_partial_case(rng, net.structure, p_observed)
-        posts, mass, case_ll = _case_posteriors(init_online_state(net), case, prior_mass=True)
+        posts, visits, mass, case_ll = _case_posteriors(
+            init_online_state(net), case, prior_mass=True
+        )
         prior = parent_config_marginals(net)
         solo = family_posteriors(net, case)
         assert case_ll == pytest.approx(log_marginal_likelihood(net, case), rel=1e-12, abs=1e-12)
         for i in range(n_vars):
             np.testing.assert_allclose(mass[i], prior[i], rtol=0, atol=1e-12)
             np.testing.assert_allclose(posts[i], solo[i], rtol=0, atol=1e-12)
+            np.testing.assert_array_equal(visits[i], posts[i].sum(axis=1))
 
     @pytest.mark.parametrize(
         "schedule", [LearningRateSchedule.fixed(0.7), LearningRateSchedule.inverse_t(2.0, 1.0)]

@@ -4,18 +4,33 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import bnfit.estimation
+import bnfit.spectral
 from bnfit.estimation import FitConfig, expected_stats, fit, is_fixpoint
 from bnfit.harness import MissingnessSpec, forward_sample, obscure
 from bnfit.model import (
+    Network,
+    NetworkStructure,
     NumericalError,
     ParameterVector,
     ValidationError,
+    Variable,
+    ZeroProbabilityError,
     random_init,
 )
-from bnfit.networks import chain3
+from bnfit.netio import DataSet
+from bnfit.networks import chain3, twolayer15
 from bnfit.spectral import (
+    FD_AGREEMENT,
+    FD_STEP,
+    FIXPOINT_TOL,
     NotAFixpointError,
+    _free_coords,
+    _probe,
+    _to_free,
     build_report,
     contraction_rate,
     empirical_rate,
@@ -26,7 +41,7 @@ from bnfit.spectral import (
     report_to_json,
 )
 
-from util import random_network
+from util import random_network, random_structure, random_tables
 
 
 def converged_chain3(n=400, hidden=("M",), seed=0, init_seed=5):
@@ -36,6 +51,49 @@ def converged_chain3(n=400, hidden=("M",), seed=0, init_seed=5):
     cfg = FitConfig("em", 1.0, 4000, tol_ll=None, tol_param=1e-10, init="random", seed=init_seed)
     result = fit(net, data, cfg)
     return net.with_theta(result.theta), data
+
+
+def twolayer15_fixpoint(n=500, seed=0, init_seed=3):
+    """EM(1.8) fixpoint of twolayer15 on 0.2-obscured data, roots observed."""
+    net = twolayer15()
+    complete = forward_sample(net, n, seed=seed)
+    data = obscure(complete, MissingnessSpec((), 0.2, seed=seed + 1))
+    roots = [i for i in range(net.structure.n_vars) if not net.structure.parents[i]]
+    values = data.values.copy()
+    values[:, roots] = complete.values[:, roots]
+    data = DataSet(net.structure, values)
+    cfg = FitConfig("em", 1.8, 1000, tol_ll=None, tol_param=1e-10, init="random",
+                    seed=init_seed, warm_start_em1=True)
+    return net.with_theta(fit(net, data, cfg).theta), data
+
+
+def reference_jacobian(network, dataset, h=FD_STEP):
+    """The four-probe finite-difference Jacobian: one full E-step per image."""
+    coords = _free_coords(network)
+    m = len(coords)
+    ok, residual = is_fixpoint(network.theta, expected_stats(network, dataset), FIXPOINT_TOL)
+    if not ok:
+        raise NotAFixpointError(f"fixpoint residual {residual:.3g}")
+
+    def grad_phi(step):
+        cols = np.empty((m, m))
+        for c, (i, j, k) in enumerate(coords):
+            plus = phi_apply(network.with_theta(_probe(network.theta, i, j, k, step)),
+                             dataset, 1.0, clamp=False)
+            minus = phi_apply(network.with_theta(_probe(network.theta, i, j, k, -step)),
+                              dataset, 1.0, clamp=False)
+            cols[:, c] = (_to_free(plus, coords) - _to_free(minus, coords)) / (2.0 * step)
+        return cols
+
+    j_h = grad_phi(h)
+    j_half = grad_phi(h / 2.0)
+    assert np.max(np.abs(j_h - j_half)) <= FD_AGREEMENT
+    return np.eye(m) - (4.0 * j_half - j_h) / 3.0
+
+
+@pytest.fixture(scope="module")
+def twolayer15_at_fixpoint():
+    return twolayer15_fixpoint()
 
 
 class TestPhiApply:
@@ -117,6 +175,104 @@ class TestJacobian:
         shifted = net.with_theta(random_init(net.structure, 99))
         with pytest.raises(NotAFixpointError):
             jacobian(shifted, data)
+
+
+class TestProbeReconstruction:
+    """The Jacobian builds each probe image from the base pass and one pass
+    at +h; its statistics must be those of a direct E-step at the probe."""
+
+    @settings(max_examples=25, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        n_vars=st.integers(2, 6),
+        obscure_prob=st.sampled_from([0.0, 0.3, 0.7]),
+        n_hidden=st.integers(0, 2),
+        pick=st.floats(0.0, 1.0, exclude_max=True),
+    )
+    def test_image_stats_equal_direct_e_step(self, seed, n_vars, obscure_prob, n_hidden, pick):
+        rng = np.random.default_rng(seed)
+        s = random_structure(rng, n_vars)
+        # X1 depends on X0, whose state 0 has probability 0: X1's row 0
+        # carries no mass at the base point.
+        parents = (s.parents[0], tuple(sorted({0, *s.parents[1]}))) + s.parents[2:]
+        structure = NetworkStructure(s.variables, parents)
+        tables = list(random_tables(rng, structure).tables)
+        root = np.concatenate([[0.0], rng.dirichlet(np.ones(structure.arity(0) - 1))])
+        tables[0] = root[None, :]
+        net = Network(structure, ParameterVector(tables))
+        hidden = tuple(v.name for v in structure.variables[n_vars - n_hidden:])
+        data = obscure(forward_sample(net, 40, seed=seed % 1000),
+                       MissingnessSpec(hidden, obscure_prob, seed=seed % 997))
+
+        recorded = []
+        phi_from_stats = bnfit.spectral._phi_from_stats
+
+        def record(theta, stats, eta, clamp):
+            recorded.append((theta, stats))
+            return phi_from_stats(theta, stats, eta, clamp)
+
+        with pytest.MonkeyPatch.context() as mp:
+            # a random network is no fixpoint, and far from one the two
+            # difference quotients need not agree
+            mp.setattr(bnfit.spectral, "FIXPOINT_TOL", np.inf)
+            mp.setattr(bnfit.spectral, "FD_AGREEMENT", np.inf)
+            mp.setattr(bnfit.spectral, "_phi_from_stats", record)
+            jacobian(net, data)
+
+        coords = _free_coords(net)
+        c = int(pick * len(coords))
+        i, j, k = coords[c]
+        images = recorded[4 * c : 4 * c + 4]
+        for delta, (theta, stats) in zip((FD_STEP, -FD_STEP, FD_STEP / 2, -FD_STEP / 2), images):
+            probe = _probe(net.theta, i, j, k, delta)
+            for a, b in zip(theta.tables, probe.tables):
+                np.testing.assert_array_equal(a, b)
+            direct = expected_stats(net.with_theta(probe), data)
+            for a, b in zip(stats.joint, direct.joint):
+                np.testing.assert_allclose(a, b, rtol=0, atol=1e-12)
+            for a, b in zip(stats.parent, direct.parent):
+                np.testing.assert_allclose(a, b, rtol=0, atol=1e-12)
+        assert expected_stats(net, data).parent[1][0] == 0.0
+
+    @pytest.mark.parametrize("network", ["chain3", "twolayer15"])
+    def test_matches_four_probe_reference(self, network, twolayer15_at_fixpoint):
+        if network == "chain3":
+            net, data = converged_chain3()
+        else:
+            net, data = twolayer15_at_fixpoint
+        np.testing.assert_allclose(
+            jacobian(net, data), reference_jacobian(net, data), rtol=0, atol=1e-8
+        )
+
+    def test_several_blocks_same_matrix(self, monkeypatch):
+        net, data = converged_chain3(n=200)
+        one_block = jacobian(net, data)
+        monkeypatch.setattr(bnfit.estimation, "E_STEP_CHUNK", 37)
+        np.testing.assert_allclose(jacobian(net, data), one_block, rtol=0, atol=1e-9)
+
+    def test_one_e_step_per_coordinate(self, monkeypatch, twolayer15_at_fixpoint):
+        net, data = twolayer15_at_fixpoint
+        calls = []
+        inner = bnfit.estimation.batch_family_posteriors
+
+        def counting(network, values):
+            calls.append(len(values))
+            return inner(network, values)
+
+        monkeypatch.setattr(bnfit.estimation, "batch_family_posteriors", counting)
+        build_report(net, data, [1.0])
+        assert calls == [len(data)] * (len(_free_coords(net)) + 1)
+
+    def test_probe_making_a_case_impossible(self):
+        """P(A = a0) = 0.25 at the fixpoint; the probe at -h with h = 0.5
+        gives it probability -0.25, so row 1, the first a0 case, is impossible."""
+        structure = NetworkStructure((Variable(0, "A", ("a0", "a1")),), ((),))
+        net = Network(structure, ParameterVector([np.array([[0.25, 0.75]])]))
+        data = DataSet(structure, np.array([[1], [0], [1], [1]]))
+        for jac in (jacobian, reference_jacobian):
+            with pytest.raises(ZeroProbabilityError) as info:
+                jac(net, data, h=0.5)
+            assert info.value.case_index == 1
 
 
 class TestEigenRange:
