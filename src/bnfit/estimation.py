@@ -35,6 +35,7 @@ from .inference import (
 from .model import (
     PROB_FLOOR,
     Network,
+    NetworkStructure,
     NumericalError,
     ParameterVector,
     ValidationError,
@@ -165,21 +166,31 @@ def _em_rows(
     joint: np.ndarray,
     parent: np.ndarray,
     eta: float | np.ndarray,
-    floor: float = PROB_FLOOR,
+    floor: float | None = PROB_FLOOR,
 ) -> np.ndarray:
+    """The EM(eta) row update, clamped to `floor`.
+
+    ``floor=None`` is the smooth map: no clamp, and every row with
+    positive mass moves, not only those above ROW_MASS_FLOOR.
+    """
     out = rows.copy()
-    mask = parent > ROW_MASS_FLOOR
+    mask = parent > (0.0 if floor is None else ROW_MASS_FLOOR)
     if np.any(mask):
         e = _row_rates(eta, mask)
         updated = e * (joint[mask] / parent[mask, None]) + (1.0 - e) * rows[mask]
-        out[mask] = clamp_rows(updated, floor)
+        out[mask] = updated if floor is None else clamp_rows(updated, floor)
     return out
 
 
-def em_eta_step(theta: ParameterVector, stats: SufficientStats, eta: float) -> ParameterVector:
+def em_eta_step(
+    theta: ParameterVector,
+    stats: SufficientStats,
+    eta: float,
+    floor: float | None = PROB_FLOOR,
+) -> ParameterVector:
     """Move each visited row toward its expected-count ratio by factor eta."""
     tables = [
-        _em_rows(t, j, p, eta)
+        _em_rows(t, j, p, eta, floor)
         for t, j, p in zip(theta.tables, stats.joint, stats.parent)
     ]
     return ParameterVector(tables, _validate=False)
@@ -256,9 +267,8 @@ def distance_chi2(
     return total
 
 
-def model_parent_marginals(network: Network) -> list[np.ndarray]:
-    """Exact P(Pa_i = j) under the network, for use as KL/chi2 weights."""
-    return parent_config_marginals(network)
+# Exact P(Pa_i = j) under the network, for use as KL/chi2 weights.
+model_parent_marginals = parent_config_marginals
 
 
 # -- the fit loop ------------------------------------------------------------
@@ -321,16 +331,20 @@ class FitResult:
         return self.trace[-1].iteration
 
 
-def _initial_theta(network: Network, config: FitConfig) -> ParameterVector:
-    if config.init == "network":
-        return network.theta
-    if config.init == "random":
-        return random_init(network.structure, config.seed)
-    if config.init == "uniform":
-        return uniform_init(network.structure)
-    assert config.init_theta is not None
-    config.init_theta.check_shapes(network.structure)
-    return config.init_theta
+def initial_theta(
+    structure: NetworkStructure,
+    init: str,
+    seed: int = 0,
+    theta: ParameterVector | None = None,
+) -> ParameterVector:
+    """The starting point `init` names: a random or uniform draw, or `theta`."""
+    if init == "random":
+        return random_init(structure, seed)
+    if init == "uniform":
+        return uniform_init(structure)
+    assert theta is not None
+    theta.check_shapes(structure)
+    return theta
 
 
 def _apply_rule(theta: ParameterVector, stats: SufficientStats, rule: str, eta: float) -> ParameterVector:
@@ -364,7 +378,8 @@ def fit(
     entry (a diverging step under a very large eta) raises NumericalError
     naming the iteration, the rule and eta.
     """
-    theta = _initial_theta(network, config)
+    given = network.theta if config.init == "network" else config.init_theta
+    theta = initial_theta(network.structure, config.init, config.seed, given)
     net = network.with_theta(theta)
     t_prev = time.perf_counter()
 
@@ -391,7 +406,9 @@ def fit(
             rule, eta = "em", 1.0
         else:
             rule, eta = config.rule, config.eta
-        new_theta = _apply_rule(theta, stats, rule, eta)
+        # a diverging update overflows; the check below reports it
+        with np.errstate(over="ignore", invalid="ignore"):
+            new_theta = _apply_rule(theta, stats, rule, eta)
         if not all(np.isfinite(t).all() for t in new_theta.tables):
             raise NumericalError(
                 f"iteration {s}: the {rule} update with eta={eta!r} "

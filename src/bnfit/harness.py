@@ -23,16 +23,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .estimation import FitConfig, fit
+from .estimation import FitConfig, fit, initial_theta
 from .inference import batch_posterior_marginals, posterior_marginal
-from .model import (
-    BnError,
-    Network,
-    ValidationError,
-    ZeroProbabilityError,
-    random_init,
-    uniform_init,
-)
+from .model import BnError, Network, ValidationError, ZeroProbabilityError
 from .netio import (
     MISSING,
     DataCase,
@@ -297,12 +290,9 @@ def run_experiment(config: ExperimentConfig, out_dir: str) -> dict:
         test_path = os.path.join(out_dir, "test.csv")
         write_dataset(test, test_path)
 
-    if config.init == "random":
-        theta0 = random_init(structure, config.init_seed)
-    elif config.init == "uniform":
-        theta0 = uniform_init(structure)
-    else:
+    if config.init not in ("random", "uniform"):
         raise ValidationError(f"unknown experiment init {config.init!r}")
+    theta0 = initial_theta(structure, config.init, config.init_seed)
 
     summary: dict = {
         "network": config.network,

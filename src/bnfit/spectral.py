@@ -10,21 +10,21 @@ over the nonzero eigenvalues, which is minimized at
 
     eta_star = 2 / (lambda_min + lambda_max) >= 1.
 
-This module estimates M numerically: central finite differences of the
-EM(1) operator on a simplex chart (per row of r states, r - 1 free
-coordinates, the last entry absorbing the step so probes stay on the
-simplex).  Eigenvalues below a cutoff are treated as a rank-deficient
-subspace and excluded, mirroring the restriction to the span of the
-per-case posterior vectors; the report flags when that happens.
+This module computes M at eta = 1 on a simplex chart (per row of r
+states, r - 1 free coordinates, the last entry absorbing the step so
+probes stay on the simplex).  Eigenvalues below a cutoff are treated as
+a rank-deficient subspace and excluded, mirroring the restriction to the
+span of the per-case posterior vectors; the report flags when that
+happens.
 
-Each coordinate has four probe images (steps +h, -h, +h/2, -h/2), but
-costs one E-step, not four.  P(y; theta) is multilinear in the CPT
-entries: every term of the sum over completions holds exactly one entry
-of each table.  A probe moves entries of one table only, so each case's
-probability, and each unnormalized family joint P(x_f, pa_f, y) = theta_f
-* dP/dtheta_f, is affine in the step delta (dP/dtheta_f contains no
-entry of table f).  The base pass, shared by all coordinates, and one
-pass at +h fix both lines, and so the exact posteriors at all four steps.
+Each coordinate's column of M is exact and costs one E-step.
+P(y; theta) is multilinear in the CPT entries: every term of the sum
+over completions holds exactly one entry of each table.  A probe moves
+entries of one table only, so each case's probability, and each
+unnormalized family joint P(x_f, pa_f, y) = theta_f * dP/dtheta_f, is
+affine in the step delta (dP/dtheta_f contains no entry of table f).
+The base pass, shared by all coordinates, and one pass at +h fix both
+lines, and so the exact derivative of every family posterior.
 
 The theory's contraction factor is stated in a reweighted norm; the
 empirical rate reported here is measured in the plain L2 norm, so
@@ -42,12 +42,14 @@ from .estimation import (
     SufficientStats,
     _block_posteriors,
     _e_step_blocks,
-    _em_rows,
     _zero_probability,
+    em_eta_step,
     expected_stats,
     is_fixpoint,
 )
-from .model import Network, NumericalError, ParameterVector, ValidationError, param_delta_stats
+from .model import (
+    PROB_FLOOR, Network, NumericalError, ParameterVector, ValidationError, param_delta_stats
+)
 from .netio import DataSet
 
 # Dense eigendecomposition only: refuse larger free-coordinate charts.
@@ -61,7 +63,9 @@ EIGEN_CUTOFF = 1e-8
 
 FD_STEP = 1e-5
 
-# The h and h/2 difference quotients must agree this closely.
+# The exact derivative and the forward-difference quotient at the probe
+# step h must agree this closely: the quotient's error is O(h), so at a
+# small h a larger gap means the derivative is wrong.
 FD_AGREEMENT = 1e-3
 
 
@@ -91,32 +95,12 @@ def phi_apply(
 ) -> ParameterVector:
     """One EM(eta) pass: expected statistics, then the EM row update.
 
-    ``clamp=False`` skips the floor-and-renormalize so finite-difference
-    probes see the smooth map; probe steps are small enough to stay
-    interior on their own.
+    ``clamp=False`` skips the floor-and-renormalize, and moves every row
+    with positive mass, so finite-difference probes see the smooth map;
+    probe steps are small enough to stay interior on their own.
     """
     stats = expected_stats(network, dataset)
-    return _phi_from_stats(network.theta, stats, eta, clamp)
-
-
-def _phi_from_stats(
-    theta: ParameterVector, stats: SufficientStats, eta: float, clamp: bool
-) -> ParameterVector:
-    if clamp:
-        tables = [
-            _em_rows(t, j, p, eta)
-            for t, j, p in zip(theta.tables, stats.joint, stats.parent)
-        ]
-    else:
-        tables = []
-        for t, j, p in zip(theta.tables, stats.joint, stats.parent):
-            out = t.copy()
-            mask = p > 0.0
-            if np.any(mask):
-                ratio = j[mask] / p[mask, None]
-                out[mask] = eta * ratio + (1.0 - eta) * t[mask]
-            tables.append(out)
-    return ParameterVector(tables, _validate=False)
+    return em_eta_step(network.theta, stats, eta, PROB_FLOOR if clamp else None)
 
 
 def _free_coords(network: Network) -> list[tuple[int, int, int]]:
@@ -142,29 +126,32 @@ def _probe(theta: ParameterVector, i: int, j: int, k: int, delta: float) -> Para
     return ParameterVector(tables, _validate=False)
 
 
-# Probe steps in units of h: the images at +h, -h, +h/2 and -h/2.
-_STEPS = np.array([1.0, -1.0, 0.5, -0.5])
-
-
 def jacobian(network: Network, dataset: DataSet, h: float = FD_STEP) -> np.ndarray:
-    """Estimate M = I - grad(Phi) at eta = 1 on the free-coordinate chart.
+    """M = I - grad(Phi) at eta = 1 on the free-coordinate chart, exactly.
 
-    Central differences at steps h and h/2; the two estimates are
-    Richardson-combined and must agree to FD_AGREEMENT entrywise.
-
-    The four probe images of a coordinate take one inference pass, at
-    +h, besides the base pass all coordinates share.  A probe moves
-    entries of one table only, and P(y) is multilinear in the tables, so
-    a case's probability and its unnormalized family joints are affine
-    in the step: with s = delta / h and rho = P(y; +h) / P(y), the
-    family posterior at delta is exactly
+    Each coordinate takes one inference pass, at a step of +h, besides the
+    base pass all coordinates share.  A probe moves entries of one table
+    only, and P(y) is multilinear in the tables, so a case's probability
+    and its unnormalized family joints are affine in the step: with
+    s = delta / h and rho = P(y; +h) / P(y), the family posterior at
+    delta is exactly
 
         (p0 + s * (rho * p1 - p0)) / (1 + s * (rho - 1)),
 
-    where p0 and p1 are the posteriors at the base point and at +h.  Each
-    image then goes through the same EM update as `phi_apply`.  A step
-    that would make some case's probability nonpositive raises
-    ZeroProbabilityError naming its row, as evaluating it directly would.
+    where p0 and p1 are the posteriors at the base point and at +h.  Its
+    slope at delta = 0 is rho * (p1 - p0) / h, so the case mean of that
+    slope is the derivative of the expected statistics, with no
+    truncation error; the quotient rule on joint / parent mass gives the
+    derivative of the EM(1) map.  A row with zero parent mass keeps its
+    (probed) entries, so its derivative is the identity on the probed
+    coordinate.
+
+    The result does not depend on h beyond rounding, but h must stay
+    small: as a guard against a wrong slope, the result must agree with
+    the forward-difference quotient (Phi(+h) - Phi) / h, whose error is
+    O(h), to FD_AGREEMENT entrywise.  A step of +h or -h that would make
+    some case's probability nonpositive raises ZeroProbabilityError
+    naming its row, as evaluating it directly would.
     """
     return _jacobian(network, dataset, h)[0]
 
@@ -174,38 +161,14 @@ def _case_last(post: np.ndarray) -> np.ndarray:
     return np.moveaxis(post, 0, -1).reshape(-1, post.shape[0])
 
 
-def _block_image_sums(
-    base: list[np.ndarray],
-    lls: np.ndarray,
-    moved: list[np.ndarray],
-    moved_lls: np.ndarray,
-    start: int,
-) -> list[np.ndarray]:
-    """Per family, one block's case sums of the posteriors at the four steps.
-
-    `base` and `lls` come from the base pass, `base` as (q * r, N)
-    matrices; `moved` and `moved_lls` from the pass at +h.  Returns
-    (4, q * r) arrays, one row per step in _STEPS order.
-    """
-    rho = np.exp(moved_lls - lls)
-    # P(y; theta + step * h) / P(y; theta), one column per step
-    scale = 1.0 + np.multiply.outer(rho - 1.0, _STEPS)
-    _, bad = np.nonzero(~(scale > 0.0).T)
-    if bad.size:
-        raise _zero_probability(start + int(bad[0]))
-    weights = 1.0 / scale
-    w0 = (1.0 - _STEPS) * weights
-    w1 = _STEPS * weights * rho[:, None]
-    return [(p0 @ w0 + _case_last(p1) @ w1).T for p0, p1 in zip(base, moved)]
-
-
 def _jacobian(network: Network, dataset: DataSet, h: float) -> tuple[np.ndarray, float]:
     """`jacobian`, and the fixpoint residual read from its base pass.
 
     Cases are taken one E_STEP_CHUNK block at a time, and within a block
     one coordinate at a time, so only the block's base posteriors and one
-    probe's are held; the case sums of every image's statistics are
-    accumulated per family as (m, 4, q_i * r_i) arrays.
+    probe's are held.  All families' entries are laid out side by side in
+    one axis of Q = sum_i q_i * r_i; per coordinate the case sums of the
+    slope and of the posteriors at +h accumulate as (m, Q) arrays.
     """
     coords = _free_coords(network)
     m = len(coords)
@@ -213,11 +176,12 @@ def _jacobian(network: Network, dataset: DataSet, h: float) -> tuple[np.ndarray,
         raise ValidationError(
             f"free-coordinate dimension {m} exceeds {MAX_JACOBIAN_DIM}"
         )
-    s = network.structure
     theta = network.theta
     n = len(dataset)
-    base_sums = [np.zeros(s.table_shape(i)) for i in range(s.n_vars)]
-    image_sums = [np.zeros((m, len(_STEPS), t.size)) for t in theta.tables]
+    base_sums = [np.zeros(t.shape) for t in theta.tables]
+    n_entries = sum(t.size for t in theta.tables)
+    slope_sums = np.zeros((m, n_entries))
+    moved_sums = np.zeros((m, n_entries))
     for start, base, lls in _e_step_blocks(network, dataset):
         for f, p in enumerate(base):
             base_sums[f] += p.sum(axis=0)
@@ -233,26 +197,50 @@ def _jacobian(network: Network, dataset: DataSet, h: float) -> tuple[np.ndarray,
         base = [_case_last(p) for p in base]
         for c, (i, j, k) in enumerate(coords):
             probe = network.with_theta(_probe(theta, i, j, k, h))
-            sums = _block_image_sums(base, lls, *_block_posteriors(probe, dataset, start), start)
-            for f, total in enumerate(sums):
-                image_sums[f][c] += total
+            moved, moved_lls = _block_posteriors(probe, dataset, start)
+            rho = np.exp(moved_lls - lls)
+            # P(y; theta - h) / P(y; theta) = 2 - rho; the pass at +h has
+            # already refused a case with P(y; theta + h) = rho * P(y) <= 0.
+            bad = np.flatnonzero(~(rho < 2.0))
+            if bad.size:
+                raise _zero_probability(start + int(bad[0]))
+            moved = [_case_last(p) for p in moved]
+            slope_sums[c] += np.concatenate([(p1 - p0) @ rho for p0, p1 in zip(base, moved)])
+            moved_sums[c] += np.concatenate([p1.sum(axis=1) for p1 in moved])
+            # free this probe's posteriors before the next probe's pass
+            del moved
 
-    images = np.empty((len(_STEPS), m, m))
-    for c, (i, j, k) in enumerate(coords):
-        for d, step in enumerate(_STEPS * h):
-            stats = SufficientStats.from_joint(
-                [a[c, d].reshape(t.shape) / n for a, t in zip(image_sums, theta.tables)]
-            )
-            image = _phi_from_stats(_probe(theta, i, j, k, step), stats, 1.0, clamp=False)
-            images[d, :, c] = _to_free(image, coords)
-    j_h = (images[0] - images[1]) / (2.0 * h)
-    j_half = (images[2] - images[3]) / h
-    disagreement = float(np.max(np.abs(j_h - j_half)))
-    if disagreement > FD_AGREEMENT:
+    grad, forward, frozen = [], [], []
+    offset = 0
+    for t, joint in zip(theta.tables, base_sums):
+        q, r = t.shape
+        block = slice(offset, offset + q * r)
+        offset += q * r
+        joint = joint / n
+        parent = joint.sum(axis=1)
+        # the rows phi_apply(clamp=False) moves; the others keep the probe
+        mask = parent > 0.0
+        frozen.append(np.repeat(~mask, r - 1))
+        ratio = joint[mask] / parent[mask, None]
+        slope = slope_sums[:, block].reshape(m, q, r)[:, mask] / (n * h)
+        at_h = moved_sums[:, block].reshape(m, q, r)[:, mask]
+        d_phi = np.zeros((m, q, r))
+        d_fwd = np.zeros((m, q, r))
+        # quotient rule on joint / parent, and (Phi(+h) - Phi) / h
+        d_phi[:, mask] = (slope - ratio * slope.sum(axis=2, keepdims=True)) / parent[mask, None]
+        with np.errstate(divide="ignore", invalid="ignore"):
+            d_fwd[:, mask] = (at_h / at_h.sum(axis=2, keepdims=True) - ratio) / h
+        grad.append(d_phi[:, :, :-1].reshape(m, -1))
+        forward.append(d_fwd[:, :, :-1].reshape(m, -1))
+    # column c is the derivative along coordinate c
+    grad = np.concatenate(grad, axis=1).T
+    disagreement = float(np.max(np.abs(grad - np.concatenate(forward, axis=1).T)))
+    if not disagreement <= FD_AGREEMENT:
         raise NumericalError(
-            f"finite-difference estimates at h and h/2 disagree by {disagreement:.3g}"
+            f"exact and forward-difference derivatives disagree by {disagreement:.3g}"
         )
-    grad = (4.0 * j_half - j_h) / 3.0
+    frozen = np.flatnonzero(np.concatenate(frozen))
+    grad[frozen, frozen] = 1.0
     return np.eye(m) - grad, residual
 
 

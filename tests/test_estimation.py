@@ -1,6 +1,7 @@
 """Batch estimation: E-step statistics, update rules, distances, fit loop."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -373,6 +374,16 @@ class TestFit:
             with pytest.raises(NumericalError, match=r"iteration 2: the gp update with eta=1e\+308") as info:
                 fit(net, data, FitConfig(rule="gp", eta=1e308, init="uniform"))
         assert not isinstance(info.value, ZeroProbabilityError)
+
+    def test_non_finite_update_warns_nothing(self):
+        """The fit itself silences the overflow it reports, so no numpy
+        warning comes before the NumericalError."""
+        net = chain3()
+        data = forward_sample(net, 50, seed=1)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(NumericalError, match=r"iteration 2: the gp update"):
+                fit(net, data, FitConfig(rule="gp", eta=1e308, init="uniform"))
 
     def test_test_ll_recorded(self):
         net = chain3()
