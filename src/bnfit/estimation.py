@@ -23,7 +23,7 @@ from __future__ import annotations
 import math
 import time
 from dataclasses import dataclass
-from typing import Iterator
+from typing import Callable, Iterator, Sequence
 
 import numpy as np
 
@@ -146,13 +146,53 @@ def gradient(stats: SufficientStats, theta: ParameterVector) -> list[np.ndarray]
     return out
 
 
+def _gp_rows(rows: np.ndarray, grad: np.ndarray, eta: float | np.ndarray) -> np.ndarray:
+    """Projected gradient step on a block of rows: add the row-mean-free gradient."""
+    step = grad - grad.mean(axis=1, keepdims=True)
+    return clamp_rows(rows + np.reshape(eta, (-1, 1)) * step)
+
+
 def gp_step(theta: ParameterVector, grad: list[np.ndarray], eta: float) -> ParameterVector:
     """Projected gradient ascent: add the row-mean-free gradient."""
-    tables = []
-    for t, g in zip(theta.tables, grad):
-        step = g - g.mean(axis=1, keepdims=True)
-        tables.append(clamp_rows(t + eta * step))
-    return ParameterVector(tables, _validate=False)
+    return ParameterVector(_by_arity(_gp_rows, theta.tables, (grad,), eta), _validate=False)
+
+
+def _by_arity(
+    kernel: Callable[..., np.ndarray],
+    tables: Sequence[np.ndarray],
+    columns: tuple[Sequence[np.ndarray], ...],
+    eta: float | Sequence[np.ndarray],
+    **kwargs,
+) -> list[np.ndarray]:
+    """Apply a row kernel once per group of tables with equal row length.
+
+    A group's tables are stacked row-wise, and so are their entries of
+    each sequence in `columns` (per-table arrays with one entry per table
+    row) and, when `eta` is a per-table sequence of row rates, their
+    rates; a scalar `eta` goes to every row.  ``kernel(rows, *columns,
+    eta, **kwargs)`` updates each row on its own, so the stacked result,
+    split back per table, is the per-table result.
+    """
+    groups: dict[int, list[int]] = {}
+    for i, t in enumerate(tables):
+        groups.setdefault(t.shape[1], []).append(i)
+    if isinstance(eta, (list, tuple)):
+        columns = columns + (eta,)
+    else:
+        kwargs["eta"] = eta
+    out: list[np.ndarray] = [np.empty(0)] * len(tables)
+    for ids in groups.values():
+        stacked = [
+            seq[ids[0]] if len(ids) == 1 else np.concatenate([seq[i] for i in ids])
+            for seq in (tables, *columns)
+        ]
+        rows = kernel(*stacked, **kwargs)
+        start = 0
+        for i in ids:
+            stop = start + tables[i].shape[0]
+            out[i] = rows[start:stop]
+            start = stop
+    return out
 
 
 def _row_rates(eta: float | np.ndarray, mask: np.ndarray) -> np.ndarray:
@@ -189,10 +229,7 @@ def em_eta_step(
     floor: float | None = PROB_FLOOR,
 ) -> ParameterVector:
     """Move each visited row toward its expected-count ratio by factor eta."""
-    tables = [
-        _em_rows(t, j, p, eta, floor)
-        for t, j, p in zip(theta.tables, stats.joint, stats.parent)
-    ]
+    tables = _by_arity(_em_rows, theta.tables, (stats.joint, stats.parent), eta, floor=floor)
     return ParameterVector(tables, _validate=False)
 
 
@@ -216,10 +253,7 @@ def _eg_rows(
 
 def eg_eta_step(theta: ParameterVector, stats: SufficientStats, eta: float) -> ParameterVector:
     """Multiplicative update: entries scaled by an exponentiated gradient."""
-    tables = [
-        _eg_rows(t, j, p, eta)
-        for t, j, p in zip(theta.tables, stats.joint, stats.parent)
-    ]
+    tables = _by_arity(_eg_rows, theta.tables, (stats.joint, stats.parent), eta)
     return ParameterVector(tables, _validate=False)
 
 
@@ -358,9 +392,18 @@ def _apply_rule(theta: ParameterVector, stats: SufficientStats, rule: str, eta: 
 
 
 def _mean_test_ll(network: Network, test: DataSet | None) -> float | None:
+    """Mean log-likelihood of the test set; an impossible case is named
+    by its row in the test set."""
     if test is None or len(test) == 0:
         return None
-    return float(np.mean(log_likelihood_cases(network, test.values)))
+    try:
+        return float(np.mean(log_likelihood_cases(network, test.values)))
+    except ZeroProbabilityError as e:
+        row = e.case_index or 0
+        raise ZeroProbabilityError(
+            f"test set case {row} has probability 0 under the current parameters",
+            case_index=row,
+        ) from None
 
 
 def fit(
@@ -395,9 +438,10 @@ def fit(
 
     try:
         stats, train_ll = expected_stats_with_ll(net, dataset)
+        test_ll = _mean_test_ll(net, test)
     except ZeroProbabilityError as e:
         raise context(e, 0) from None
-    trace = [TraceRecord(0, train_ll, _mean_test_ll(net, test), 0.0, 0.0, wall())]
+    trace = [TraceRecord(0, train_ll, test_ll, 0.0, 0.0, wall())]
     thetas = [theta] if config.record_thetas else None
 
     termination = "max_iters"
@@ -417,12 +461,11 @@ def fit(
         net = network.with_theta(new_theta)
         try:
             stats, new_train_ll = expected_stats_with_ll(net, dataset)
+            test_ll = _mean_test_ll(net, test)
         except ZeroProbabilityError as e:
             raise context(e, s) from None
         max_delta, l2_step = param_delta_stats(new_theta, theta)
-        trace.append(
-            TraceRecord(s, new_train_ll, _mean_test_ll(net, test), max_delta, l2_step, wall())
-        )
+        trace.append(TraceRecord(s, new_train_ll, test_ll, max_delta, l2_step, wall()))
         if thetas is not None:
             thetas.append(new_theta)
         theta = new_theta

@@ -15,8 +15,8 @@ Two independent routes compute the same quantities:
   factor as soon as its bucket has consumed it.  The family posteriors
   come from the same elimination differentiated in reverse (Darwiche
   2003): P(x_i, pa_i | y) = theta_i * dP(y)/dtheta_i / P(y).  The
-  forward pass records each bucket on a tape; the reverse sweep walks the
-  tape backwards and gives every factor a bucket consumed an adjoint:
+  forward pass keeps every bucket's output; the reverse sweep walks the
+  buckets backwards and gives every factor a bucket consumed an adjoint:
   the bucket output's adjoint times the bucket's other factors, summed
   down to the factor's scope.  A family posterior is its evidence-folded
   CPT factor times that factor's adjoint, normalized per case, so
@@ -26,6 +26,16 @@ Two independent routes compute the same quantities:
 
   A marginal query is batched over cases too: one elimination of every
   variable outside the query answers it for a whole case matrix.
+
+  Evidence enters as indicator columns, so factor scopes, and with them
+  the elimination order and every bucket, depend only on the structure
+  and the eliminated set.  Each (structure, eliminated set) is compiled
+  once into a plan: the order, each CPT's transpose and evidence
+  reshape, each bucket's factor ids, aligned shapes and sum axis, and
+  each reverse step's sum axes and posterior transpose.  A call replays
+  the plan on arrays, doing the multiplications of an elimination from
+  scratch in the same order.  Plans are cached, at most PLAN_CACHE_SIZE
+  of them, keyed on the parent sets, the arities and the eliminated set.
 
 * The oracle route (`enumerate_*`) sums over all joint completions.  It
   exists for tests and sanity checks and shares no code with the main
@@ -40,12 +50,16 @@ over (j, k): they partition the evidence-conditioned joint.
 from __future__ import annotations
 
 import heapq
+import math
 from dataclasses import dataclass
 from functools import lru_cache, reduce
+from typing import NamedTuple
 
 import numpy as np
 
-from .model import Network, NetworkStructure, ValidationError, ZeroProbabilityError
+from .model import (
+    Network, NetworkStructure, ParameterVector, ValidationError, ZeroProbabilityError
+)
 from .netio import DataCase, MISSING
 
 MAX_ENUM_STATES = 1 << 20
@@ -56,49 +70,71 @@ MAX_ENUM_STATES = 1 << 20
 RESCALE_TRIGGER = 1e-100
 
 
-# -- batched factors ------------------------------------------------------
+# -- elimination plans ------------------------------------------------------
+
+# Plans kept: a fit, an online stream and a spectral analysis use one
+# each; a query evaluation uses one per target variable.
+PLAN_CACHE_SIZE = 128
 
 
-@dataclass
-class _Factor:
-    """values[..., b] * exp(logscale[b]) over the sorted variable scope.
+class _Cpt(NamedTuple):
+    """How CPT i becomes a case-last factor over its sorted scope, and back.
 
-    The last (innermost) axis is the case batch; it may have length 1 and
-    rely on broadcasting when the factor is case-independent.
-    ``logscale`` is a scalar 0.0 until a rescale makes it a per-case array.
+    The table is reshaped to one axis per parent and one for the child
+    (`shape`), transposed to the sorted scope (`perm`) and given a case
+    axis.  Its evidence is rows `ev_rows` of the indicator matrix, reshaped
+    to `ev_shape` plus the case axis.  A family joint is transposed by
+    `post_perm` to parents-then-child order, case axis last, and reshaped
+    to `table_shape`.
     """
 
-    scope: tuple[int, ...]
-    values: np.ndarray
-    logscale: np.ndarray | float
+    shape: tuple[int, ...]
+    perm: tuple[int, ...]
+    ev_rows: slice
+    ev_shape: tuple[int, ...]
+    post_perm: tuple[int, ...]
+    table_shape: tuple[int, int]
 
 
-def _align(
-    values: np.ndarray, scope: tuple[int, ...], union: tuple[int, ...], arities: tuple[int, ...]
-) -> np.ndarray:
-    """Reshape `values` with singleton axes so it broadcasts over the union."""
-    if scope == union:
-        return values
-    shape = tuple(arities[v] if v in scope else 1 for v in union)
-    return values.reshape(shape + values.shape[-1:])
+class _Step(NamedTuple):
+    """One bucket: multiply factors `ids` in that order and sum out `axis`.
+
+    Each factor is reshaped to its entry of `shapes` so that it broadcasts
+    over the bucket's union scope (None: it spans the union already).  The
+    last step multiplies the leftover factors and sums nothing (`axis`
+    None).  The reverse sweep reshapes the output's adjoint to `upstream`
+    (None: no reshape) and sums each factor's adjoint over its entry of
+    `sums`, the union axes outside that factor's scope.  `out_shape` is
+    the output's shape without the case axis.
+    """
+
+    ids: tuple[int, ...]
+    shapes: tuple[tuple[int, ...] | None, ...]
+    axis: int | None
+    upstream: tuple[int, ...] | None
+    sums: tuple[tuple[int, ...], ...]
+    out_shape: tuple[int, ...]
 
 
-def _multiply(factors: list[_Factor], arities: tuple[int, ...]) -> _Factor:
-    if len(factors) == 1:
-        return factors[0]
-    union = tuple(sorted(set().union(*(f.scope for f in factors))))
-    values = _align(factors[0].values, factors[0].scope, union, arities)
-    logscale = factors[0].logscale
-    for f in factors[1:]:
-        values = values * _align(f.values, f.scope, union, arities)
-        logscale = logscale + f.logscale
-    return _Factor(union, values, logscale)
+@dataclass(frozen=True)
+class _Plan:
+    """A min-degree elimination compiled for one structure and eliminated set.
+
+    Factor i is CPT i; step k's output is factor n_vars + k, so the last
+    step's output is the result, over `root_scope`.  Indicator row k is
+    state `ev_state[k]` of variable `ev_var[k]`.
+    """
+
+    cpts: tuple[_Cpt, ...]
+    steps: tuple[_Step, ...]
+    root_scope: tuple[int, ...]
+    ev_var: np.ndarray
+    ev_state: np.ndarray
 
 
-def _sum_out(factor: _Factor, var: int) -> _Factor:
-    values = factor.values.sum(axis=factor.scope.index(var))
-    scope = tuple(v for v in factor.scope if v != var)
-    return _Factor(scope, values, factor.logscale)
+def _aligned(values: np.ndarray, shape: tuple[int, ...] | None) -> np.ndarray:
+    """`values` reshaped to `shape` plus its case axis; as is for None."""
+    return values if shape is None else values.reshape(shape + values.shape[-1:])
 
 
 def _case_divisors(values: np.ndarray, high: float = np.inf) -> np.ndarray | None:
@@ -115,7 +151,8 @@ def _case_divisors(values: np.ndarray, high: float = np.inf) -> np.ndarray | Non
         # which is cheaper than the array reductions below.
         t = float(total[0])
         return None if RESCALE_TRIGGER < t <= high or not t > 0.0 else total
-    if RESCALE_TRIGGER < total.min() and total.max() <= high:
+    # A NaN total fails the first test, and the move test below.
+    if RESCALE_TRIGGER < total.min() and (high == np.inf or total.max() <= high):
         return None
     move = (total > 0.0) & ((total <= RESCALE_TRIGGER) | (total > high))
     if not move.any():
@@ -128,16 +165,6 @@ def _case_totals(values: np.ndarray) -> np.ndarray:
     return values.reshape(-1, values.shape[-1]).sum(axis=0)
 
 
-def _maybe_rescale(factor: _Factor) -> _Factor:
-    """Pull the totals of near-underflowing cases into the log-scale accumulator."""
-    div = _case_divisors(factor.values)
-    if div is None:
-        return factor
-    logscale = factor.logscale + np.log(div)
-    return _Factor(factor.scope, factor.values / div, logscale)
-
-
-@lru_cache(maxsize=1024)
 def _min_degree_order(scopes: tuple[tuple[int, ...], ...], elim: frozenset[int]) -> tuple[int, ...]:
     """Min-degree elimination ordering; ties broken by variable id.
 
@@ -162,92 +189,135 @@ def _min_degree_order(scopes: tuple[tuple[int, ...], ...], elim: frozenset[int])
     return tuple(order)
 
 
-def _cpt_factor(network: Network, i: int, evidence: np.ndarray | None) -> _Factor:
-    """CPT of variable i as a batched factor, with i's evidence folded in."""
-    s = network.structure
-    axis_vars = list(s.parents[i]) + [i]
-    shape = tuple(s.arity(v) for v in axis_vars)
-    values = network.theta.tables[i].reshape(shape)
-    perm = sorted(range(len(axis_vars)), key=lambda p: axis_vars[p])
-    scope = tuple(axis_vars[p] for p in perm)
-    values = values.transpose(tuple(perm))[..., None]
-    if evidence is not None:
+def _step(
+    touching: list[tuple[int, tuple[int, ...]]],
+    out: tuple[int, ...],
+    union: tuple[int, ...],
+    axis: int | None,
+    arities: tuple[int, ...],
+) -> _Step:
+    def shape(scope: tuple[int, ...]) -> tuple[int, ...] | None:
+        return None if scope == union else tuple(arities[v] if v in scope else 1 for v in union)
+
+    return _Step(
+        ids=tuple(k for k, _ in touching),
+        shapes=tuple(shape(sc) for _, sc in touching),
+        axis=axis,
+        upstream=shape(out),
+        sums=tuple(tuple(p for p, v in enumerate(union) if v not in sc) for _, sc in touching),
+        out_shape=tuple(arities[v] for v in out),
+    )
+
+
+@lru_cache(maxsize=PLAN_CACHE_SIZE)
+def _plan(
+    parents: tuple[tuple[int, ...], ...], arities: tuple[int, ...], elim: frozenset[int]
+) -> _Plan:
+    """Compile the elimination of `elim` from the CPT factors of a structure.
+
+    The steps are those of bucket elimination in min-degree order: each
+    bucket multiplies the live factors that touch its variable, in the
+    order they became live, and its output joins the live factors last.
+    """
+    cpts, scopes, ev_var, ev_state = [], [], [], []
+    for i, pa in enumerate(parents):
+        axis_vars = tuple(pa) + (i,)
+        perm = tuple(sorted(range(len(axis_vars)), key=lambda p: axis_vars[p]))
+        scope = tuple(axis_vars[p] for p in perm)
         pos = scope.index(i)
-        ev_shape = (1,) * pos + (s.arity(i),) + (1,) * (len(scope) - pos - 1) + evidence.shape[-1:]
-        values = values * evidence.reshape(ev_shape)
-    return _Factor(scope, values, 0.0)
+        r = arities[i]
+        cpts.append(_Cpt(
+            shape=tuple(arities[v] for v in axis_vars),
+            perm=perm,
+            ev_rows=slice(len(ev_var), len(ev_var) + r),
+            ev_shape=(1,) * pos + (r,) + (1,) * (len(scope) - pos - 1),
+            post_perm=tuple(scope.index(v) for v in axis_vars) + (len(scope),),
+            table_shape=(math.prod(arities[p] for p in pa), r),
+        ))
+        scopes.append(scope)
+        ev_var += [i] * r
+        ev_state += range(r)
+
+    live = list(enumerate(scopes))
+    steps = []
+    for var in _min_degree_order(tuple(scopes), elim):
+        touching = [kf for kf in live if var in kf[1]]
+        live = [kf for kf in live if var not in kf[1]]
+        union = tuple(sorted(set().union(*(sc for _, sc in touching))))
+        out = tuple(v for v in union if v != var)
+        steps.append(_step(touching, out, union, union.index(var), arities))
+        live.append((len(parents) + len(steps) - 1, out))
+    root = tuple(sorted(set().union(*(sc for _, sc in live))))
+    steps.append(_step(live, root, root, None, arities))
+    return _Plan(
+        tuple(cpts), tuple(steps), root, np.array(ev_var, dtype=np.intp), np.array(ev_state)[:, None]
+    )
 
 
-def _evidence_columns(structure: NetworkStructure, values: np.ndarray) -> list[np.ndarray | None]:
-    """Per variable: (r, B) indicator-or-ones matrix, or None if never observed."""
+def _plan_of(structure: NetworkStructure, elim: frozenset[int]) -> _Plan:
+    arities = tuple(v.arity for v in structure.variables)
+    return _plan(structure.parents, arities, elim)
+
+
+# -- plan replay ---------------------------------------------------------------
+
+
+def _cpt_factors(plan: _Plan, theta: ParameterVector, values: np.ndarray) -> list[np.ndarray]:
+    """Every CPT as a case-last factor, with its variable's evidence folded in.
+
+    A variable no row of `values` observes keeps a case axis of length 1.
+    """
     missing = values < 0
-    observed = ~missing.all(axis=0)
-    out: list[np.ndarray | None] = []
-    for i in range(structure.n_vars):
-        if not observed[i]:
-            out.append(None)
-            continue
-        states = np.arange(structure.arity(i))
-        ev = (values[:, i] == states[:, None]) | missing[:, i]
-        out.append(ev.astype(np.float64))
-    return out
-
-
-def _cpt_factors(network: Network, values: np.ndarray) -> list[_Factor]:
-    s = network.structure
-    evidence = _evidence_columns(s, values)
-    return [_cpt_factor(network, i, evidence[i]) for i in range(s.n_vars)]
-
-
-def _arities(structure: NetworkStructure) -> tuple[int, ...]:
-    return tuple(structure.arity(i) for i in range(structure.n_vars))
-
-
-# One bucket of an elimination: the ids of the factors it multiplies, the
-# union of their scopes, and the scope of the message it produces.
-_Bucket = tuple[list[int], tuple[int, ...], tuple[int, ...]]
+    observed = (~missing.all(axis=0)).tolist()
+    # (state, case) indicator-or-missing rows of every variable
+    evidence = (
+        (values.T[plan.ev_var] == plan.ev_state) | missing.T[plan.ev_var]
+    ).astype(np.float64)
+    factors = []
+    for table, cpt, seen in zip(theta.tables, plan.cpts, observed):
+        f = table.reshape(cpt.shape).transpose(cpt.perm)[..., None]
+        if seen:
+            ev = evidence[cpt.ev_rows]
+            f = f * ev.reshape(cpt.ev_shape + ev.shape[-1:])
+        factors.append(f)
+    return factors
 
 
 def _eliminate(
-    factors: list[_Factor | None],
-    elim: frozenset[int],
-    arities: tuple[int, ...],
-    tape: list[_Bucket] | None = None,
-) -> _Factor:
-    """Sum the variables in `elim` out of the product of `factors`.
+    plan: _Plan, factors: list[np.ndarray | None], logscales: list, keep: bool = False
+) -> tuple[np.ndarray, np.ndarray | float]:
+    """Replay `plan` on `factors`; return the result and its log-scales.
 
-    Without a tape, each factor is released as soon as its bucket
-    consumes it.  With one, every bucket's message is appended to
-    `factors`, so a factor's id is its position there, and each bucket
-    is recorded; the final product of the leftover factors is recorded
-    as one more bucket and appended as the last factor.
+    Factor `k` is `factors[k] * exp(logscales[k])`, per case; a log-scale
+    is the scalar 0.0 until a rescale makes it a per-case array.  Each
+    step's output is appended to both lists.  Without `keep`, the factors
+    a step consumes are released.
     """
-    order = _min_degree_order(tuple(f.scope for f in factors), elim)
-    live = list(enumerate(factors))
-    for var in order:
-        touching = [kf for kf in live if var in kf[1].scope]
-        live = [kf for kf in live if var not in kf[1].scope]
-        product = _multiply([f for _, f in touching], arities)
-        message = _maybe_rescale(_sum_out(product, var))
-        if tape is not None:
-            tape.append(([k for k, _ in touching], product.scope, message.scope))
-            factors.append(message)
-        live.append((len(factors) - 1, message))
-    result = _multiply([f for _, f in live], arities)
-    if tape is not None:
-        tape.append(([k for k, _ in live], result.scope, result.scope))
-        factors.append(result)
-    return result
+    for step in plan.steps:
+        first = step.ids[0]
+        values = _aligned(factors[first], step.shapes[0])
+        logscale = logscales[first]
+        for k, shape in zip(step.ids[1:], step.shapes[1:]):
+            values = values * _aligned(factors[k], shape)
+            logscale = logscale + logscales[k]
+        if step.axis is not None:
+            values = values.sum(axis=step.axis)
+            div = _case_divisors(values)
+            if div is not None:
+                values = values / div
+                logscale = logscale + np.log(div)
+        if not keep:
+            for k in step.ids:
+                factors[k] = None
+        factors.append(values)
+        logscales.append(logscale)
+    return factors[-1], logscales[-1]
 
 
-def _family_posterior(
-    structure: NetworkStructure, i: int, factor: _Factor, adjoint: np.ndarray, n_cases: int
-) -> np.ndarray:
+def _family_posterior(cpt: _Cpt, factor: np.ndarray, adjoint: np.ndarray, n_cases: int) -> np.ndarray:
     """Evidence-folded CPT factor times its adjoint, CPT-shaped and normalized per case."""
-    target = list(structure.parents[i]) + [i]
-    perm = [factor.scope.index(v) for v in target]
-    joint = (factor.values * adjoint).transpose(perm + [len(perm)])
-    joint = joint.reshape(*structure.table_shape(i), joint.shape[-1])
+    joint = (factor * adjoint).transpose(cpt.post_perm)
+    joint = joint.reshape(cpt.table_shape + joint.shape[-1:])
     return _normalize(joint, n_cases, "family posteriors")
 
 
@@ -300,11 +370,12 @@ def log_marginal_likelihood(network: Network, case: DataCase) -> float:
 
 def log_likelihood_cases(network: Network, values: np.ndarray) -> np.ndarray:
     """log P(y) for every row of an (N, V) case matrix."""
-    s = network.structure
-    res = _eliminate(_cpt_factors(network, values), frozenset(range(s.n_vars)), _arities(s))
-    total = np.broadcast_to(res.values, (values.shape[0],))
+    plan = _plan_of(network.structure, frozenset(range(network.structure.n_vars)))
+    factors = _cpt_factors(plan, network.theta, values)
+    root, logscale = _eliminate(plan, factors, [0.0] * len(factors))
+    total = np.broadcast_to(root, (values.shape[0],))
     _raise_zero(total, "log-likelihood")
-    return np.log(total) + res.logscale
+    return np.log(total) + logscale
 
 
 def family_posteriors(network: Network, case: DataCase) -> list[np.ndarray]:
@@ -321,39 +392,36 @@ def batch_family_posteriors(
     Returns ([(N, q_i, r_i) arrays], (N,) log-likelihood vector), both
     from one forward elimination and its reverse sweep.
     """
-    s = network.structure
+    n_vars = network.structure.n_vars
     n_cases = values.shape[0]
-    arities = _arities(s)
-    factors: list[_Factor | None] = list(_cpt_factors(network, values))
-    tape: list[_Bucket] = []
-    root = _eliminate(factors, frozenset(range(s.n_vars)), arities, tape)
-    total = np.broadcast_to(root.values, (n_cases,))
+    plan = _plan_of(network.structure, frozenset(range(n_vars)))
+    factors: list[np.ndarray | None] = _cpt_factors(plan, network.theta, values)
+    root, logscale = _eliminate(plan, factors, [0.0] * n_vars, keep=True)
+    total = np.broadcast_to(root, (n_cases,))
     _raise_zero(total, "family posteriors")
-    loglik = np.log(total) + root.logscale
+    loglik = np.log(total) + logscale
 
-    posteriors: list[np.ndarray] = [np.empty(0)] * s.n_vars
+    posteriors: list[np.ndarray] = [np.empty(0)] * n_vars
     adjoints = {len(factors) - 1: np.ones(1)}
-    for step in reversed(range(len(tape))):
-        touching, union, out_scope = tape[step]
-        upstream = _align(adjoints.pop(s.n_vars + step), out_scope, union, arities)
-        aligned = {u: _align(factors[u].values, factors[u].scope, union, arities) for u in touching}
-        for t in touching:
-            f = factors[t]
+    for k in reversed(range(len(plan.steps))):
+        step = plan.steps[k]
+        upstream = _aligned(adjoints.pop(n_vars + k), step.upstream)
+        aligned = [_aligned(factors[u], shape) for u, shape in zip(step.ids, step.shapes)]
+        for p, t in enumerate(step.ids):
             # The bucket's other factors first: their product is mostly
             # smaller than the union, which the upstream adjoint nearly spans.
-            adj = reduce(np.multiply, [aligned[u] for u in touching if u != t] + [upstream])
-            axes = tuple(p for p, v in enumerate(union) if v not in f.scope)
-            if axes:
-                adj = adj.sum(axis=axes)
+            adj = reduce(np.multiply, aligned[:p] + aligned[p + 1:] + [upstream])
+            if step.sums[p]:
+                adj = adj.sum(axis=step.sums[p])
             div = _case_divisors(adj, 1.0 / RESCALE_TRIGGER)
             if div is not None:
                 adj = adj / div
-            if t < s.n_vars:
-                posteriors[t] = _family_posterior(s, t, f, adj, n_cases)
+            if t < n_vars:
+                posteriors[t] = _family_posterior(plan.cpts[t], factors[t], adj, n_cases)
             else:
-                shape = f.values.shape[:-1] + adj.shape[-1:]
+                shape = plan.steps[t - n_vars].out_shape + adj.shape[-1:]
                 adjoints[t] = adj if adj.shape == shape else np.broadcast_to(adj, shape)
-        for t in touching:
+        for t in step.ids:
             factors[t] = None
     return posteriors, loglik
 
@@ -363,11 +431,12 @@ def batch_posterior_marginals(network: Network, values: np.ndarray, var_ids: lis
     row of an (N, V) case matrix; a read-only view when no case has evidence."""
     if len(set(var_ids)) != len(var_ids):
         raise ValidationError("duplicate variables in marginal query")
-    s = network.structure
-    elim = frozenset(range(s.n_vars)) - frozenset(var_ids)
-    res = _eliminate(_cpt_factors(network, values), elim, _arities(s))
-    perm = [res.scope.index(v) for v in var_ids]
-    joint = res.values.transpose(perm + [len(perm)])
+    elim = frozenset(range(network.structure.n_vars)) - frozenset(var_ids)
+    plan = _plan_of(network.structure, elim)
+    factors = _cpt_factors(plan, network.theta, values)
+    root, _ = _eliminate(plan, factors, [0.0] * len(factors))
+    perm = [plan.root_scope.index(v) for v in var_ids]
+    joint = root.transpose(perm + [len(perm)])
     return _normalize(joint, values.shape[0], "marginal query")
 
 

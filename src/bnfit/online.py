@@ -31,7 +31,9 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .estimation import ROW_MASS_FLOOR, _eg_rows, _em_rows
+from .estimation import (
+    SufficientStats, _by_arity, _eg_rows, _em_rows, _gp_rows, gradient
+)
 # parent_config_marginals is not called here; it stays bound in this
 # module because perfbench/tracing.py wraps it by this name.
 from .inference import batch_family_posteriors, parent_config_marginals  # noqa: F401
@@ -41,7 +43,6 @@ from .model import (
     ParameterVector,
     ValidationError,
     ZeroProbabilityError,
-    clamp_rows,
     param_delta_stats,
 )
 from .netio import MISSING, DataCase, DataSet
@@ -164,6 +165,10 @@ def _advance(
     return OnlineState(state.network.with_theta(theta), state.t + 1, masses, case_ll)
 
 
+def _rates(state: OnlineState, schedule: LearningRateSchedule) -> list[np.ndarray]:
+    return [schedule.row_rates(state.t, m) for m in state.visit_mass]
+
+
 def online_em_step(
     state: OnlineState, case: DataCase, schedule: LearningRateSchedule
 ) -> OnlineState:
@@ -177,10 +182,9 @@ def online_em_step(
     """
     posts, visits, mass, case_ll = _case_posteriors(state, case, not schedule.conditioned_mass)
     floor = RUNNING_AVG_FLOOR if schedule.conditioned_mass else PROB_FLOOR
-    tables = []
-    for i, t in enumerate(state.theta.tables):
-        rates = schedule.row_rates(state.t, state.visit_mass[i])
-        tables.append(_em_rows(t, posts[i], mass[i], rates, floor=floor))
+    tables = _by_arity(
+        _em_rows, state.theta.tables, (posts, mass), _rates(state, schedule), floor=floor
+    )
     return _advance(state, ParameterVector(tables, _validate=False), visits, case_ll)
 
 
@@ -189,10 +193,7 @@ def online_eg_step(
 ) -> OnlineState:
     """Single-case EG(eta): exponentiated-gradient reweighting of each row."""
     posts, visits, mass, case_ll = _case_posteriors(state, case, not schedule.conditioned_mass)
-    tables = []
-    for i, t in enumerate(state.theta.tables):
-        rates = schedule.row_rates(state.t, state.visit_mass[i])
-        tables.append(_eg_rows(t, posts[i], mass[i], rates))
+    tables = _by_arity(_eg_rows, state.theta.tables, (posts, mass), _rates(state, schedule))
     return _advance(state, ParameterVector(tables, _validate=False), visits, case_ll)
 
 
@@ -205,13 +206,8 @@ def online_gp_step(
     rows the case does not touch have a zero gradient and stay put.
     """
     posts, visits, _, case_ll = _case_posteriors(state, case)
-    tables = []
-    for i, t in enumerate(state.theta.tables):
-        rates = schedule.row_rates(state.t, state.visit_mass[i])
-        with np.errstate(invalid="ignore", divide="ignore"):
-            grad = np.where(posts[i] > 0.0, posts[i] / np.maximum(t, 1e-300), 0.0)
-        step = grad - grad.mean(axis=1, keepdims=True)
-        tables.append(clamp_rows(t + rates[:, None] * step))
+    grad = gradient(SufficientStats(tuple(posts), tuple(visits)), state.theta)
+    tables = _by_arity(_gp_rows, state.theta.tables, (grad,), _rates(state, schedule))
     return _advance(state, ParameterVector(tables, _validate=False), visits, case_ll)
 
 

@@ -63,9 +63,9 @@ EIGEN_CUTOFF = 1e-8
 
 FD_STEP = 1e-5
 
-# The exact derivative and the forward-difference quotient at the probe
-# step h must agree this closely: the quotient's error is O(h), so at a
-# small h a larger gap means the derivative is wrong.
+# The secant (Phi(+h) - Phi) / h and the mean of the exact derivatives at
+# 0 and +h (the trapezoid rule) must agree this closely: their gap is
+# O(h^2), so at a moderate h a larger one means a derivative is wrong.
 FD_AGREEMENT = 1e-3
 
 
@@ -146,12 +146,14 @@ def jacobian(network: Network, dataset: DataSet, h: float = FD_STEP) -> np.ndarr
     (probed) entries, so its derivative is the identity on the probed
     coordinate.
 
-    The result does not depend on h beyond rounding, but h must stay
-    small: as a guard against a wrong slope, the result must agree with
-    the forward-difference quotient (Phi(+h) - Phi) / h, whose error is
-    O(h), to FD_AGREEMENT entrywise.  A step of +h or -h that would make
-    some case's probability nonpositive raises ZeroProbabilityError
-    naming its row, as evaluating it directly would.
+    The result does not depend on h beyond rounding.  As a guard against
+    a wrong slope, the same passes give the exact slope at +h as well,
+    (p1 - p0) / (rho * h), and the mean of the derivatives of the map at 0
+    and at +h must agree with the secant (Phi(+h) - Phi) / h to
+    FD_AGREEMENT entrywise; by the trapezoid rule their gap is O(h^2).  A
+    step of +h or -h that would make some case's probability nonpositive
+    raises ZeroProbabilityError naming its row, as evaluating it directly
+    would.
     """
     return _jacobian(network, dataset, h)[0]
 
@@ -168,7 +170,8 @@ def _jacobian(network: Network, dataset: DataSet, h: float) -> tuple[np.ndarray,
     one coordinate at a time, so only the block's base posteriors and one
     probe's are held.  All families' entries are laid out side by side in
     one axis of Q = sum_i q_i * r_i; per coordinate the case sums of the
-    slope and of the posteriors at +h accumulate as (m, Q) arrays.
+    slopes at 0 and at +h and of the posteriors at +h accumulate as (m, Q)
+    arrays.
     """
     coords = _free_coords(network)
     m = len(coords)
@@ -181,6 +184,7 @@ def _jacobian(network: Network, dataset: DataSet, h: float) -> tuple[np.ndarray,
     base_sums = [np.zeros(t.shape) for t in theta.tables]
     n_entries = sum(t.size for t in theta.tables)
     slope_sums = np.zeros((m, n_entries))
+    slope_h_sums = np.zeros((m, n_entries))
     moved_sums = np.zeros((m, n_entries))
     for start, base, lls in _e_step_blocks(network, dataset):
         for f, p in enumerate(base):
@@ -205,12 +209,14 @@ def _jacobian(network: Network, dataset: DataSet, h: float) -> tuple[np.ndarray,
             if bad.size:
                 raise _zero_probability(start + int(bad[0]))
             moved = [_case_last(p) for p in moved]
-            slope_sums[c] += np.concatenate([(p1 - p0) @ rho for p0, p1 in zip(base, moved)])
+            diffs = [p1 - p0 for p0, p1 in zip(base, moved)]
+            slope_sums[c] += np.concatenate([d @ rho for d in diffs])
+            slope_h_sums[c] += np.concatenate([d @ (1.0 / rho) for d in diffs])
             moved_sums[c] += np.concatenate([p1.sum(axis=1) for p1 in moved])
             # free this probe's posteriors before the next probe's pass
-            del moved
+            del moved, diffs
 
-    grad, forward, frozen = [], [], []
+    grad, gap, frozen = [], [], []
     offset = 0
     for t, joint in zip(theta.tables, base_sums):
         q, r = t.shape
@@ -223,21 +229,26 @@ def _jacobian(network: Network, dataset: DataSet, h: float) -> tuple[np.ndarray,
         frozen.append(np.repeat(~mask, r - 1))
         ratio = joint[mask] / parent[mask, None]
         slope = slope_sums[:, block].reshape(m, q, r)[:, mask] / (n * h)
+        slope_h = slope_h_sums[:, block].reshape(m, q, r)[:, mask] / (n * h)
         at_h = moved_sums[:, block].reshape(m, q, r)[:, mask]
         d_phi = np.zeros((m, q, r))
-        d_fwd = np.zeros((m, q, r))
-        # quotient rule on joint / parent, and (Phi(+h) - Phi) / h
+        d_gap = np.zeros((m, q, r))
+        # quotient rule on joint / parent, at 0 and at +h; the gap of
+        # (Phi(+h) - Phi) / h to the mean of the two
         d_phi[:, mask] = (slope - ratio * slope.sum(axis=2, keepdims=True)) / parent[mask, None]
         with np.errstate(divide="ignore", invalid="ignore"):
-            d_fwd[:, mask] = (at_h / at_h.sum(axis=2, keepdims=True) - ratio) / h
+            mass_h = at_h.sum(axis=2, keepdims=True)
+            ratio_h = at_h / mass_h
+            d_phi_h = (slope_h - ratio_h * slope_h.sum(axis=2, keepdims=True)) / (mass_h / n)
+            d_gap[:, mask] = (ratio_h - ratio) / h - 0.5 * (d_phi[:, mask] + d_phi_h)
         grad.append(d_phi[:, :, :-1].reshape(m, -1))
-        forward.append(d_fwd[:, :, :-1].reshape(m, -1))
+        gap.append(d_gap[:, :, :-1].reshape(m, -1))
     # column c is the derivative along coordinate c
     grad = np.concatenate(grad, axis=1).T
-    disagreement = float(np.max(np.abs(grad - np.concatenate(forward, axis=1).T)))
+    disagreement = float(np.max(np.abs(np.concatenate(gap, axis=1))))
     if not disagreement <= FD_AGREEMENT:
         raise NumericalError(
-            f"exact and forward-difference derivatives disagree by {disagreement:.3g}"
+            f"the secant over h and the exact derivatives disagree by {disagreement:.3g}"
         )
     frozen = np.flatnonzero(np.concatenate(frozen))
     grad[frozen, frozen] = 1.0

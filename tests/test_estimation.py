@@ -9,6 +9,10 @@ import pytest
 from bnfit.estimation import (
     FitConfig,
     SufficientStats,
+    _by_arity,
+    _eg_rows,
+    _em_rows,
+    _gp_rows,
     distance_chi2,
     distance_kl,
     eg_eta_step,
@@ -27,6 +31,7 @@ from bnfit.model import (
     ParameterVector,
     ValidationError,
     ZeroProbabilityError,
+    clamp_rows,
     random_init,
 )
 from bnfit.netio import MISSING, DataSet, dataset_from_cases
@@ -254,6 +259,68 @@ class TestEgEtaStep:
         assert out.tables[0].sum() == pytest.approx(1.0, abs=1e-9)
 
 
+class TestArityGroups:
+    """Each rule updates the rows of all tables of one arity in one kernel
+    call, which gives the per-table loop's result bit for bit."""
+
+    @staticmethod
+    def tree8_point():
+        """tree8 (arities 2 and 3) at a random point, with a frozen row and
+        a row whose mass is positive but below ROW_MASS_FLOOR."""
+        net = tree8()
+        data = obscure(forward_sample(net, 200, seed=21), MissingnessSpec(("T1",), 0.3, seed=22))
+        joint = [j.copy() for j in expected_stats(net, data).joint]
+        joint[1][0] = 0.0
+        joint[5][2] *= 1e-13
+        return random_init(net.structure, 23), SufficientStats.from_joint(joint)
+
+    @staticmethod
+    def rates(theta, per_row):
+        if not per_row:
+            return 0.7
+        rng = np.random.default_rng(24)
+        return [rng.uniform(0.1, 1.9, t.shape[0]) for t in theta.tables]
+
+    @pytest.mark.parametrize("per_row", [False, True])
+    @pytest.mark.parametrize(
+        "kernel, kwargs",
+        [(_em_rows, {}), (_em_rows, {"floor": None}), (_eg_rows, {}), (_gp_rows, {})],
+        ids=["em", "em-unclamped", "eg", "gp"],
+    )
+    def test_grouped_equals_per_table(self, kernel, kwargs, per_row):
+        theta, stats = self.tree8_point()
+        eta = self.rates(theta, per_row)
+        columns = (gradient(stats, theta),) if kernel is _gp_rows else (stats.joint, stats.parent)
+        grouped = _by_arity(kernel, theta.tables, columns, eta, **kwargs)
+        for i, t in enumerate(theta.tables):
+            e = eta[i] if per_row else eta
+            want = kernel(t, *(c[i] for c in columns), e, **kwargs)
+            assert grouped[i].shape == t.shape
+            np.testing.assert_array_equal(grouped[i], want)
+
+    @pytest.mark.parametrize("rule", ["em", "em-unclamped", "eg", "gp"])
+    def test_batch_steps_equal_per_table_loop(self, rule):
+        theta, stats = self.tree8_point()
+        eta = 1.6
+        if rule == "em":
+            got = em_eta_step(theta, stats, eta)
+            want = [_em_rows(t, j, p, eta) for t, j, p in zip(theta.tables, stats.joint, stats.parent)]
+        elif rule == "em-unclamped":
+            got = em_eta_step(theta, stats, eta, None)
+            want = [_em_rows(t, j, p, eta, None)
+                    for t, j, p in zip(theta.tables, stats.joint, stats.parent)]
+        elif rule == "eg":
+            got = eg_eta_step(theta, stats, eta)
+            want = [_eg_rows(t, j, p, eta) for t, j, p in zip(theta.tables, stats.joint, stats.parent)]
+        else:
+            grad = gradient(stats, theta)
+            got = gp_step(theta, grad, 0.01)
+            want = [clamp_rows(t + 0.01 * (g - g.mean(axis=1, keepdims=True)))
+                    for t, g in zip(theta.tables, grad)]
+        for a, b in zip(got.tables, want):
+            np.testing.assert_array_equal(a, b)
+
+
 class TestIsFixpoint:
     def test_complete_data_frequencies_exact(self):
         rng = np.random.default_rng(11)
@@ -391,6 +458,20 @@ class TestFit:
         test = forward_sample(net, 40, seed=10)
         res = fit(net, train, FitConfig("em", 1.0, 3, tol_ll=1e-12, init="uniform"), test)
         assert all(r.test_ll is not None for r in res.trace)
+
+    def test_impossible_test_case_named(self):
+        """P(A = 1) = 0 and test row 1 has A = 1: the error names the
+        iteration and the row's place in the test set."""
+        tables = [np.array([[1.0, 0.0]])] + [t.copy() for t in chain3().theta.tables[1:]]
+        net = chain3().with_theta(ParameterVector(tables))
+        train = DataSet(net.structure, np.array([[0, 1, 0], [0, MISSING, 1]]))
+        test = DataSet(net.structure, np.array([[0, 0, 0], [1, MISSING, 0]]))
+        with pytest.raises(ZeroProbabilityError) as info:
+            fit(net, train, FitConfig("em", 1.0, 3, init="network"), test)
+        assert str(info.value) == (
+            "iteration 0: test set case 1 has probability 0 under the current parameters"
+        )
+        assert info.value.case_index == 1
 
 
 class TestDistances:

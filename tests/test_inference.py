@@ -37,6 +37,9 @@ from util import (
     random_network,
     random_partial_case,
     random_tables,
+    reference_family_posteriors,
+    reference_log_likelihood_cases,
+    reference_posterior_marginals,
 )
 
 
@@ -485,3 +488,65 @@ class TestBatchInvariance:
                 np.testing.assert_allclose(posts[i][c].sum(axis=1), prior[i], rtol=0, atol=1e-12)
         assert log_likelihood_cases(net, values).shape == (3,)
         assert batch_posterior_marginals(net, values, [4]).shape == (3, net.structure.arity(4))
+
+
+def assert_replay_equals_reference(net: Network, values: np.ndarray, var_ids: list[int]) -> None:
+    """The compiled plan's replay against the per-call elimination it
+    replaced: equal arrays, not merely close ones."""
+    posts, lls = batch_family_posteriors(net, values)
+    ref_posts, ref_lls = reference_family_posteriors(net, values)
+    np.testing.assert_array_equal(lls, ref_lls)
+    for got, want in zip(posts, ref_posts):
+        assert got.shape == want.shape
+        np.testing.assert_array_equal(got, want)
+    np.testing.assert_array_equal(
+        log_likelihood_cases(net, values), reference_log_likelihood_cases(net, values)
+    )
+    got = batch_posterior_marginals(net, values, var_ids)
+    want = reference_posterior_marginals(net, values, var_ids)
+    assert got.shape == want.shape
+    np.testing.assert_array_equal(got, want)
+
+
+class TestPlanReplay:
+    """Replaying a plan compiled once per structure and eliminated set
+    does the same multiplications, in the same order, as eliminating
+    from scratch on every call."""
+
+    @settings(max_examples=80, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        n_vars=st.integers(1, 8),
+        batch=st.sampled_from(["one", "one_and_missing", "never_observed"]),
+        n_query=st.integers(1, 3),
+    )
+    def test_random_dags(self, seed, n_vars, batch, n_query):
+        rng = np.random.default_rng(seed)
+        net = random_network(rng, n_vars, arities=(2, 3, 4))
+        s = net.structure
+        if batch == "never_observed":
+            # many cases, and variables no case observes: factors of case length 1
+            values = np.stack([random_partial_case(rng, s, 0.7).states for _ in range(25)])
+            values[:, rng.choice(n_vars, size=max(1, n_vars // 2), replace=False)] = MISSING
+        else:
+            values = random_partial_case(rng, s, 0.6).states[None, :]
+            if batch == "one_and_missing":
+                values = np.vstack([values, np.full_like(values, MISSING)])
+        var_ids = [int(v) for v in rng.choice(n_vars, size=min(n_query, n_vars), replace=False)]
+        assert_replay_equals_reference(net, values, var_ids)
+
+    def test_underflowing_long_chain(self):
+        """1000 links of rare transitions: the all-s0 case sinks far below
+        float range and is rescaled at many buckets, beside a likely case
+        and an all-missing row."""
+        n = 1000
+        variables = tuple(Variable(i, f"X{i}", ("s0", "s1")) for i in range(n))
+        s = NetworkStructure(variables, ((),) + tuple((i - 1,) for i in range(1, n)))
+        tables = [np.array([[0.01, 0.99]])] + [np.array([[0.01, 0.99], [0.99, 0.01]])] * (n - 1)
+        net = Network(s, ParameterVector(tables))
+        likely = np.tile([1, 0], n // 2)
+        values = np.stack([np.zeros(n, dtype=np.int64), likely, np.full(n, MISSING)])
+        values[1, ::7] = MISSING
+        assert np.all(np.isfinite(log_likelihood_cases(net, values)))
+        assert log_likelihood_cases(net, values)[0] < -4000.0
+        assert_replay_equals_reference(net, values, [n // 2, 3])

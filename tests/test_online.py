@@ -8,20 +8,23 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from bnfit.estimation import SufficientStats, _eg_rows, _em_rows, em_eta_step, expected_stats, fit, FitConfig
-from bnfit.harness import forward_sample
+from bnfit.harness import MissingnessSpec, forward_sample, obscure
 from bnfit.inference import family_posteriors, log_marginal_likelihood, parent_config_marginals
 from bnfit.model import (
+    PROB_FLOOR,
     Network,
     NetworkStructure,
     ParameterVector,
     ValidationError,
     Variable,
     ZeroProbabilityError,
+    clamp_rows,
     random_init,
 )
 from bnfit.netio import MISSING, DataCase, DataSet
 from bnfit.networks import chain3, tree8
 from bnfit.online import (
+    RUNNING_AVG_FLOOR,
     LearningRateSchedule,
     _case_posteriors,
     init_online_state,
@@ -217,6 +220,44 @@ class TestOnlineGpStep:
         case = DataCase(np.array([0]))
         out = online_gp_step(state, case, LearningRateSchedule.fixed(0.1))
         np.testing.assert_allclose(out.theta.tables[0], [[0.6, 0.4]], atol=1e-12)
+
+
+class TestArityGroupedSteps:
+    """An online step updates the rows of all tables of one arity in one
+    kernel call; over a stream that gives the per-table loop's states bit
+    for bit, frozen rows included."""
+
+    @pytest.mark.parametrize(
+        "schedule",
+        [LearningRateSchedule.fixed(0.7), LearningRateSchedule.inverse_t(2.0, 1.0),
+         LearningRateSchedule.per_row_count()],
+        ids=["fixed", "inverse_t", "per_row_count"],
+    )
+    @pytest.mark.parametrize("rule", ["em", "eg", "gp"])
+    def test_stream_equals_per_table_loop(self, rule, schedule):
+        net = tree8()
+        data = obscure(forward_sample(net, 30, seed=31), MissingnessSpec(("T1",), 0.3, seed=32))
+        state = init_online_state(net.with_theta(random_init(net.structure, 33)))
+        step = {"em": online_em_step, "eg": online_eg_step, "gp": online_gp_step}[rule]
+        prior = rule != "gp" and not schedule.conditioned_mass
+        for case in data.cases():
+            posts, _, mass, _ = _case_posteriors(state, case, prior)
+            want = []
+            for i, t in enumerate(state.theta.tables):
+                rates = schedule.row_rates(state.t, state.visit_mass[i])
+                if rule == "em":
+                    floor = RUNNING_AVG_FLOOR if schedule.conditioned_mass else PROB_FLOOR
+                    want.append(_em_rows(t, posts[i], mass[i], rates, floor=floor))
+                elif rule == "eg":
+                    want.append(_eg_rows(t, posts[i], mass[i], rates))
+                else:
+                    with np.errstate(invalid="ignore", divide="ignore"):
+                        grad = np.where(posts[i] > 0.0, posts[i] / np.maximum(t, 1e-300), 0.0)
+                    step_dir = grad - grad.mean(axis=1, keepdims=True)
+                    want.append(clamp_rows(t + rates[:, None] * step_dir))
+            state = step(state, case, schedule)
+            for a, b in zip(state.theta.tables, want):
+                np.testing.assert_array_equal(a, b)
 
 
 class TestSimplexPreservation:

@@ -238,6 +238,29 @@ class TestProbeReconstruction:
         for h in (1e-3, 1e-2):
             np.testing.assert_allclose(jacobian(net, data, h), at_default, rtol=0, atol=1e-9)
 
+    def test_moderate_steps_on_a_curved_map(self):
+        """The secant's gap to the trapezoid of the exact slopes is O(h^2):
+        on chain3 it passes at h = 1e-2, where a forward difference alone
+        is off by about 1.5e-2."""
+        net, data = converged_chain3()
+        at_default = jacobian(net, data)
+        for h in (1e-3, 1e-2):
+            np.testing.assert_allclose(jacobian(net, data, h), at_default, rtol=0, atol=1e-9)
+
+    def test_wrong_slope_rejected(self, monkeypatch):
+        """Halving each case's likelihood ratio halves the slope at 0 and
+        doubles the slope at +h, but leaves Phi(+h) alone: the guard trips."""
+        net, data = converged_chain3()
+        passes = bnfit.spectral._block_posteriors
+
+        def wrong_ratio(network, dataset, start):
+            moved, lls = passes(network, dataset, start)
+            return moved, lls + np.log(0.5)
+
+        monkeypatch.setattr(bnfit.spectral, "_block_posteriors", wrong_ratio)
+        with pytest.raises(NumericalError, match="disagree"):
+            jacobian(net, data)
+
     @pytest.mark.parametrize("network", ["chain3", "twolayer15"])
     def test_matches_four_probe_reference(self, network, twolayer15_at_fixpoint):
         if network == "chain3":

@@ -7,8 +7,12 @@ implementations.
 
 from __future__ import annotations
 
+from dataclasses import dataclass
+from functools import reduce
+
 import numpy as np
 
+from bnfit.inference import RESCALE_TRIGGER, _min_degree_order
 from bnfit.model import Network, NetworkStructure, ParameterVector, Variable
 from bnfit.netio import MISSING, DataCase
 
@@ -143,3 +147,169 @@ def oracle_marginal(network: Network, case: DataCase, var_ids: list[int]) -> np.
     for a in all_assignments(s, case):
         acc[tuple(int(a[v]) for v in var_ids)] += oracle_joint_of_assignment(network, a)
     return acc / acc.sum()
+
+
+# -- reference elimination ----------------------------------------------------
+#
+# Variable elimination as the library ran it before it compiled plans:
+# every call rebuilds each bucket's union scope, aligned shapes and sum
+# axes from the factor scopes.  The plan replay must reproduce it bit for
+# bit: same multiplications, in the same order, on arrays of the same
+# shapes.  It shares the library's `_min_degree_order`, which
+# `TestMinDegreeOrder` checks against a reference of its own.
+
+
+@dataclass
+class _Factor:
+    """values[..., b] * exp(logscale[b]) over the sorted variable scope."""
+
+    scope: tuple[int, ...]
+    values: np.ndarray
+    logscale: np.ndarray | float
+
+
+def _align(values, scope, union, arities):
+    if scope == union:
+        return values
+    shape = tuple(arities[v] if v in scope else 1 for v in union)
+    return values.reshape(shape + values.shape[-1:])
+
+
+def _multiply(factors, arities):
+    if len(factors) == 1:
+        return factors[0]
+    union = tuple(sorted(set().union(*(f.scope for f in factors))))
+    values = _align(factors[0].values, factors[0].scope, union, arities)
+    logscale = factors[0].logscale
+    for f in factors[1:]:
+        values = values * _align(f.values, f.scope, union, arities)
+        logscale = logscale + f.logscale
+    return _Factor(union, values, logscale)
+
+
+def _case_divisors(values, high=np.inf):
+    total = values.reshape(-1, values.shape[-1]).sum(axis=0)
+    if total.shape[0] == 1:
+        t = float(total[0])
+        return None if RESCALE_TRIGGER < t <= high or not t > 0.0 else total
+    if RESCALE_TRIGGER < total.min() and total.max() <= high:
+        return None
+    move = (total > 0.0) & ((total <= RESCALE_TRIGGER) | (total > high))
+    if not move.any():
+        return None
+    return np.where(move, total, 1.0)
+
+
+def _rescaled(factor):
+    div = _case_divisors(factor.values)
+    if div is None:
+        return factor
+    return _Factor(factor.scope, factor.values / div, factor.logscale + np.log(div))
+
+
+def _reference_factors(network: Network, values: np.ndarray) -> list[_Factor]:
+    s = network.structure
+    missing = values < 0
+    observed = ~missing.all(axis=0)
+    factors = []
+    for i in range(s.n_vars):
+        axis_vars = list(s.parents[i]) + [i]
+        shape = tuple(s.arity(v) for v in axis_vars)
+        perm = sorted(range(len(axis_vars)), key=lambda p: axis_vars[p])
+        scope = tuple(axis_vars[p] for p in perm)
+        f = network.theta.tables[i].reshape(shape).transpose(tuple(perm))[..., None]
+        if observed[i]:
+            ev = ((values[:, i] == np.arange(s.arity(i))[:, None]) | missing[:, i]).astype(np.float64)
+            pos = scope.index(i)
+            ev_shape = (1,) * pos + (s.arity(i),) + (1,) * (len(scope) - pos - 1) + ev.shape[-1:]
+            f = f * ev.reshape(ev_shape)
+        factors.append(_Factor(scope, f, 0.0))
+    return factors
+
+
+def _reference_eliminate(factors, elim, arities, tape=None):
+    order = _min_degree_order(tuple(f.scope for f in factors), elim)
+    live = list(enumerate(factors))
+    for var in order:
+        touching = [kf for kf in live if var in kf[1].scope]
+        live = [kf for kf in live if var not in kf[1].scope]
+        product = _multiply([f for _, f in touching], arities)
+        summed = product.values.sum(axis=product.scope.index(var))
+        scope = tuple(v for v in product.scope if v != var)
+        message = _rescaled(_Factor(scope, summed, product.logscale))
+        if tape is not None:
+            tape.append(([k for k, _ in touching], product.scope, message.scope))
+            factors.append(message)
+        live.append((len(factors) - 1, message))
+    result = _multiply([f for _, f in live], arities)
+    if tape is not None:
+        tape.append(([k for k, _ in live], result.scope, result.scope))
+        factors.append(result)
+    return result
+
+
+def _arities(structure: NetworkStructure) -> tuple[int, ...]:
+    return tuple(structure.arity(i) for i in range(structure.n_vars))
+
+
+def _reference_normalize(joint, n_cases):
+    total = joint.reshape(-1, joint.shape[-1]).sum(axis=0)
+    assert np.all(total > 0.0)
+    post = (joint / total).transpose([joint.ndim - 1, *range(joint.ndim - 1)])
+    if post.shape[0] == n_cases:
+        return post
+    return np.broadcast_to(post, (n_cases,) + post.shape[1:])
+
+
+def reference_log_likelihood_cases(network: Network, values: np.ndarray) -> np.ndarray:
+    s = network.structure
+    res = _reference_eliminate(
+        _reference_factors(network, values), frozenset(range(s.n_vars)), _arities(s)
+    )
+    return np.log(np.broadcast_to(res.values, (values.shape[0],))) + res.logscale
+
+
+def reference_family_posteriors(network: Network, values: np.ndarray):
+    """(family posteriors, log-likelihoods), as `batch_family_posteriors`."""
+    s = network.structure
+    n_cases = values.shape[0]
+    arities = _arities(s)
+    factors = _reference_factors(network, values)
+    tape = []
+    root = _reference_eliminate(factors, frozenset(range(s.n_vars)), arities, tape)
+    loglik = np.log(np.broadcast_to(root.values, (n_cases,))) + root.logscale
+    posteriors = [None] * s.n_vars
+    adjoints = {len(factors) - 1: np.ones(1)}
+    for step in reversed(range(len(tape))):
+        touching, union, out_scope = tape[step]
+        upstream = _align(adjoints.pop(s.n_vars + step), out_scope, union, arities)
+        aligned = {u: _align(factors[u].values, factors[u].scope, union, arities) for u in touching}
+        for t in touching:
+            f = factors[t]
+            adj = reduce(np.multiply, [aligned[u] for u in touching if u != t] + [upstream])
+            axes = tuple(p for p, v in enumerate(union) if v not in f.scope)
+            if axes:
+                adj = adj.sum(axis=axes)
+            div = _case_divisors(adj, 1.0 / RESCALE_TRIGGER)
+            if div is not None:
+                adj = adj / div
+            if t < s.n_vars:
+                target = list(s.parents[t]) + [t]
+                perm = [f.scope.index(v) for v in target]
+                joint = (f.values * adj).transpose(perm + [len(perm)])
+                joint = joint.reshape(*s.table_shape(t), joint.shape[-1])
+                posteriors[t] = _reference_normalize(joint, n_cases)
+            else:
+                shape = f.values.shape[:-1] + adj.shape[-1:]
+                adjoints[t] = adj if adj.shape == shape else np.broadcast_to(adj, shape)
+        for t in touching:
+            factors[t] = None
+    return posteriors, loglik
+
+
+def reference_posterior_marginals(network: Network, values: np.ndarray, var_ids: list[int]):
+    s = network.structure
+    elim = frozenset(range(s.n_vars)) - frozenset(var_ids)
+    res = _reference_eliminate(_reference_factors(network, values), elim, _arities(s))
+    perm = [res.scope.index(v) for v in var_ids]
+    return _reference_normalize(res.values.transpose(perm + [len(perm)]), values.shape[0])
