@@ -10,7 +10,7 @@ import argparse
 import json
 import sys
 
-from .estimation import FitConfig, fit
+from .estimation import RULES, FitConfig, fit
 from .harness import (
     EvalSpec,
     ExperimentConfig,
@@ -46,14 +46,21 @@ def _bool(text: str) -> bool:
     raise argparse.ArgumentTypeError(f"expected a boolean, got {text!r}")
 
 
+def _number(text: str, what: str) -> float:
+    try:
+        return float(text)
+    except ValueError:
+        raise ValidationError(f"{what} must be a number, got {text!r}") from None
+
+
 def _parse_schedule(text: str) -> LearningRateSchedule:
     if text.startswith("fixed:"):
-        return LearningRateSchedule.fixed(float(text.split(":", 1)[1]))
+        return LearningRateSchedule.fixed(_number(text.split(":", 1)[1], "the fixed rate"))
     if text.startswith("inv_t:"):
         parts = text.split(":", 1)[1].split(",")
         if len(parts) != 2:
             raise ValidationError("inv_t schedule needs two parameters: inv_t:C,T0")
-        return LearningRateSchedule.inverse_t(float(parts[0]), float(parts[1]))
+        return LearningRateSchedule.inverse_t(*(_number(p, "an inv_t parameter") for p in parts))
     if text == "per_row":
         return LearningRateSchedule.per_row_count()
     raise ValidationError(
@@ -121,7 +128,7 @@ def _cmd_spectral(args) -> int:
     theta = read_network(args.theta).theta
     theta.check_shapes(network.structure)
     data = read_dataset(args.data, network.structure)
-    etas = [float(x) for x in args.etas.split(",") if x]
+    etas = [_number(x, "an --etas entry") for x in args.etas.split(",") if x]
     report = build_report(network.with_theta(theta), data, etas)
     write_text(args.out, report_to_json(report))
     print(
@@ -176,7 +183,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--network", required=True)
     p.add_argument("--data", required=True)
     p.add_argument("--test")
-    p.add_argument("--rule", choices=("em", "eg", "gp"), default="em")
+    p.add_argument("--rule", choices=RULES, default="em")
     p.add_argument("--eta", type=float, default=1.0)
     p.add_argument("--max-iters", type=int, default=200)
     p.add_argument("--tol-ll", type=float, default=1e-6)
@@ -190,7 +197,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("online", help="one-sample adaptation over a stream")
     p.add_argument("--network", required=True)
     p.add_argument("--stream", required=True)
-    p.add_argument("--rule", choices=("em", "eg", "gp"), default="em")
+    p.add_argument("--rule", choices=RULES, default="em")
     p.add_argument("--schedule", default="fixed:0.1")
     p.add_argument("--trace")
     p.add_argument("--out", required=True)

@@ -59,15 +59,16 @@ EXP_CLIP = 500.0
 # reduction order (and hence the result) is run-to-run identical.
 E_STEP_CHUNK = 1024
 
+# A learning rate: one for every row, or per table an array of row rates.
+_Eta = float | Sequence[np.ndarray]
+
 
 @dataclass(frozen=True)
 class SufficientStats:
     """Expected counts: joint[i][j, k] = mean_l P(X_i=k, Pa_i=j | y_l).
 
-    ``parent`` holds the per-row marginals.  ``from_joint`` derives them
-    by summation, which is the only construction used by the estimators;
-    building an instance with a custom ``parent`` is allowed for rule
-    variants that estimate the row mass differently.
+    ``parent`` holds the row masses the updates divide by: the sums over k
+    (``from_joint``) in a batch step, or a schedule's estimate online.
     """
 
     joint: tuple[np.ndarray, ...]
@@ -152,7 +153,7 @@ def _gp_rows(rows: np.ndarray, grad: np.ndarray, eta: float | np.ndarray) -> np.
     return clamp_rows(rows + np.reshape(eta, (-1, 1)) * step)
 
 
-def gp_step(theta: ParameterVector, grad: list[np.ndarray], eta: float) -> ParameterVector:
+def gp_step(theta: ParameterVector, grad: list[np.ndarray], eta: _Eta) -> ParameterVector:
     """Projected gradient ascent: add the row-mean-free gradient."""
     return ParameterVector(_by_arity(_gp_rows, theta.tables, (grad,), eta), _validate=False)
 
@@ -161,7 +162,7 @@ def _by_arity(
     kernel: Callable[..., np.ndarray],
     tables: Sequence[np.ndarray],
     columns: tuple[Sequence[np.ndarray], ...],
-    eta: float | Sequence[np.ndarray],
+    eta: _Eta,
     **kwargs,
 ) -> list[np.ndarray]:
     """Apply a row kernel once per group of tables with equal row length.
@@ -225,7 +226,7 @@ def _em_rows(
 def em_eta_step(
     theta: ParameterVector,
     stats: SufficientStats,
-    eta: float,
+    eta: _Eta,
     floor: float | None = PROB_FLOOR,
 ) -> ParameterVector:
     """Move each visited row toward its expected-count ratio by factor eta."""
@@ -251,7 +252,7 @@ def _eg_rows(
     return out
 
 
-def eg_eta_step(theta: ParameterVector, stats: SufficientStats, eta: float) -> ParameterVector:
+def eg_eta_step(theta: ParameterVector, stats: SufficientStats, eta: _Eta) -> ParameterVector:
     """Multiplicative update: entries scaled by an exponentiated gradient."""
     tables = _by_arity(_eg_rows, theta.tables, (stats.joint, stats.parent), eta)
     return ParameterVector(tables, _validate=False)
@@ -381,11 +382,14 @@ def initial_theta(
     return theta
 
 
-def _apply_rule(theta: ParameterVector, stats: SufficientStats, rule: str, eta: float) -> ParameterVector:
+def _apply_rule(
+    theta: ParameterVector, stats: SufficientStats, rule: str, eta: _Eta, floor: float = PROB_FLOOR
+) -> ParameterVector:
+    """The one place a rule name becomes an update, batch and online; `floor` reaches only EM."""
     if eta == 0.0:
         return theta
     if rule == "em":
-        return em_eta_step(theta, stats, eta)
+        return em_eta_step(theta, stats, eta, floor)
     if rule == "eg":
         return eg_eta_step(theta, stats, eta)
     return gp_step(theta, gradient(stats, theta), eta)

@@ -49,8 +49,10 @@ over (j, k): they partition the evidence-conditioned joint.
 
 from __future__ import annotations
 
+import ctypes
 import heapq
 import math
+import sys
 from dataclasses import dataclass
 from functools import lru_cache, reduce
 from typing import NamedTuple
@@ -68,6 +70,18 @@ MAX_ENUM_STATES = 1 << 20
 # then that total is pulled out into the case's log-scale accumulator,
 # keeping evidence probabilities far below float underflow representable.
 RESCALE_TRIGGER = 1e-100
+
+# Every elimination allocates its factors afresh, about 4 MB for a
+# likelihood pass over 1000 cases of a 50-node network, and frees them at
+# the end.  Under glibc's self-adjusting heap thresholds, whether those MB
+# go back to the kernel, to be faulted in again by the next call (a third
+# of the pass), depends on where unrelated small objects happen to sit, so
+# the same pass ran fast in one process and slow in the next.  Fixed
+# thresholds (M_MMAP_THRESHOLD 32 MiB, M_TRIM_THRESHOLD 64 MiB) keep them.
+_libc = ctypes.CDLL(None) if sys.platform.startswith("linux") else None
+if hasattr(_libc, "gnu_get_libc_version"):
+    _libc.mallopt(-3, 32 << 20)
+    _libc.mallopt(-1, 64 << 20)
 
 
 # -- elimination plans ------------------------------------------------------

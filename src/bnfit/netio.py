@@ -61,6 +61,16 @@ class DataCase:
         return [int(i) for i in np.nonzero(self.states >= 0)[0]]
 
 
+def _check_states(structure: NetworkStructure, values: np.ndarray, where: str) -> None:
+    """Raise ValidationError naming `where` unless each row of `values` is a case of `structure`."""
+    if values.ndim != 2 or values.shape[1] != structure.n_vars:
+        raise ValidationError(f"{where} does not have one entry per variable")
+    bad = (values < MISSING) | (values >= [v.arity for v in structure.variables])
+    if bad.any():
+        name = structure.variables[int(np.argmax(bad.any(axis=0)))].name
+        raise ValidationError(f"{where} has out-of-range states for variable {name!r}")
+
+
 @dataclass(frozen=True)
 class DataSet:
     """An ordered list of cases over one structure, stored as an (N, V) matrix."""
@@ -70,16 +80,7 @@ class DataSet:
 
     def __post_init__(self):
         a = np.asarray(self.values, dtype=np.int64)
-        if a.ndim != 2 or a.shape[1] != self.structure.n_vars:
-            raise ValidationError("dataset matrix shape does not match the structure")
-        for i in range(self.structure.n_vars):
-            col = a[:, i]
-            bad = (col < -1) | (col >= self.structure.arity(i))
-            if np.any(bad):
-                raise ValidationError(
-                    f"dataset has out-of-range states for variable "
-                    f"{self.structure.variables[i].name!r}"
-                )
+        _check_states(self.structure, a, "dataset")
         a.setflags(write=False)
         object.__setattr__(self, "values", a)
 

@@ -1,9 +1,9 @@
 """One-sample update rules with pluggable learning-rate schedules.
 
 The learner keeps a current network, consumes one case at a time, and
-moves its parameters after each case.  Three rules mirror the batch
-module; the expected counts are replaced by the single case's family
-posteriors.
+moves its parameters after each case.  A step is the batch update, made
+by the rule dispatcher `fit` uses (`estimation._apply_rule`), with the
+single case's family posteriors as the expected counts.
 
 The EM and EG rules divide by an estimate of the parent-configuration
 mass.  Which estimate depends on the schedule:
@@ -31,9 +31,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .estimation import (
-    SufficientStats, _by_arity, _eg_rows, _em_rows, _gp_rows, gradient
-)
+from .estimation import RULES, SufficientStats, _apply_rule
 # parent_config_marginals is not called here; it stays bound in this
 # module because perfbench/tracing.py wraps it by this name.
 from .inference import batch_family_posteriors, parent_config_marginals  # noqa: F401
@@ -45,7 +43,7 @@ from .model import (
     ZeroProbabilityError,
     param_delta_stats,
 )
-from .netio import MISSING, DataCase, DataSet
+from .netio import MISSING, DataCase, DataSet, _check_states
 
 ETA_MAX = 2.0
 
@@ -97,14 +95,17 @@ class LearningRateSchedule:
         """Whether EM/EG divide by the case-conditioned parent mass."""
         return self.kind == "per_row_count"
 
-    def row_rates(self, t: int, visit_mass: np.ndarray) -> np.ndarray:
+    def _rate(self, t: int) -> float:
+        """The rate every row gets at step t under ``fixed`` and ``inverse_t``."""
         if self.kind == "fixed":
-            return np.full(visit_mass.shape, self.eta)
-        if self.kind == "inverse_t":
-            denom = t + self.t0
-            rate = ETA_MAX if denom <= 0 else min(self.c / denom, ETA_MAX)
-            return np.full(visit_mass.shape, rate)
-        return 1.0 / (visit_mass + 1.0)
+            return self.eta
+        denom = t + self.t0
+        return ETA_MAX if denom <= 0 else min(self.c / denom, ETA_MAX)
+
+    def row_rates(self, t: int, visit_mass: np.ndarray) -> np.ndarray:
+        if self.kind == "per_row_count":
+            return 1.0 / (visit_mass + 1.0)
+        return np.full(visit_mass.shape, self._rate(t))
 
 
 @dataclass(frozen=True)
@@ -155,18 +156,19 @@ def _case_posteriors(
     return [p[0] for p in posts], visits, mass, float(lls[0])
 
 
-def _advance(
-    state: OnlineState,
-    theta: ParameterVector,
-    visits: list[np.ndarray],
-    case_ll: float,
+def _step(
+    rule: str, state: OnlineState, case: DataCase, schedule: LearningRateSchedule
 ) -> OnlineState:
+    """The batch update of `rule` with the case's posteriors as the expected counts."""
+    prior = rule != "gp" and not schedule.conditioned_mass
+    posts, visits, mass, case_ll = _case_posteriors(state, case, prior)
+    if schedule.kind == "per_row_count":
+        eta, floor = [schedule.row_rates(state.t, m) for m in state.visit_mass], RUNNING_AVG_FLOOR
+    else:
+        eta, floor = schedule._rate(state.t), PROB_FLOOR
+    theta = _apply_rule(state.theta, SufficientStats(tuple(posts), tuple(mass)), rule, eta, floor)
     masses = tuple(m + v for m, v in zip(state.visit_mass, visits))
     return OnlineState(state.network.with_theta(theta), state.t + 1, masses, case_ll)
-
-
-def _rates(state: OnlineState, schedule: LearningRateSchedule) -> list[np.ndarray]:
-    return [schedule.row_rates(state.t, m) for m in state.visit_mass]
 
 
 def online_em_step(
@@ -180,21 +182,14 @@ def online_em_step(
     the 1e-9 scale, while dropping the floor entirely would let exact
     zeros reject later cases as impossible.
     """
-    posts, visits, mass, case_ll = _case_posteriors(state, case, not schedule.conditioned_mass)
-    floor = RUNNING_AVG_FLOOR if schedule.conditioned_mass else PROB_FLOOR
-    tables = _by_arity(
-        _em_rows, state.theta.tables, (posts, mass), _rates(state, schedule), floor=floor
-    )
-    return _advance(state, ParameterVector(tables, _validate=False), visits, case_ll)
+    return _step("em", state, case, schedule)
 
 
 def online_eg_step(
     state: OnlineState, case: DataCase, schedule: LearningRateSchedule
 ) -> OnlineState:
     """Single-case EG(eta): exponentiated-gradient reweighting of each row."""
-    posts, visits, mass, case_ll = _case_posteriors(state, case, not schedule.conditioned_mass)
-    tables = _by_arity(_eg_rows, state.theta.tables, (posts, mass), _rates(state, schedule))
-    return _advance(state, ParameterVector(tables, _validate=False), visits, case_ll)
+    return _step("eg", state, case, schedule)
 
 
 def online_gp_step(
@@ -205,13 +200,7 @@ def online_gp_step(
     The gradient of log P(y) is the case posterior over the table entry;
     rows the case does not touch have a zero gradient and stay put.
     """
-    posts, visits, _, case_ll = _case_posteriors(state, case)
-    grad = gradient(SufficientStats(tuple(posts), tuple(visits)), state.theta)
-    tables = _by_arity(_gp_rows, state.theta.tables, (grad,), _rates(state, schedule))
-    return _advance(state, ParameterVector(tables, _validate=False), visits, case_ll)
-
-
-_STEPS = {"em": online_em_step, "eg": online_eg_step, "gp": online_gp_step}
+    return _step("gp", state, case, schedule)
 
 
 @dataclass(frozen=True)
@@ -240,28 +229,24 @@ def run_stream(
     A case with probability zero under the current model is skipped and
     counted rather than aborting the stream; the model and visit masses
     are left untouched for that case (the step counter still advances).
+    A case that does not fit the structure raises ValidationError.
     """
-    if rule not in _STEPS:
-        raise ValidationError(f"unknown rule {rule!r}; expected one of {tuple(_STEPS)}")
-    step = _STEPS[rule]
-    stream: Iterable[DataCase]
-    if isinstance(cases, DataSet):
-        stream = cases.cases()
-    else:
-        stream = cases
+    if rule not in RULES:
+        raise ValidationError(f"unknown rule {rule!r}; expected one of {RULES}")
+    checked = isinstance(cases, DataSet)
+    stream = cases.cases() if checked else cases
     state = init_online_state(network)
     trace: list[OnlineTraceRecord] = []
-    n_skipped = 0
-    for case in stream:
-        t_before = state.t
-        theta_before = state.theta
+    for k, case in enumerate(stream):
+        if not checked:
+            _check_states(network.structure, case.states[None], f"stream case {k}")
+        before = state
         try:
-            state = step(state, case, schedule)
+            state = _step(rule, before, case, schedule)
         except ZeroProbabilityError:
-            n_skipped += 1
-            trace.append(OnlineTraceRecord(t_before, None, 0.0, True))
-            state = replace(state, t=state.t + 1, last_case_ll=None)
+            trace.append(OnlineTraceRecord(before.t, None, 0.0, True))
+            state = replace(before, t=before.t + 1, last_case_ll=None)
             continue
-        _, step_l2 = param_delta_stats(state.theta, theta_before)
-        trace.append(OnlineTraceRecord(t_before, state.last_case_ll, step_l2, False))
-    return OnlineRunResult(state, tuple(trace), n_skipped)
+        _, step_l2 = param_delta_stats(state.theta, before.theta)
+        trace.append(OnlineTraceRecord(before.t, state.last_case_ll, step_l2, False))
+    return OnlineRunResult(state, tuple(trace), sum(r.skipped for r in trace))

@@ -128,6 +128,15 @@ class TestOnline:
                    "--schedule", "warp:9", "--out", tmp_path / "o.json")
         assert code == 2
 
+    @pytest.mark.parametrize("sched", ["fixed:abc", "inv_t:a,b"])
+    def test_malformed_schedule_number_exit_2(self, tmp_path, chain3_file, capsys, sched):
+        stream = tmp_path / "s.csv"
+        run("sample", "--network", chain3_file, "--n", 5, "--seed", 6, "--out", stream)
+        code = run("online", "--network", chain3_file, "--stream", stream,
+                   "--schedule", sched, "--out", tmp_path / "o.json")
+        assert code == 2
+        assert "must be a number" in capsys.readouterr().err
+
 
 class TestSpectral:
     def test_report_at_complete_data_fixpoint(self, tmp_path, chain3_file):
@@ -154,6 +163,14 @@ class TestSpectral:
         code = run("spectral", "--network", chain3_file, "--data", data,
                    "--theta", chain3_file, "--etas", "1.0", "--out", out)
         assert code == 3
+
+    def test_malformed_eta_exit_2(self, tmp_path, chain3_file, capsys):
+        data = tmp_path / "d.csv"
+        run("sample", "--network", chain3_file, "--n", 20, "--seed", 8, "--out", data)
+        code = run("spectral", "--network", chain3_file, "--data", data,
+                   "--theta", chain3_file, "--etas", "1,x", "--out", tmp_path / "r.json")
+        assert code == 2
+        assert "must be a number, got 'x'" in capsys.readouterr().err
 
 
 class TestEval:

@@ -1,5 +1,7 @@
 """Exact inference against enumeration oracles and algebraic identities."""
 
+import platform
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -550,3 +552,22 @@ class TestPlanReplay:
         assert np.all(np.isfinite(log_likelihood_cases(net, values)))
         assert log_likelihood_cases(net, values)[0] < -4000.0
         assert_replay_equals_reference(net, values, [n // 2, 3])
+
+
+@pytest.mark.skipif(platform.libc_ver()[0] != "glibc", reason="heap thresholds are set on glibc only")
+def test_repeated_passes_fault_in_no_fresh_pages():
+    """A pass frees a few MB of factors; the next pass reuses them instead
+    of faulting fresh pages in, whatever the heap held before."""
+    import resource
+
+    rng = np.random.default_rng(3)
+    net = random_network(rng, 30, max_parents=2, arities=(3,))
+    values = rng.integers(0, 3, size=(2000, 30))
+    values[rng.random(values.shape) < 0.3] = MISSING
+    log_likelihood_cases(net, values)
+    before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+    for _ in range(5):
+        log_likelihood_cases(net, values)
+    # under glibc's default, self-adjusting thresholds each of these passes
+    # faulted about 1570 pages back in
+    assert resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before < 100

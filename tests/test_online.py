@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from bnfit import estimation
 from bnfit.estimation import SufficientStats, _eg_rows, _em_rows, em_eta_step, expected_stats, fit, FitConfig
 from bnfit.harness import MissingnessSpec, forward_sample, obscure
 from bnfit.inference import family_posteriors, log_marginal_likelihood, parent_config_marginals
@@ -412,3 +413,55 @@ class TestRunStream:
         net = chain3()
         with pytest.raises(ValidationError):
             run_stream(net, [], "sgd", LearningRateSchedule.fixed(0.5))
+
+    @pytest.mark.parametrize(
+        "states",
+        [[5, 0, 0], [0, 0], [0, 0, 0, 1], [-3, 0, 0]],
+        ids=["state-out-of-range", "too-short", "extra-column", "negative-state"],
+    )
+    def test_case_that_does_not_fit_rejected(self, states):
+        net = chain3()
+        cases = [DataCase([0, 1, 0]), DataCase([1, 0, 1]), DataCase(states)]
+        with pytest.raises(ValidationError, match="stream case 2 "):
+            run_stream(net, cases, "em", LearningRateSchedule.fixed(0.5))
+
+
+class TestOneUpdatePath:
+    """Batch and online updates both reach the rule's estimation step."""
+
+    STEPS = {"em": "em_eta_step", "eg": "eg_eta_step", "gp": "gp_step"}
+
+    @pytest.fixture
+    def calls(self, monkeypatch):
+        calls = {rule: 0 for rule in self.STEPS}
+
+        def counted(rule, fn):
+            def wrapper(*args, **kwargs):
+                calls[rule] += 1
+                return fn(*args, **kwargs)
+
+            return wrapper
+
+        for rule, name in self.STEPS.items():
+            monkeypatch.setattr(estimation, name, counted(rule, getattr(estimation, name)))
+        return calls
+
+    @pytest.mark.parametrize("rule", ["em", "eg", "gp"])
+    def test_fit(self, calls, rule):
+        net = tree8()
+        data = forward_sample(net, 40, 1)
+        fit(net, data, FitConfig(rule, 0.5, max_iters=2, tol_ll=None, tol_param=0.0, init="uniform"))
+        assert calls == {r: 2 if r == rule else 0 for r in self.STEPS}
+
+    @pytest.mark.parametrize(
+        "schedule",
+        [LearningRateSchedule.fixed(0.3), LearningRateSchedule.inverse_t(2.0, 5.0),
+         LearningRateSchedule.per_row_count()],
+        ids=["fixed", "inverse_t", "per_row_count"],
+    )
+    @pytest.mark.parametrize("rule, step", [("em", online_em_step), ("eg", online_eg_step),
+                                            ("gp", online_gp_step)])
+    def test_online_step(self, calls, rule, step, schedule):
+        net = tree8()
+        step(init_online_state(net), forward_sample(net, 1, 2).case(0), schedule)
+        assert calls == {r: 1 if r == rule else 0 for r in self.STEPS}
