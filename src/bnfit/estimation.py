@@ -383,7 +383,11 @@ def initial_theta(
 
 
 def _apply_rule(
-    theta: ParameterVector, stats: SufficientStats, rule: str, eta: _Eta, floor: float = PROB_FLOOR
+    theta: ParameterVector,
+    stats: SufficientStats,
+    rule: str,
+    eta: _Eta,
+    floor: float | None = PROB_FLOOR,
 ) -> ParameterVector:
     """The one place a rule name becomes an update, batch and online; `floor` reaches only EM."""
     if eta == 0.0:
@@ -427,57 +431,43 @@ def fit(
     """
     given = network.theta if config.init == "network" else config.init_theta
     theta = initial_theta(network.structure, config.init, config.seed, given)
-    net = network.with_theta(theta)
-    t_prev = time.perf_counter()
-
-    def wall() -> float:
-        nonlocal t_prev
-        now = time.perf_counter()
-        ms = (now - t_prev) * 1000.0
-        t_prev = now
-        return ms
-
-    def context(err: ZeroProbabilityError, iteration: int) -> ZeroProbabilityError:
-        return ZeroProbabilityError(f"iteration {iteration}: {err}", case_index=err.case_index)
-
-    try:
-        stats, train_ll = expected_stats_with_ll(net, dataset)
-        test_ll = _mean_test_ll(net, test)
-    except ZeroProbabilityError as e:
-        raise context(e, 0) from None
-    trace = [TraceRecord(0, train_ll, test_ll, 0.0, 0.0, wall())]
-    thetas = [theta] if config.record_thetas else None
-
+    trace: list[TraceRecord] = []
+    thetas = [] if config.record_thetas else None
     termination = "max_iters"
-    for s in range(1, config.max_iters + 1):
-        if config.warm_start_em1 and s == 1:
-            rule, eta = "em", 1.0
-        else:
-            rule, eta = config.rule, config.eta
-        # a diverging update overflows; the check below reports it
-        with np.errstate(over="ignore", invalid="ignore"):
-            new_theta = _apply_rule(theta, stats, rule, eta)
-        if not all(np.isfinite(t).all() for t in new_theta.tables):
-            raise NumericalError(
-                f"iteration {s}: the {rule} update with eta={eta!r} "
-                "gave non-finite parameters"
-            )
-        net = network.with_theta(new_theta)
+    t_prev = time.perf_counter()
+    for s in range(config.max_iters + 1):
+        max_delta = l2_step = 0.0
+        if s > 0:
+            if config.warm_start_em1 and s == 1:
+                rule, eta = "em", 1.0
+            else:
+                rule, eta = config.rule, config.eta
+            # a diverging update overflows; the check below reports it
+            with np.errstate(over="ignore", invalid="ignore"):
+                new_theta = _apply_rule(theta, stats, rule, eta)
+            if not all(np.isfinite(t).all() for t in new_theta.tables):
+                raise NumericalError(
+                    f"iteration {s}: the {rule} update with eta={eta!r} "
+                    "gave non-finite parameters"
+                )
+            max_delta, l2_step = param_delta_stats(new_theta, theta)
+            theta = new_theta
+        net = network.with_theta(theta)
         try:
-            stats, new_train_ll = expected_stats_with_ll(net, dataset)
+            stats, train_ll = expected_stats_with_ll(net, dataset)
             test_ll = _mean_test_ll(net, test)
         except ZeroProbabilityError as e:
-            raise context(e, s) from None
-        max_delta, l2_step = param_delta_stats(new_theta, theta)
-        trace.append(TraceRecord(s, new_train_ll, test_ll, max_delta, l2_step, wall()))
+            raise ZeroProbabilityError(f"iteration {s}: {e}", case_index=e.case_index) from None
+        now = time.perf_counter()
+        wall_ms, t_prev = (now - t_prev) * 1000.0, now
+        trace.append(TraceRecord(s, train_ll, test_ll, max_delta, l2_step, wall_ms))
         if thetas is not None:
-            thetas.append(new_theta)
-        theta = new_theta
-        if config.tol_ll is not None and abs(new_train_ll - train_ll) < config.tol_ll:
+            thetas.append(theta)
+        if s == 0:
+            continue
+        if config.tol_ll is not None and abs(train_ll - trace[-2].train_ll) < config.tol_ll:
             termination = "tol_ll"
-            train_ll = new_train_ll
             break
-        train_ll = new_train_ll
         if config.tol_param is not None and max_delta < config.tol_param:
             termination = "tol_param"
             break

@@ -19,7 +19,7 @@ from __future__ import annotations
 import hashlib
 import json
 import os
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -44,6 +44,8 @@ from .networks import builtin_network
 
 def forward_sample(network: Network, n: int, seed: int) -> DataSet:
     """Ancestral sampling: n complete cases, deterministic per seed."""
+    if n < 0:
+        raise ValidationError(f"the number of cases must be nonnegative, got {n}")
     s = network.structure
     rng = np.random.default_rng(seed)
     values = np.zeros((n, s.n_vars), dtype=np.int64)
@@ -219,29 +221,35 @@ class ExperimentConfig:
 
     @classmethod
     def from_json(cls, text: str) -> "ExperimentConfig":
+        """Parse a config document; a key left out takes its field's default.
+
+        Three fields the constructor requires may be left out here too:
+        ``n_test``, ``hidden`` and ``obscure_prob`` default to no test set,
+        no hidden variable and no obscuring.
+        """
         try:
             doc = json.loads(text)
         except json.JSONDecodeError as e:
             raise ValidationError(f"experiment config is not valid JSON: {e}") from None
+        if not isinstance(doc, dict):
+            raise ValidationError("experiment config must be a JSON object")
+        doc = {"n_test": 0, "hidden": [], "obscure_prob": 0.0, **doc}
+        unknown = sorted(doc.keys() - {f.name for f in fields(cls)})
+        if unknown:
+            raise ValidationError(f"unknown experiment config keys: {', '.join(unknown)}")
+        if "warm_start_em1" in doc and not isinstance(doc["warm_start_em1"], bool):
+            raise ValidationError("warm_start_em1 must be true or false")
+        for key in ("hidden", "targets"):
+            names = doc.get(key, [])
+            if not (isinstance(names, list) and all(isinstance(x, str) for x in names)):
+                raise ValidationError(f"{key} must be a list of variable names")
+        convert = {
+            "n_train": int, "n_test": int, "seed": int, "init_seed": int, "max_iters": int,
+            "obscure_prob": float, "tol_ll": float, "hidden": tuple, "targets": tuple,
+            "arms": lambda arms: tuple(ExperimentArm(a["rule"], float(a["eta"])) for a in arms),
+        }
         try:
-            arms = tuple(
-                ExperimentArm(a["rule"], float(a["eta"])) for a in doc["arms"]
-            )
-            return cls(
-                network=doc["network"],
-                n_train=int(doc["n_train"]),
-                n_test=int(doc.get("n_test", 0)),
-                hidden=tuple(doc.get("hidden", [])),
-                obscure_prob=float(doc.get("obscure_prob", 0.0)),
-                seed=int(doc["seed"]),
-                arms=arms,
-                targets=tuple(doc.get("targets", [])),
-                init=doc.get("init", "random"),
-                init_seed=int(doc.get("init_seed", 0)),
-                max_iters=int(doc.get("max_iters", 200)),
-                tol_ll=float(doc.get("tol_ll", 1e-6)),
-                warm_start_em1=bool(doc.get("warm_start_em1", True)),
-            )
+            return cls(**{k: convert.get(k, lambda v: v)(v) for k, v in doc.items()})
         except (KeyError, TypeError, ValueError) as e:
             raise ValidationError(f"bad experiment config: {e}") from None
 

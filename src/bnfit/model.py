@@ -168,9 +168,6 @@ class NetworkStructure:
     def arity(self, i: int) -> int:
         return self.variables[i].arity
 
-    def parent_arities(self, i: int) -> tuple[int, ...]:
-        return tuple(self.variables[p].arity for p in self.parents[i])
-
     def parent_config_count(self, i: int) -> int:
         q = 1
         for p in self.parents[i]:

@@ -1,8 +1,11 @@
 """File formats: network JSON, dataset CSV, trace CSV.
 
-This is the only module that touches the filesystem or parses text.
-Everything is a pure function of its input, so concurrent callers are
-safe.
+The readers and writers of these formats live here.  Two other modules
+touch files: `harness` makes an experiment's output directories and
+hashes the datasets it wrote, and `cli` reads an experiment config
+(parsed by `harness.ExperimentConfig.from_json`) and formats the online
+trace CSV.  Everything here is a pure function of its input, so
+concurrent callers are safe.
 
 Network file (UTF-8 JSON)::
 
@@ -53,12 +56,6 @@ class DataCase:
         a = np.asarray(self.states, dtype=np.int64)
         a.setflags(write=False)
         object.__setattr__(self, "states", a)
-
-    def is_complete(self) -> bool:
-        return bool(np.all(self.states >= 0))
-
-    def observed_vars(self) -> list[int]:
-        return [int(i) for i in np.nonzero(self.states >= 0)[0]]
 
 
 def _check_states(structure: NetworkStructure, values: np.ndarray, where: str) -> None:

@@ -239,6 +239,8 @@ def run_stream(
     trace: list[OnlineTraceRecord] = []
     for k, case in enumerate(stream):
         if not checked:
+            if not isinstance(case, DataCase):
+                raise ValidationError(f"stream case {k} is a {type(case).__name__}, not a DataCase")
             _check_states(network.structure, case.states[None], f"stream case {k}")
         before = state
         try:

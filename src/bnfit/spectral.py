@@ -34,16 +34,17 @@ predicted-versus-measured comparisons are approximate by design.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .estimation import (
     SufficientStats,
+    _apply_rule,
     _block_posteriors,
     _e_step_blocks,
     _zero_probability,
-    em_eta_step,
     expected_stats,
     is_fixpoint,
 )
@@ -97,10 +98,11 @@ def phi_apply(
 
     ``clamp=False`` skips the floor-and-renormalize, and moves every row
     with positive mass, so finite-difference probes see the smooth map;
-    probe steps are small enough to stay interior on their own.
+    probe steps are small enough to stay interior on their own.  At
+    eta = 0 it returns the network's theta itself, as a fit's update does.
     """
     stats = expected_stats(network, dataset)
-    return em_eta_step(network.theta, stats, eta, PROB_FLOOR if clamp else None)
+    return _apply_rule(network.theta, stats, "em", eta, PROB_FLOOR if clamp else None)
 
 
 def _free_coords(network: Network) -> list[tuple[int, int, int]]:
@@ -280,8 +282,8 @@ def eta_star(lambda_min: float, lambda_max: float) -> float:
 
 def contraction_rate(eta: float, lambda_min: float, lambda_max: float) -> float:
     """Per-iteration shrink factor of the linearized EM(eta) map."""
-    if not eta > 0:
-        raise ValidationError("eta must be positive")
+    if not (math.isfinite(eta) and eta > 0):
+        raise ValidationError(f"eta must be a finite positive number, got {eta!r}")
     if not (0.0 < lambda_min <= lambda_max):
         raise ValidationError("need 0 < lambda_min <= lambda_max")
     return max(abs(1.0 - eta * lambda_min), abs(1.0 - eta * lambda_max))

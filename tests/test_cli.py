@@ -38,6 +38,11 @@ class TestSample:
                    "--out", tmp_path / "x.csv")
         assert code == 2
 
+    def test_negative_n_exit_2(self, tmp_path, chain3_file, capsys):
+        code = run("sample", "--network", chain3_file, "--n", -5, "--out", tmp_path / "x.csv")
+        assert code == 2
+        assert "nonnegative, got -5" in capsys.readouterr().err
+
 
 class TestFit:
     def test_full_pipeline(self, tmp_path, chain3_file):
@@ -172,6 +177,24 @@ class TestSpectral:
         assert code == 2
         assert "must be a number, got 'x'" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("eta", ["inf", "nan"])
+    def test_non_finite_eta_exit_2(self, tmp_path, chain3_file, capsys, eta):
+        """At a complete-data fixpoint the report runs up to the rate table,
+        where a non-finite eta must stop it rather than write Infinity."""
+        data = tmp_path / "d.csv"
+        run("sample", "--network", chain3_file, "--n", 200, "--seed", 7, "--out", data)
+        net = chain3()
+        res = fit(net, read_dataset(str(data), net.structure),
+                  FitConfig("em", 1.0, 5, tol_ll=1e-13, init="uniform"))
+        theta_path = tmp_path / "theta.json"
+        write_network(net.with_theta(res.theta), str(theta_path))
+        out = tmp_path / "r.json"
+        code = run("spectral", "--network", chain3_file, "--data", data,
+                   "--theta", theta_path, "--etas", f"1,{eta}", "--out", out)
+        assert code == 2
+        assert f"eta must be a finite positive number, got {eta}" in capsys.readouterr().err
+        assert not out.exists()
+
 
 class TestEval:
     def test_error_report(self, tmp_path, chain3_file):
@@ -226,6 +249,13 @@ class TestExperiment:
         summary = json.loads((out_dir / "summary.json").read_text())
         assert len(summary["arms"]) == 2
         assert summary["train_sha256"]
+
+    def test_negative_n_train_exit_2(self, tmp_path, capsys):
+        cfg_path = tmp_path / "exp.json"
+        cfg_path.write_text(json.dumps({"network": "builtin:chain3", "n_train": -3, "seed": 1,
+                                        "arms": [{"rule": "em", "eta": 1.0}]}))
+        assert run("experiment", "--config", cfg_path, "--out-dir", tmp_path / "x") == 2
+        assert "nonnegative, got -3" in capsys.readouterr().err
 
     def test_bad_config_exit_2(self, tmp_path):
         cfg_path = tmp_path / "exp.json"

@@ -473,6 +473,31 @@ class TestFit:
         )
         assert info.value.case_index == 1
 
+    def test_max_iters_zero_evaluates_the_initial_point(self):
+        net = chain3()
+        data = forward_sample(net, 30, seed=2)
+        theta0 = random_init(net.structure, 3)
+        res = fit(net, data, FitConfig("em", 1.8, 0, init="file", init_theta=theta0,
+                                       record_thetas=True))
+        assert len(res.trace) == 1
+        assert (res.trace[0].iteration, res.trace[0].max_param_delta, res.trace[0].l2_step) == (
+            0, 0.0, 0.0)
+        assert res.termination == "max_iters"
+        assert res.thetas == (theta0,) and res.theta is theta0
+
+    def test_impossible_training_case_at_initial_point_named(self):
+        """P(A = 1) = 0 and training row 2 has A = 1: the initial point's
+        E-step names iteration 0 and the row."""
+        tables = [np.array([[1.0, 0.0]])] + [t.copy() for t in chain3().theta.tables[1:]]
+        net = chain3().with_theta(ParameterVector(tables))
+        train = DataSet(net.structure, np.array([[0, 1, 0], [0, MISSING, 1], [1, MISSING, 0]]))
+        with pytest.raises(ZeroProbabilityError) as info:
+            fit(net, train, FitConfig("em", 1.0, 3, init="network"))
+        assert str(info.value) == (
+            "iteration 0: case 2 has probability 0 under the current parameters"
+        )
+        assert info.value.case_index == 2
+
 
 class TestDistances:
     def test_kl_zero_on_equal(self):

@@ -54,6 +54,10 @@ class TestForwardSample:
         freq = (data.values[:, 0] == 1).mean()
         assert abs(freq - 0.7) < 0.015
 
+    def test_negative_count_rejected(self):
+        with pytest.raises(ValidationError, match="nonnegative, got -3"):
+            forward_sample(chain3(), -3, seed=1)
+
     def test_seed_determinism_bytes(self):
         net = tree8()
         a = format_dataset(forward_sample(net, 500, seed=3))
@@ -453,6 +457,33 @@ class TestRunExperiment:
             ExperimentConfig.from_json("{not json")
         with pytest.raises(ValidationError):
             ExperimentConfig.from_json(json.dumps({"network": "x"}))
+
+    MINIMAL = {"network": "builtin:chain3", "n_train": 10, "seed": 1,
+               "arms": [{"rule": "em", "eta": 1.0}]}
+
+    def test_config_defaults_from_fields(self):
+        config = ExperimentConfig.from_json(json.dumps(self.MINIMAL))
+        assert (config.n_test, config.hidden, config.obscure_prob) == (0, (), 0.0)
+        assert (config.max_iters, config.tol_ll, config.warm_start_em1) == (200, 1e-6, True)
+
+    def test_config_string_boolean_rejected(self):
+        doc = {**self.MINIMAL, "warm_start_em1": "false"}
+        with pytest.raises(ValidationError, match="warm_start_em1 must be true or false"):
+            ExperimentConfig.from_json(json.dumps(doc))
+        doc["warm_start_em1"] = False
+        assert ExperimentConfig.from_json(json.dumps(doc)).warm_start_em1 is False
+
+    def test_config_unknown_key_rejected(self):
+        doc = {**self.MINIMAL, "max_iter": 5}
+        with pytest.raises(ValidationError, match="unknown experiment config keys: max_iter"):
+            ExperimentConfig.from_json(json.dumps(doc))
+
+    @pytest.mark.parametrize("key", ["hidden", "targets"])
+    @pytest.mark.parametrize("value", ["V0", ["V0", 3]], ids=["string", "non-string-entry"])
+    def test_config_names_must_be_string_list(self, key, value):
+        doc = {**self.MINIMAL, key: value}
+        with pytest.raises(ValidationError, match=f"{key} must be a list of variable names"):
+            ExperimentConfig.from_json(json.dumps(doc))
 
     def test_builtin_names(self):
         for name in ("chain3", "tree8", "twolayer15"):

@@ -24,6 +24,7 @@ from bnfit.model import (
 )
 from bnfit.netio import MISSING, DataCase, DataSet
 from bnfit.networks import chain3, tree8
+from bnfit.spectral import phi_apply
 from bnfit.online import (
     RUNNING_AVG_FLOOR,
     LearningRateSchedule,
@@ -415,13 +416,14 @@ class TestRunStream:
             run_stream(net, [], "sgd", LearningRateSchedule.fixed(0.5))
 
     @pytest.mark.parametrize(
-        "states",
-        [[5, 0, 0], [0, 0], [0, 0, 0, 1], [-3, 0, 0]],
-        ids=["state-out-of-range", "too-short", "extra-column", "negative-state"],
+        "case",
+        [DataCase([5, 0, 0]), DataCase([0, 0]), DataCase([0, 0, 0, 1]), DataCase([-3, 0, 0]),
+         [0, 1, 0]],
+        ids=["state-out-of-range", "too-short", "extra-column", "negative-state", "plain-list"],
     )
-    def test_case_that_does_not_fit_rejected(self, states):
+    def test_case_that_does_not_fit_rejected(self, case):
         net = chain3()
-        cases = [DataCase([0, 1, 0]), DataCase([1, 0, 1]), DataCase(states)]
+        cases = [DataCase([0, 1, 0]), DataCase([1, 0, 1]), case]
         with pytest.raises(ValidationError, match="stream case 2 "):
             run_stream(net, cases, "em", LearningRateSchedule.fixed(0.5))
 
@@ -465,3 +467,10 @@ class TestOneUpdatePath:
         net = tree8()
         step(init_online_state(net), forward_sample(net, 1, 2).case(0), schedule)
         assert calls == {r: 1 if r == rule else 0 for r in self.STEPS}
+
+    def test_phi_apply(self, calls):
+        net = tree8()
+        data = forward_sample(net, 40, 1)
+        for clamp in (True, False):
+            phi_apply(net, data, 0.5, clamp)
+        assert calls == {"em": 2, "eg": 0, "gp": 0}

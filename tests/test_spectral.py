@@ -339,6 +339,11 @@ class TestRateFormulas:
         assert contraction_rate(4.0 / 3.0, 0.5, 1.0) == pytest.approx(1.0 / 3.0)
         assert contraction_rate(2.0, 0.5, 1.0) == pytest.approx(1.0)
 
+    @pytest.mark.parametrize("eta", [float("inf"), float("nan"), 0.0, -1.0])
+    def test_contraction_rate_needs_finite_positive_eta(self, eta):
+        with pytest.raises(ValidationError, match="eta must be a finite positive number"):
+            contraction_rate(eta, 0.5, 1.0)
+
     def test_eta_star_minimizes_rate(self):
         rng = np.random.default_rng(8)
         for _ in range(50):
