@@ -219,6 +219,10 @@ class ExperimentConfig:
     tol_ll: float = 1e-6
     warm_start_em1: bool = True
 
+    def __post_init__(self):
+        if self.n_test < 0:
+            raise ValidationError(f"n_test must be nonnegative (0: no test set), got {self.n_test}")
+
     @classmethod
     def from_json(cls, text: str) -> "ExperimentConfig":
         """Parse a config document; a key left out takes its field's default.

@@ -27,6 +27,17 @@ Two independent routes compute the same quantities:
   A marginal query is batched over cases too: one elimination of every
   variable outside the query answers it for a whole case matrix.
 
+  The rescale checks, a per-case total of every message and adjoint, cost
+  more than the arithmetic on a batch of one or two cases, and almost
+  never fire.  So a call first replays without them.  When no table
+  entry is negative, a bound B from the tables and the arities puts
+  every message total above P(y) / B and every adjoint total between
+  P(y) / B and B (`_safe_total`), so a root total above
+  2 * RESCALE_TRIGGER * B proves that no check would have fired: the
+  unchecked replay did exactly the operations of the checked one.
+  Otherwise the call rebuilds the factors and replays the whole batch
+  checked.
+
   Evidence enters as indicator columns, so factor scopes, and with them
   the elimination order and every bucket, depend only on the structure
   and the eliminated set.  Each (structure, eliminated set) is compiled
@@ -69,6 +80,8 @@ MAX_ENUM_STATES = 1 << 20
 # Factor entries stay raw floats until a case's total sinks below this;
 # then that total is pulled out into the case's log-scale accumulator,
 # keeping evidence probabilities far below float underflow representable.
+# The check runs only in a replay whose root could not prove it idle:
+# P(y) at or below 2 * RESCALE_TRIGGER * B (see `_safe_total`).
 RESCALE_TRIGGER = 1e-100
 
 # Every elimination allocates its factors afresh, about 4 MB for a
@@ -136,7 +149,8 @@ class _Plan:
 
     Factor i is CPT i; step k's output is factor n_vars + k, so the last
     step's output is the result, over `root_scope`.  Indicator row k is
-    state `ev_state[k]` of variable `ev_var[k]`.
+    state `ev_state[k]` of variable `ev_var[k]`.  `log_states` is the log
+    of the number of joint states, the product of all arities.
     """
 
     cpts: tuple[_Cpt, ...]
@@ -144,6 +158,7 @@ class _Plan:
     root_scope: tuple[int, ...]
     ev_var: np.ndarray
     ev_state: np.ndarray
+    log_states: float
 
 
 def _aligned(values: np.ndarray, shape: tuple[int, ...] | None) -> np.ndarray:
@@ -160,11 +175,6 @@ def _case_divisors(values: np.ndarray, high: float = np.inf) -> np.ndarray | Non
     rather than maxima, because they are the cheaper per-case reduction.
     """
     total = _case_totals(values)
-    if total.shape[0] == 1:
-        # A batch of one (an online step) is decided on a Python float,
-        # which is cheaper than the array reductions below.
-        t = float(total[0])
-        return None if RESCALE_TRIGGER < t <= high or not t > 0.0 else total
     # A NaN total fails the first test, and the move test below.
     if RESCALE_TRIGGER < total.min() and (high == np.inf or total.max() <= high):
         return None
@@ -264,7 +274,12 @@ def _plan(
     root = tuple(sorted(set().union(*(sc for _, sc in live))))
     steps.append(_step(live, root, root, None, arities))
     return _Plan(
-        tuple(cpts), tuple(steps), root, np.array(ev_var, dtype=np.intp), np.array(ev_state)[:, None]
+        tuple(cpts),
+        tuple(steps),
+        root,
+        np.array(ev_var, dtype=np.intp),
+        np.array(ev_state)[:, None],
+        math.fsum(math.log(r) for r in arities),
     )
 
 
@@ -297,16 +312,57 @@ def _cpt_factors(plan: _Plan, theta: ParameterVector, values: np.ndarray) -> lis
     return factors
 
 
+def _safe_total(plan: _Plan, theta: ParameterVector) -> float:
+    """A P(y) above which no rescale check of a replay on `theta` can fire.
+
+    Let every table entry lie in [0, M], M = max(1, largest entry), and
+    B = (product of all arities) * M ** n_vars.  Evidence indicators are
+    0 or 1, so a sum, over the assignments of some variables, of products
+    of evidence-folded CPT entries, at most one per table, is at most B.
+    A factor f of the replay (a CPT factor or a message) is such a sum
+    over the CPT factors below it; its adjoint a, as the reverse sweep
+    forms it before broadcasting, is such a sum over the other CPT
+    factors; and per case, P(y) is the sum of f * a over f's scope.
+    Bounding one side of that sum by B gives, per case:
+
+    * total(f) >= P(y) / B for every message f;
+    * P(y) / B <= total(a) <= B for every adjoint a.
+
+    So if P(y) > 2 * RESCALE_TRIGGER * B for every case, with
+    B < 0.5 / RESCALE_TRIGGER, every message total is above
+    RESCALE_TRIGGER and every adjoint total in
+    (RESCALE_TRIGGER, 1 / RESCALE_TRIGGER): no check of the checked
+    replay rescales anything, and the unchecked replay, doing the same
+    multiplications in the same order, is bit-identical to it.  The
+    factor 2 covers rounding: a product or sum of nonnegative floats errs
+    by a relative 2**-53, or in the subnormal range by an absolute
+    2**-1075, per operation, both far inside it.
+
+    Returns that bound, 2 * RESCALE_TRIGGER * B, or inf when there is
+    none: an entry is negative or NaN (spectral probes and
+    `phi_apply(clamp=False)` can make one negative), or B is too large.
+    """
+    entries = np.concatenate(theta.tables, axis=None)
+    if not entries.min() >= 0.0:
+        return math.inf
+    log_b = plan.log_states + len(plan.cpts) * math.log(max(1.0, float(entries.max())))
+    if not log_b < math.log(0.5 / RESCALE_TRIGGER):
+        return math.inf
+    return 2.0 * RESCALE_TRIGGER * math.exp(log_b)
+
+
 def _eliminate(
-    plan: _Plan, factors: list[np.ndarray | None], logscales: list, keep: bool = False
+    plan: _Plan, factors: list[np.ndarray | None], keep: bool = False, checked: bool = True
 ) -> tuple[np.ndarray, np.ndarray | float]:
     """Replay `plan` on `factors`; return the result and its log-scales.
 
-    Factor `k` is `factors[k] * exp(logscales[k])`, per case; a log-scale
-    is the scalar 0.0 until a rescale makes it a per-case array.  Each
-    step's output is appended to both lists.  Without `keep`, the factors
-    a step consumes are released.
+    Factor `k` times exp(its log-scale) is its exact value, per case; a
+    log-scale is the scalar 0.0 until a rescale makes it a per-case
+    array.  Only a `checked` replay rescales.  Each step's output is
+    appended to `factors`.  Without `keep`, the factors a step consumes
+    are released.
     """
+    logscales: list = [0.0] * len(factors)
     for step in plan.steps:
         first = step.ids[0]
         values = _aligned(factors[first], step.shapes[0])
@@ -316,7 +372,7 @@ def _eliminate(
             logscale = logscale + logscales[k]
         if step.axis is not None:
             values = values.sum(axis=step.axis)
-            div = _case_divisors(values)
+            div = _case_divisors(values) if checked else None
             if div is not None:
                 values = values / div
                 logscale = logscale + np.log(div)
@@ -326,6 +382,27 @@ def _eliminate(
         factors.append(values)
         logscales.append(logscale)
     return factors[-1], logscales[-1]
+
+
+def _forward(
+    plan: _Plan, theta: ParameterVector, values: np.ndarray, keep: bool = False
+) -> tuple[list[np.ndarray | None], np.ndarray, np.ndarray | float, bool]:
+    """The checked replay's (factors, root, root log-scales), and whether it ran.
+
+    The unchecked replay stands in for it when every case's root total is
+    above `_safe_total`, which proves that no check would have fired.  A
+    total at or below it, 0 and NaN included, sends the whole batch to
+    the checked replay on freshly built factors.
+    """
+    bound = _safe_total(plan, theta)
+    if bound < math.inf:
+        factors = _cpt_factors(plan, theta, values)
+        root, logscale = _eliminate(plan, factors, keep, checked=False)
+        if _case_totals(root).min() > bound:
+            return factors, root, logscale, False
+    factors = _cpt_factors(plan, theta, values)
+    root, logscale = _eliminate(plan, factors, keep)
+    return factors, root, logscale, True
 
 
 def _family_posterior(cpt: _Cpt, factor: np.ndarray, adjoint: np.ndarray, n_cases: int) -> np.ndarray:
@@ -385,8 +462,7 @@ def log_marginal_likelihood(network: Network, case: DataCase) -> float:
 def log_likelihood_cases(network: Network, values: np.ndarray) -> np.ndarray:
     """log P(y) for every row of an (N, V) case matrix."""
     plan = _plan_of(network.structure, frozenset(range(network.structure.n_vars)))
-    factors = _cpt_factors(plan, network.theta, values)
-    root, logscale = _eliminate(plan, factors, [0.0] * len(factors))
+    _, root, logscale, _ = _forward(plan, network.theta, values)
     total = np.broadcast_to(root, (values.shape[0],))
     _raise_zero(total, "log-likelihood")
     return np.log(total) + logscale
@@ -409,8 +485,7 @@ def batch_family_posteriors(
     n_vars = network.structure.n_vars
     n_cases = values.shape[0]
     plan = _plan_of(network.structure, frozenset(range(n_vars)))
-    factors: list[np.ndarray | None] = _cpt_factors(plan, network.theta, values)
-    root, logscale = _eliminate(plan, factors, [0.0] * n_vars, keep=True)
+    factors, root, logscale, checked = _forward(plan, network.theta, values, keep=True)
     total = np.broadcast_to(root, (n_cases,))
     _raise_zero(total, "family posteriors")
     loglik = np.log(total) + logscale
@@ -427,7 +502,7 @@ def batch_family_posteriors(
             adj = reduce(np.multiply, aligned[:p] + aligned[p + 1:] + [upstream])
             if step.sums[p]:
                 adj = adj.sum(axis=step.sums[p])
-            div = _case_divisors(adj, 1.0 / RESCALE_TRIGGER)
+            div = _case_divisors(adj, 1.0 / RESCALE_TRIGGER) if checked else None
             if div is not None:
                 adj = adj / div
             if t < n_vars:
@@ -447,8 +522,7 @@ def batch_posterior_marginals(network: Network, values: np.ndarray, var_ids: lis
         raise ValidationError("duplicate variables in marginal query")
     elim = frozenset(range(network.structure.n_vars)) - frozenset(var_ids)
     plan = _plan_of(network.structure, elim)
-    factors = _cpt_factors(plan, network.theta, values)
-    root, _ = _eliminate(plan, factors, [0.0] * len(factors))
+    _, root, _, _ = _forward(plan, network.theta, values)
     perm = [plan.root_scope.index(v) for v in var_ids]
     joint = root.transpose(perm + [len(perm)])
     return _normalize(joint, values.shape[0], "marginal query")

@@ -280,10 +280,14 @@ def eta_star(lambda_min: float, lambda_max: float) -> float:
     return 2.0 / (lambda_min + lambda_max)
 
 
-def contraction_rate(eta: float, lambda_min: float, lambda_max: float) -> float:
-    """Per-iteration shrink factor of the linearized EM(eta) map."""
+def _check_eta(eta: float) -> None:
     if not (math.isfinite(eta) and eta > 0):
         raise ValidationError(f"eta must be a finite positive number, got {eta!r}")
+
+
+def contraction_rate(eta: float, lambda_min: float, lambda_max: float) -> float:
+    """Per-iteration shrink factor of the linearized EM(eta) map."""
+    _check_eta(eta)
     if not (0.0 < lambda_min <= lambda_max):
         raise ValidationError("need 0 < lambda_min <= lambda_max")
     return max(abs(1.0 - eta * lambda_min), abs(1.0 - eta * lambda_max))
@@ -320,7 +324,12 @@ def build_report(
     etas: list[float],
     empirical: dict[float, float] | None = None,
 ) -> SpectralReport:
-    """Jacobian, eigenvalue range, eta_star, and a rho table for the etas."""
+    """Jacobian, eigenvalue range, eta_star, and a rho table for the etas.
+
+    The etas are checked before any inference pass runs.
+    """
+    for eta in etas:
+        _check_eta(eta)
     m_matrix, residual = _jacobian(network, dataset, FD_STEP)
     lmin, lmax, deficient = eigen_range(m_matrix)
     entries = []

@@ -195,6 +195,18 @@ class TestSpectral:
         assert f"eta must be a finite positive number, got {eta}" in capsys.readouterr().err
         assert not out.exists()
 
+    def test_non_finite_eta_exit_2_off_the_fixpoint(self, tmp_path, chain3_file, capsys):
+        """The etas are checked before the fixpoint residual, which would exit 3."""
+        data = tmp_path / "d.csv"
+        run("sample", "--network", chain3_file, "--n", 50, "--obscure", "0.3",
+            "--seed", 8, "--out", data)
+        out = tmp_path / "r.json"
+        code = run("spectral", "--network", chain3_file, "--data", data,
+                   "--theta", chain3_file, "--etas", "inf", "--out", out)
+        assert code == 2
+        assert "eta must be a finite positive number, got inf" in capsys.readouterr().err
+        assert not out.exists()
+
 
 class TestEval:
     def test_error_report(self, tmp_path, chain3_file):
@@ -256,6 +268,14 @@ class TestExperiment:
                                         "arms": [{"rule": "em", "eta": 1.0}]}))
         assert run("experiment", "--config", cfg_path, "--out-dir", tmp_path / "x") == 2
         assert "nonnegative, got -3" in capsys.readouterr().err
+
+    def test_negative_n_test_exit_2(self, tmp_path, capsys):
+        cfg_path = tmp_path / "exp.json"
+        cfg_path.write_text(json.dumps({"network": "builtin:chain3", "n_train": 20, "n_test": -4,
+                                        "seed": 1, "arms": [{"rule": "em", "eta": 1.0}]}))
+        assert run("experiment", "--config", cfg_path, "--out-dir", tmp_path / "x") == 2
+        assert "n_test must be nonnegative" in capsys.readouterr().err
+        assert not (tmp_path / "x").exists()
 
     def test_bad_config_exit_2(self, tmp_path):
         cfg_path = tmp_path / "exp.json"

@@ -466,6 +466,13 @@ class TestRunExperiment:
         assert (config.n_test, config.hidden, config.obscure_prob) == (0, (), 0.0)
         assert (config.max_iters, config.tol_ll, config.warm_start_em1) == (200, 1e-6, True)
 
+    def test_negative_n_test_rejected(self):
+        with pytest.raises(ValidationError, match="n_test must be nonnegative"):
+            ExperimentConfig.from_json(json.dumps({**self.MINIMAL, "n_test": -4}))
+        with pytest.raises(ValidationError, match="n_test must be nonnegative"):
+            ExperimentConfig("builtin:chain3", 10, -1, (), 0.0, 1, (ExperimentArm("em", 1.0),))
+        assert ExperimentConfig.from_json(json.dumps({**self.MINIMAL, "n_test": 0})).n_test == 0
+
     def test_config_string_boolean_rejected(self):
         doc = {**self.MINIMAL, "warm_start_em1": "false"}
         with pytest.raises(ValidationError, match="warm_start_em1 must be true or false"):

@@ -7,8 +7,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from bnfit import inference
+from bnfit.harness import MissingnessSpec, forward_sample, obscure
 from bnfit.inference import (
     _min_degree_order,
+    _plan_of,
+    _safe_total,
     batch_family_posteriors,
     batch_posterior_marginals,
     enumerate_case_probability,
@@ -30,14 +34,17 @@ from bnfit.model import (
     ZeroProbabilityError,
 )
 from bnfit.netio import MISSING, DataCase, case_from_dict
-from bnfit.networks import chain3
+from bnfit.networks import chain3, twolayer15
+from bnfit.spectral import _probe
 
+import util
 from util import (
     oracle_case_probability,
     oracle_family_posteriors,
     oracle_marginal,
     random_network,
     random_partial_case,
+    random_structure,
     random_tables,
     reference_family_posteriors,
     reference_log_likelihood_cases,
@@ -552,6 +559,141 @@ class TestPlanReplay:
         assert np.all(np.isfinite(log_likelihood_cases(net, values)))
         assert log_likelihood_cases(net, values)[0] < -4000.0
         assert_replay_equals_reference(net, values, [n // 2, 3])
+
+
+def windowed_dag(rng: np.random.Generator, n: int = 50, window: int = 6) -> Network:
+    """Arity 2 or 3, at most 3 parents among the previous `window`
+    variables: many buckets of bounded width."""
+    variables, parents = [], []
+    for i in range(n):
+        r = int(rng.choice((2, 3)))
+        variables.append(Variable(i, f"X{i}", tuple(f"s{k}" for k in range(r))))
+        pool = np.arange(max(0, i - window), i)
+        k = int(rng.integers(0, min(3, pool.size) + 1))
+        parents.append(tuple(sorted(int(p) for p in rng.choice(pool, size=k, replace=False))))
+    s = NetworkStructure(tuple(variables), tuple(parents))
+    return Network(s, random_tables(rng, s))
+
+
+def rare_chain(n: int, p_rare: float) -> Network:
+    """A binary chain whose all-s0 case has probability p_rare ** n."""
+    variables = tuple(Variable(i, f"X{i}", ("s0", "s1")) for i in range(n))
+    s = NetworkStructure(variables, ((),) + tuple((i - 1,) for i in range(1, n)))
+    row = [p_rare, 1.0 - p_rare]
+    tables = [np.array([row])] + [np.array([row, row[::-1]])] * (n - 1)
+    return Network(s, ParameterVector(tables))
+
+
+@pytest.fixture
+def replays(monkeypatch):
+    """The `checked` flag of every elimination replayed, in order."""
+    seen = []
+    eliminate = inference._eliminate
+
+    def recording(plan, factors, keep=False, checked=True):
+        seen.append(checked)
+        return eliminate(plan, factors, keep, checked)
+
+    monkeypatch.setattr(inference, "_eliminate", recording)
+    return seen
+
+
+class TestUncheckedReplay:
+    """A replay without rescale checks stands in for the checked one only
+    when the root proves no check would fire; the results are those of the
+    per-call elimination with every check, bit for bit."""
+
+    @pytest.mark.parametrize("which", ["twolayer15", "windowed_dag"])
+    def test_likely_batches_run_no_check(self, monkeypatch, replays, which):
+        rng = np.random.default_rng(11)
+        net = twolayer15() if which == "twolayer15" else windowed_dag(rng)
+        names = tuple(v.name for v in net.structure.variables)
+        data = obscure(forward_sample(net, 200, seed=3), MissingnessSpec(names[::5], 0.3, seed=4))
+
+        def no_check(*args):
+            raise AssertionError("a rescale check ran")
+
+        monkeypatch.setattr(inference, "_case_divisors", no_check)
+        for values in (data.values, data.values[:1], data.values[:2]):
+            log_likelihood_cases(net, values)
+            batch_family_posteriors(net, values)
+            batch_posterior_marginals(net, values, [3, 1])
+        assert replays == [False] * 9
+        assert_replay_equals_reference(net, data.values, [3, 1])
+
+    def test_negative_entry_takes_the_checked_path(self, replays):
+        """A probe past the row's last entry leaves it at -0.01: no bound,
+        so one checked replay per call."""
+        net = chain3()
+        last = net.theta.tables[0][0, -1]
+        probed = net.with_theta(_probe(net.theta, 0, 0, 0, last + 0.01))
+        assert probed.theta.tables[0].min() < 0.0
+        assert _safe_total(_plan_of(net.structure, frozenset(range(3))), probed.theta) == np.inf
+        values = np.array([[MISSING, 0, 1], [MISSING, MISSING, 0], [MISSING, 1, MISSING]])
+        assert_replay_equals_reference(probed, values, [0])
+        assert replays == [True] * 3
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        shape=st.sampled_from(["dag", "chain"]),
+        n_vars=st.integers(1, 8),
+        n_links=st.integers(30, 70),
+        p_rare=st.sampled_from([1e-3, 0.01, 0.1]),
+        n_cases=st.integers(1, 4),
+    )
+    def test_either_side_of_the_bound(self, seed, shape, n_vars, n_links, p_rare, n_cases):
+        """Random DAGs with near-deterministic rows, and chains whose
+        all-s0 case, beside likely and all-missing cases, lies above the
+        bound, between it and RESCALE_TRIGGER (no check fires, but the
+        root cannot prove it) or below RESCALE_TRIGGER: at p_rare = 0.01,
+        up to 43 links, 44 to 49, and from 50 on.  Above the bound, no
+        check of the reference fires."""
+        rng = np.random.default_rng(seed)
+        if shape == "dag":
+            s = random_structure(rng, n_vars)
+            rows = [np.where(t < p_rare, t * p_rare, t) for t in random_tables(rng, s, 0.3, 0.0).tables]
+            net = Network(s, ParameterVector([t / t.sum(axis=1, keepdims=True) for t in rows]))
+            values = np.stack([random_partial_case(rng, s, 0.8).states for _ in range(n_cases)])
+        else:
+            net = rare_chain(n_links, p_rare)
+            values = rng.integers(0, 2, size=(n_cases, n_links))
+            values[rng.random(values.shape) < 0.2] = MISSING
+            values[0] = 0
+            if n_cases > 1:
+                values[-1] = MISSING
+        s = net.structure
+        bound = _safe_total(_plan_of(s, frozenset(range(s.n_vars))), net.theta)
+        rescales = []
+        check = util._case_divisors
+
+        def recording(values, high=np.inf):
+            div = check(values, high)
+            rescales.append(div is not None)
+            return div
+
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(util, "_case_divisors", recording)
+            _, lls = reference_family_posteriors(net, values)
+        if lls.min() > np.log(bound):
+            assert not any(rescales)
+        var_ids = [int(v) for v in rng.choice(s.n_vars, size=min(2, s.n_vars), replace=False)]
+        assert_replay_equals_reference(net, values, var_ids)
+
+    def test_one_underflowing_case_sends_the_batch_to_the_checked_replay(self, replays):
+        """The all-s0 case of a 300-link chain, P = 1e-600, beside likely
+        cases: the unchecked replay's root fails the bound, and each entry
+        point replays the whole batch again with checks."""
+        n = 300
+        net = rare_chain(n, 0.01)
+        rng = np.random.default_rng(8)
+        likely = np.tile([1, 0], n // 2)
+        values = np.stack([likely, np.zeros(n, dtype=np.int64), likely, np.full(n, MISSING)])
+        values[2, rng.random(n) < 0.5] = MISSING
+        bound = _safe_total(_plan_of(net.structure, frozenset(range(n))), net.theta)
+        assert np.log(bound) > n * np.log(0.01)
+        assert_replay_equals_reference(net, values, [n // 2, 7])
+        assert replays == [False, True] * 3
 
 
 @pytest.mark.skipif(platform.libc_ver()[0] != "glibc", reason="heap thresholds are set on glibc only")

@@ -290,6 +290,21 @@ class TestProbeReconstruction:
         build_report(net, data, [1.0])
         assert calls == [len(data)] * (len(_free_coords(net)) + 1)
 
+    @pytest.mark.parametrize("eta", [float("inf"), float("nan"), 0.0])
+    def test_bad_eta_rejected_before_any_e_step(self, monkeypatch, eta):
+        net, data = converged_chain3(n=200)
+        calls = []
+        inner = bnfit.estimation.batch_family_posteriors
+
+        def counting(network, values):
+            calls.append(len(values))
+            return inner(network, values)
+
+        monkeypatch.setattr(bnfit.estimation, "batch_family_posteriors", counting)
+        with pytest.raises(ValidationError, match="eta must be a finite positive number"):
+            build_report(net, data, [1.0, eta])
+        assert calls == []
+
     def test_probe_making_a_case_impossible(self):
         """P(A = a0) = 0.25 at the fixpoint; the probe at -h with h = 0.5
         gives it probability -0.25, so row 1, the first a0 case, is impossible."""
