@@ -21,7 +21,6 @@ from .estimation import (
     gp_step,
     gradient,
     is_fixpoint,
-    model_parent_marginals,
 )
 from .harness import (
     EvalSpec,

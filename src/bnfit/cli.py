@@ -11,21 +11,14 @@ import json
 import sys
 
 from .estimation import RULES, FitConfig, fit
-from .harness import (
-    EvalSpec,
-    ExperimentConfig,
-    MissingnessSpec,
-    evaluate_queries,
-    forward_sample,
-    obscure,
-    run_experiment,
-)
+from .harness import EvalSpec, ExperimentConfig, evaluate_queries, run_experiment, sample_obscured
 from .model import NumericalError, ValidationError
 from .netio import (
     read_dataset,
     read_network,
     write_dataset,
     write_network,
+    write_online_trace,
     write_text,
     write_trace,
 )
@@ -70,9 +63,8 @@ def _parse_schedule(text: str) -> LearningRateSchedule:
 
 def _cmd_sample(args) -> int:
     network = read_network(args.network)
-    complete = forward_sample(network, args.n, args.seed)
-    spec = MissingnessSpec(_names(args.hidden), args.obscure, args.seed + 1)
-    write_dataset(obscure(complete, spec), args.out)
+    data = sample_obscured(network, args.n, _names(args.hidden), args.obscure, args.seed)
+    write_dataset(data, args.out)
     return 0
 
 
@@ -113,11 +105,7 @@ def _cmd_online(args) -> int:
     schedule = _parse_schedule(args.schedule)
     result = run_stream(network, stream, args.rule, schedule)
     if args.trace:
-        lines = ["t,case_ll,step_l2,skipped"]
-        for rec in result.trace:
-            ll = "" if rec.case_ll is None else f"{rec.case_ll:.17g}"
-            lines.append(f"{rec.t},{ll},{rec.step_l2:.17g},{int(rec.skipped)}")
-        write_text(args.trace, "\n".join(lines) + "\n")
+        write_online_trace(result.trace, args.trace)
     write_network(result.state.network, args.out, name="adapted")
     print(f"processed {len(result.trace)} cases, skipped {result.n_skipped}")
     return 0
@@ -126,7 +114,6 @@ def _cmd_online(args) -> int:
 def _cmd_spectral(args) -> int:
     network = read_network(args.network)
     theta = read_network(args.theta).theta
-    theta.check_shapes(network.structure)
     data = read_dataset(args.data, network.structure)
     etas = [_number(x, "an --etas entry") for x in args.etas.split(",") if x]
     report = build_report(network.with_theta(theta), data, etas)

@@ -27,11 +27,7 @@ from typing import Callable, Iterator, Sequence
 
 import numpy as np
 
-from .inference import (
-    batch_family_posteriors,
-    log_likelihood_cases,
-    parent_config_marginals,
-)
+from .inference import batch_family_posteriors, log_likelihood_cases
 from .model import (
     PROB_FLOOR,
     Network,
@@ -40,6 +36,7 @@ from .model import (
     ParameterVector,
     ValidationError,
     ZeroProbabilityError,
+    check_seed,
     clamp_rows,
     param_delta_stats,
     random_init,
@@ -109,13 +106,7 @@ def _block_posteriors(
     try:
         return batch_family_posteriors(network, dataset.values[start : start + E_STEP_CHUNK])
     except ZeroProbabilityError as e:
-        raise _zero_probability(start + (e.case_index or 0)) from None
-
-
-def _zero_probability(row: int) -> ZeroProbabilityError:
-    return ZeroProbabilityError(
-        f"case {row} has probability 0 under the current parameters", case_index=row
-    )
+        raise ZeroProbabilityError.of_row(start + (e.case_index or 0)) from None
 
 
 def expected_stats_with_ll(network: Network, dataset: DataSet) -> tuple[SufficientStats, float]:
@@ -279,7 +270,8 @@ def distance_kl(
 ) -> float:
     """Row-wise KL divergence, weighted by parent-configuration mass.
 
-    With exact parent marginals of theta_a this equals the KL divergence
+    With the exact parent marginals of theta_a
+    (`inference.parent_config_marginals`) this equals the KL divergence
     of the two joint distributions the networks induce.
     """
     total = 0.0
@@ -300,10 +292,6 @@ def distance_chi2(
         rows = 0.5 * np.sum((a - b) ** 2 / b, axis=1)
         total += float(np.dot(w, rows))
     return total
-
-
-# Exact P(Pa_i = j) under the network, for use as KL/chi2 weights.
-model_parent_marginals = parent_config_marginals
 
 
 # -- the fit loop ------------------------------------------------------------
@@ -336,8 +324,9 @@ class FitConfig:
             raise ValidationError("at most one stopping tolerance may be disabled")
         for name in ("tol_ll", "tol_param"):
             tol = getattr(self, name)
-            if tol is not None and not math.isfinite(tol):
-                raise ValidationError(f"{name} must be finite")
+            if tol is not None and not (math.isfinite(tol) and tol >= 0):
+                raise ValidationError(f"{name} must be a finite nonnegative number, got {tol!r}")
+        check_seed(self.seed)
         if self.init not in INITS:
             raise ValidationError(f"unknown init {self.init!r}; expected one of {INITS}")
         if self.init == "file" and self.init_theta is None:
@@ -407,11 +396,7 @@ def _mean_test_ll(network: Network, test: DataSet | None) -> float | None:
     try:
         return float(np.mean(log_likelihood_cases(network, test.values)))
     except ZeroProbabilityError as e:
-        row = e.case_index or 0
-        raise ZeroProbabilityError(
-            f"test set case {row} has probability 0 under the current parameters",
-            case_index=row,
-        ) from None
+        raise ZeroProbabilityError.of_row(e.case_index or 0, "test set") from None
 
 
 def fit(

@@ -25,7 +25,7 @@ import numpy as np
 
 from .estimation import FitConfig, fit, initial_theta
 from .inference import batch_posterior_marginals, posterior_marginal
-from .model import BnError, Network, ValidationError, ZeroProbabilityError
+from .model import BnError, Network, ValidationError, ZeroProbabilityError, check_seed, parent_rows
 from .netio import (
     MISSING,
     DataCase,
@@ -46,14 +46,12 @@ def forward_sample(network: Network, n: int, seed: int) -> DataSet:
     """Ancestral sampling: n complete cases, deterministic per seed."""
     if n < 0:
         raise ValidationError(f"the number of cases must be nonnegative, got {n}")
+    check_seed(seed)
     s = network.structure
     rng = np.random.default_rng(seed)
     values = np.zeros((n, s.n_vars), dtype=np.int64)
     for i in s.topo_order:
-        j = np.zeros(n, dtype=np.int64)
-        for p in s.parents[i]:
-            j = j * s.arity(p) + values[:, p]
-        rows = network.theta.tables[i][j]
+        rows = network.theta.tables[i][parent_rows(s, i, values)]
         u = rng.random(n)
         cum = np.cumsum(rows, axis=1)
         values[:, i] = np.minimum((u[:, None] > cum).sum(axis=1), s.arity(i) - 1)
@@ -72,6 +70,7 @@ class MissingnessSpec:
     def __post_init__(self):
         if not (0.0 <= self.obscure_prob <= 1.0):
             raise ValidationError("obscure_prob must be in [0, 1]")
+        check_seed(self.seed)
 
 
 def obscure(cases: DataSet, spec: MissingnessSpec) -> DataSet:
@@ -86,6 +85,14 @@ def obscure(cases: DataSet, spec: MissingnessSpec) -> DataSet:
     for i in hidden_ids:
         values[:, i] = MISSING
     return DataSet(s, values)
+
+
+def sample_obscured(
+    network: Network, n: int, hidden: tuple[str, ...], obscure_prob: float, seed: int
+) -> DataSet:
+    """The seed convention of `bnfit sample` and of both datasets of `run_experiment`:
+    n cases drawn with `seed`, then obscured with `seed + 1`."""
+    return obscure(forward_sample(network, n, seed), MissingnessSpec(hidden, obscure_prob, seed + 1))
 
 
 # -- evaluation --------------------------------------------------------------
@@ -201,8 +208,10 @@ class ExperimentConfig:
     """Everything run_experiment needs; loadable from a JSON file.
 
     ``network`` is a path to a network JSON file or "builtin:<name>".
-    Sampling and obscuring seeds are derived deterministically from
-    ``seed`` so a config fully pins its artifacts.
+    The training set is ``sample_obscured(truth, n_train, hidden,
+    obscure_prob, seed)`` and the test set the same with ``n_test`` and
+    ``seed + 2``, so a config fully pins its artifacts.  Its counts, init
+    and seeds are checked here, before any file is written.
     """
 
     network: str
@@ -220,8 +229,14 @@ class ExperimentConfig:
     warm_start_em1: bool = True
 
     def __post_init__(self):
+        if self.n_train < 0:
+            raise ValidationError(f"n_train must be nonnegative, got {self.n_train}")
         if self.n_test < 0:
             raise ValidationError(f"n_test must be nonnegative (0: no test set), got {self.n_test}")
+        if self.init not in ("random", "uniform"):
+            raise ValidationError(f"unknown experiment init {self.init!r}")
+        check_seed(self.seed)
+        check_seed(self.init_seed, "init_seed")
 
     @classmethod
     def from_json(cls, text: str) -> "ExperimentConfig":
@@ -283,27 +298,17 @@ def run_experiment(config: ExperimentConfig, out_dir: str) -> dict:
     structure = truth.structure
     os.makedirs(out_dir, exist_ok=True)
 
-    train_complete = forward_sample(truth, config.n_train, config.seed)
-    train = obscure(
-        train_complete,
-        MissingnessSpec(config.hidden, config.obscure_prob, config.seed + 1),
-    )
+    train = sample_obscured(truth, config.n_train, config.hidden, config.obscure_prob, config.seed)
     train_path = os.path.join(out_dir, "train.csv")
     write_dataset(train, train_path)
 
     test = None
     test_path = None
     if config.n_test > 0:
-        test_complete = forward_sample(truth, config.n_test, config.seed + 2)
-        test = obscure(
-            test_complete,
-            MissingnessSpec(config.hidden, config.obscure_prob, config.seed + 3),
-        )
+        test = sample_obscured(truth, config.n_test, config.hidden, config.obscure_prob, config.seed + 2)
         test_path = os.path.join(out_dir, "test.csv")
         write_dataset(test, test_path)
 
-    if config.init not in ("random", "uniform"):
-        raise ValidationError(f"unknown experiment init {config.init!r}")
     theta0 = initial_theta(structure, config.init, config.init_seed)
 
     summary: dict = {

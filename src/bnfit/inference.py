@@ -50,7 +50,7 @@ Two independent routes compute the same quantities:
 
 * The oracle route (`enumerate_*`) sums over all joint completions.  It
   exists for tests and sanity checks and shares no code with the main
-  route beyond the network types.
+  route beyond the model module.
 
 A "family" is a variable together with its parents; the family posterior
 for case y is P(X_i = k, Pa_i = j | y), stored in the same (q_i, r_i)
@@ -71,7 +71,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .model import (
-    Network, NetworkStructure, ParameterVector, ValidationError, ZeroProbabilityError
+    Network, NetworkStructure, ParameterVector, ValidationError, ZeroProbabilityError, parent_rows
 )
 from .netio import DataCase, MISSING
 
@@ -425,14 +425,17 @@ def _normalize(joint: np.ndarray, n_cases: int, what: str) -> np.ndarray:
     return np.broadcast_to(post, (n_cases,) + post.shape[1:])
 
 
+def _root_loglik(root: np.ndarray, logscale: np.ndarray | float, n_cases: int, what: str) -> np.ndarray:
+    """log P(y) of each case from a full elimination's scalar root and its log-scales."""
+    total = np.broadcast_to(root, (n_cases,))
+    _raise_zero(total, what)
+    return np.log(total) + logscale
+
+
 def _raise_zero(total: np.ndarray, what: str) -> None:
     bad = np.nonzero(~(total > 0.0))[0]
     if bad.size:
-        idx = int(bad[0])
-        raise ZeroProbabilityError(
-            f"{what}: case {idx} has probability 0 under the current parameters",
-            case_index=idx,
-        )
+        raise ZeroProbabilityError.of_row(int(bad[0]), f"{what}:")
 
 
 # -- public single-case operations ----------------------------------------
@@ -446,10 +449,7 @@ def joint_probability(network: Network, case: DataCase) -> float:
         raise ValidationError("joint_probability requires a fully observed case")
     p = 1.0
     for i in range(s.n_vars):
-        j = 0
-        for q in s.parents[i]:
-            j = j * s.arity(q) + int(states[q])
-        p *= float(network.theta.tables[i][j, int(states[i])])
+        p *= float(network.theta.tables[i][parent_rows(s, i, states), states[i]])
     return p
 
 
@@ -463,9 +463,7 @@ def log_likelihood_cases(network: Network, values: np.ndarray) -> np.ndarray:
     """log P(y) for every row of an (N, V) case matrix."""
     plan = _plan_of(network.structure, frozenset(range(network.structure.n_vars)))
     _, root, logscale, _ = _forward(plan, network.theta, values)
-    total = np.broadcast_to(root, (values.shape[0],))
-    _raise_zero(total, "log-likelihood")
-    return np.log(total) + logscale
+    return _root_loglik(root, logscale, values.shape[0], "log-likelihood")
 
 
 def family_posteriors(network: Network, case: DataCase) -> list[np.ndarray]:
@@ -486,9 +484,7 @@ def batch_family_posteriors(
     n_cases = values.shape[0]
     plan = _plan_of(network.structure, frozenset(range(n_vars)))
     factors, root, logscale, checked = _forward(plan, network.theta, values, keep=True)
-    total = np.broadcast_to(root, (n_cases,))
-    _raise_zero(total, "family posteriors")
-    loglik = np.log(total) + logscale
+    loglik = _root_loglik(root, logscale, n_cases, "family posteriors")
 
     posteriors: list[np.ndarray] = [np.empty(0)] * n_vars
     adjoints = {len(factors) - 1: np.ones(1)}
@@ -574,10 +570,7 @@ def _assignment_weights(network: Network, full: np.ndarray) -> np.ndarray:
     s = network.structure
     w = np.ones(full.shape[0])
     for i in range(s.n_vars):
-        j = np.zeros(full.shape[0], dtype=np.int64)
-        for p in s.parents[i]:
-            j = j * s.arity(p) + full[:, p]
-        w *= network.theta.tables[i][j, full[:, i]]
+        w *= network.theta.tables[i][parent_rows(s, i, full), full[:, i]]
     return w
 
 
@@ -599,11 +592,8 @@ def enumerate_family_posteriors(network: Network, case: DataCase) -> list[np.nda
         )
     out = []
     for i in range(s.n_vars):
-        j = np.zeros(full.shape[0], dtype=np.int64)
-        for p in s.parents[i]:
-            j = j * s.arity(p) + full[:, p]
         acc = np.zeros(s.table_shape(i))
-        np.add.at(acc, (j, full[:, i]), w)
+        np.add.at(acc, (parent_rows(s, i, full), full[:, i]), w)
         out.append(acc / total)
     return out
 

@@ -50,6 +50,18 @@ class ZeroProbabilityError(NumericalError):
         super().__init__(message)
         self.case_index = case_index
 
+    @classmethod
+    def of_row(cls, row: int, where: str = "") -> "ZeroProbabilityError":
+        """The error for case `row` of the caller's data; `where` precedes "case" ("test set")."""
+        name = f"{where} case" if where else "case"
+        return cls(f"{name} {row} has probability 0 under the current parameters", case_index=row)
+
+
+def check_seed(seed: int, what: str = "seed") -> None:
+    """Raise ValidationError unless `seed` is a nonnegative integer, as numpy's generators need."""
+    if not isinstance(seed, (int, np.integer)) or seed < 0:
+        raise ValidationError(f"{what} must be a nonnegative integer, got {seed!r}")
+
 
 def _check_token(name: str, what: str) -> None:
     if not name or not set(name) <= _NAME_CHARS:
@@ -201,6 +213,15 @@ def parent_config_index(structure: NetworkStructure, i: int, assignment: dict[in
     return j
 
 
+def parent_rows(structure: NetworkStructure, i: int, states: np.ndarray) -> np.ndarray:
+    """parent_config_index, unchecked, of the parent states of one case (V,) or
+    of each row of a case matrix (N, V); the parents must be observed."""
+    j = np.zeros(states.shape[:-1], dtype=np.int64)
+    for p in structure.parents[i]:
+        j = j * structure.variables[p].arity + states[..., p]
+    return j
+
+
 def decode_parent_config(structure: NetworkStructure, i: int, j: int) -> dict[int, int]:
     """Inverse of parent_config_index: row index -> parent assignment."""
     q = structure.parent_config_count(i)
@@ -313,6 +334,7 @@ def random_init(structure: NetworkStructure, seed: int) -> ParameterVector:
     Deterministic for a given seed: rows are drawn variable by variable
     in declared order, row by row.
     """
+    check_seed(seed)
     rng = np.random.default_rng(seed)
     tables = []
     for i in range(structure.n_vars):

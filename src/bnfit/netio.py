@@ -1,11 +1,10 @@
-"""File formats: network JSON, dataset CSV, trace CSV.
+"""File formats: network JSON, dataset CSV, fit and online trace CSV.
 
 The readers and writers of these formats live here.  Two other modules
 touch files: `harness` makes an experiment's output directories and
 hashes the datasets it wrote, and `cli` reads an experiment config
-(parsed by `harness.ExperimentConfig.from_json`) and formats the online
-trace CSV.  Everything here is a pure function of its input, so
-concurrent callers are safe.
+(parsed by `harness.ExperimentConfig.from_json`).  Everything here is a
+pure function of its input, so concurrent callers are safe.
 
 Network file (UTF-8 JSON)::
 
@@ -25,7 +24,7 @@ empty cell is a parse error, never treated as missing.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -306,30 +305,35 @@ def write_dataset(dataset: DataSet, path: str) -> None:
 # -- trace files ----------------------------------------------------------
 
 TRACE_HEADER = "iter,train_ll,test_ll,max_param_delta,l2_step,wall_ms"
+ONLINE_TRACE_HEADER = "t,case_ll,step_l2,skipped"
 
 
-def _fmt(x: float | None) -> str:
+def _fmt(x: float | int | None) -> str:
+    """A float to 17 significant digits, an int or bool as an integer, None as empty."""
     return "" if x is None else f"{x:.17g}"
 
 
-def format_trace(records: Iterable) -> str:
-    """Fit trace -> CSV; each record needs the TRACE_HEADER attributes."""
-    lines = [TRACE_HEADER]
+def _format_records(header: str, records: Iterable) -> str:
+    """Dataclass records -> CSV under `header`, one column per field in declared order."""
+    lines = [header]
     for rec in records:
-        lines.append(
-            ",".join(
-                [
-                    str(rec.iteration),
-                    _fmt(rec.train_ll),
-                    _fmt(rec.test_ll),
-                    _fmt(rec.max_param_delta),
-                    _fmt(rec.l2_step),
-                    _fmt(rec.wall_ms),
-                ]
-            )
-        )
+        lines.append(",".join(_fmt(getattr(rec, f.name)) for f in fields(rec)))
     return "\n".join(lines) + "\n"
+
+
+def format_trace(records: Iterable) -> str:
+    """Fit trace (`estimation.TraceRecord`s) -> CSV."""
+    return _format_records(TRACE_HEADER, records)
 
 
 def write_trace(records: Iterable, path: str) -> None:
     write_text(path, format_trace(records))
+
+
+def format_online_trace(records: Iterable) -> str:
+    """Online trace (`online.OnlineTraceRecord`s) -> CSV; a skipped case has no case_ll."""
+    return _format_records(ONLINE_TRACE_HEADER, records)
+
+
+def write_online_trace(records: Iterable, path: str) -> None:
+    write_text(path, format_online_trace(records))

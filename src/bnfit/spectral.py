@@ -44,12 +44,12 @@ from .estimation import (
     _apply_rule,
     _block_posteriors,
     _e_step_blocks,
-    _zero_probability,
     expected_stats,
     is_fixpoint,
 )
 from .model import (
-    PROB_FLOOR, Network, NumericalError, ParameterVector, ValidationError, param_delta_stats
+    PROB_FLOOR, Network, NumericalError, ParameterVector, ValidationError, ZeroProbabilityError,
+    param_delta_stats,
 )
 from .netio import DataSet
 
@@ -209,7 +209,7 @@ def _jacobian(network: Network, dataset: DataSet, h: float) -> tuple[np.ndarray,
             # already refused a case with P(y; theta + h) = rho * P(y) <= 0.
             bad = np.flatnonzero(~(rho < 2.0))
             if bad.size:
-                raise _zero_probability(start + int(bad[0]))
+                raise ZeroProbabilityError.of_row(start + int(bad[0]))
             moved = [_case_last(p) for p in moved]
             diffs = [p1 - p0 for p0, p1 in zip(base, moved)]
             slope_sums[c] += np.concatenate([d @ rho for d in diffs])
@@ -273,10 +273,14 @@ def eigen_range(m_matrix: np.ndarray, cutoff: float = EIGEN_CUTOFF) -> tuple[flo
     return float(above.min()), float(eigs.max()), bool(np.any(eigs < cutoff))
 
 
-def eta_star(lambda_min: float, lambda_max: float) -> float:
-    """The rate equalizing the two contraction factors: 2/(lmin + lmax)."""
+def _check_range(lambda_min: float, lambda_max: float) -> None:
     if not (0.0 < lambda_min <= lambda_max):
         raise ValidationError("need 0 < lambda_min <= lambda_max")
+
+
+def eta_star(lambda_min: float, lambda_max: float) -> float:
+    """The rate equalizing the two contraction factors: 2/(lmin + lmax)."""
+    _check_range(lambda_min, lambda_max)
     return 2.0 / (lambda_min + lambda_max)
 
 
@@ -288,8 +292,7 @@ def _check_eta(eta: float) -> None:
 def contraction_rate(eta: float, lambda_min: float, lambda_max: float) -> float:
     """Per-iteration shrink factor of the linearized EM(eta) map."""
     _check_eta(eta)
-    if not (0.0 < lambda_min <= lambda_max):
-        raise ValidationError("need 0 < lambda_min <= lambda_max")
+    _check_range(lambda_min, lambda_max)
     return max(abs(1.0 - eta * lambda_min), abs(1.0 - eta * lambda_max))
 
 

@@ -21,7 +21,6 @@ from bnfit.estimation import (
     distance_kl,
     gradient,
     is_fixpoint,
-    model_parent_marginals,
 )
 from bnfit.harness import (
     ExperimentArm,
@@ -31,7 +30,9 @@ from bnfit.harness import (
     obscure,
     run_experiment,
 )
-from bnfit.inference import enumerate_family_posteriors, enumerate_joint, family_posteriors
+from bnfit.inference import (
+    enumerate_family_posteriors, enumerate_joint, family_posteriors, parent_config_marginals
+)
 from bnfit.model import ParameterVector, random_init
 from bnfit.netio import write_network
 from bnfit.networks import chain3, tree8, twolayer15
@@ -229,7 +230,7 @@ def test_c05_kl_decomposition():
     for _ in range(20):
         net_a = random_network(rng, int(rng.integers(6, 11)), arities=(2,))
         net_b = net_a.with_theta(random_tables(rng, net_a.structure))
-        weights = model_parent_marginals(net_a)
+        weights = parent_config_marginals(net_a)
         decomposed = distance_kl(net_a.theta, net_b.theta, weights)
         pa = enumerate_joint(net_a)
         pb = enumerate_joint(net_b)
@@ -251,7 +252,7 @@ def test_c06_chi2_kl_agreement():
     worst_final = 0.0
     for _ in range(10):
         net = random_network(rng, 6)
-        weights = model_parent_marginals(net)
+        weights = parent_config_marginals(net)
         direction = []
         for t in net.theta.tables:
             d = rng.normal(size=t.shape)

@@ -43,6 +43,13 @@ class TestSample:
         assert code == 2
         assert "nonnegative, got -5" in capsys.readouterr().err
 
+    def test_negative_seed_exit_2(self, tmp_path, chain3_file, capsys):
+        out = tmp_path / "x.csv"
+        assert run("sample", "--network", chain3_file, "--n", 5, "--seed", -1, "--out", out) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: seed must be a nonnegative integer") and "Traceback" not in err
+        assert not out.exists()
+
 
 class TestFit:
     def test_full_pipeline(self, tmp_path, chain3_file):
@@ -79,6 +86,21 @@ class TestFit:
                    "--out", tmp_path / "fitted.json")
         assert code == 2
         assert "finite" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("flags, message", [
+        (("--init", "random", "--seed", -2), "seed must be a nonnegative integer"),
+        (("--tol-ll", -1), "tol_ll must be a finite nonnegative number"),
+    ])
+    def test_negative_seed_or_tolerance_exit_2(self, tmp_path, chain3_file, capsys, flags, message):
+        data = tmp_path / "train.csv"
+        run("sample", "--network", chain3_file, "--n", 20, "--seed", 1, "--out", data)
+        out, trace = tmp_path / "fitted.json", tmp_path / "trace.csv"
+        code = run("fit", "--network", chain3_file, "--data", data, *flags,
+                   "--trace", trace, "--out", out)
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {message}") and "Traceback" not in err
+        assert not out.exists() and not trace.exists()
 
     def test_diverging_update_exit_3(self, tmp_path, chain3_file, capsys):
         data = tmp_path / "train.csv"
@@ -275,6 +297,16 @@ class TestExperiment:
                                         "seed": 1, "arms": [{"rule": "em", "eta": 1.0}]}))
         assert run("experiment", "--config", cfg_path, "--out-dir", tmp_path / "x") == 2
         assert "n_test must be nonnegative" in capsys.readouterr().err
+        assert not (tmp_path / "x").exists()
+
+    @pytest.mark.parametrize("key, value", [("init", "file"), ("init_seed", -2)])
+    def test_bad_field_exit_2_writes_nothing(self, tmp_path, capsys, key, value):
+        cfg_path = tmp_path / "exp.json"
+        cfg_path.write_text(json.dumps({"network": "builtin:chain3", "n_train": 20, "seed": 1,
+                                        "arms": [{"rule": "em", "eta": 1.0}], key: value}))
+        assert run("experiment", "--config", cfg_path, "--out-dir", tmp_path / "x") == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "Traceback" not in err
         assert not (tmp_path / "x").exists()
 
     def test_bad_config_exit_2(self, tmp_path):

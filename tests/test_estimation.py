@@ -22,10 +22,9 @@ from bnfit.estimation import (
     gp_step,
     gradient,
     is_fixpoint,
-    model_parent_marginals,
 )
 from bnfit.harness import MissingnessSpec, forward_sample, obscure
-from bnfit.inference import enumerate_joint
+from bnfit.inference import enumerate_joint, parent_config_marginals
 from bnfit.model import (
     NumericalError,
     ParameterVector,
@@ -432,6 +431,17 @@ class TestFit:
         with pytest.raises(ValidationError, match=name):
             FitConfig("em", 1.0, 10, **{name: bad})
 
+    @pytest.mark.parametrize("name", ["tol_ll", "tol_param"])
+    def test_negative_tolerance_rejected(self, name):
+        """A negative tolerance could never fire; zero stays allowed."""
+        with pytest.raises(ValidationError, match=f"{name} must be a finite nonnegative number"):
+            FitConfig("em", 1.0, 10, **{name: -1.0})
+        FitConfig("em", 1.0, 10, **{name: 0.0})
+
+    def test_negative_seed_rejected(self):
+        with pytest.raises(ValidationError, match="seed must be a nonnegative integer, got -3"):
+            FitConfig("em", 1.0, 10, init="random", seed=-3)
+
     def test_non_finite_update_named(self):
         """A diverging GP step: the update overflows, and the fit names the
         iteration, the rule and eta instead of a zero-probability case."""
@@ -502,7 +512,7 @@ class TestFit:
 class TestDistances:
     def test_kl_zero_on_equal(self):
         net = chain3()
-        w = model_parent_marginals(net)
+        w = parent_config_marginals(net)
         assert distance_kl(net.theta, net.theta, w) == pytest.approx(0.0, abs=1e-15)
 
     def test_kl_decomposition_matches_joint_enumeration(self):
@@ -514,7 +524,7 @@ class TestDistances:
             net_b = net_a.with_theta(
                 random_init(net_a.structure, int(rng.integers(1 << 30)))
             )
-            w = model_parent_marginals(net_a)
+            w = parent_config_marginals(net_a)
             decomposed = distance_kl(net_a.theta, net_b.theta, w)
             pa = enumerate_joint(net_a)
             pb = enumerate_joint(net_b)
@@ -538,7 +548,7 @@ class TestDistances:
         """Second-order agreement along a fixed direction."""
         rng = np.random.default_rng(18)
         net = random_network(rng, 6)
-        w = model_parent_marginals(net)
+        w = parent_config_marginals(net)
         direction = [rng.normal(size=t.shape) for t in net.theta.tables]
         direction = [d - d.mean(axis=1, keepdims=True) for d in direction]
         ratios = []

@@ -18,6 +18,7 @@ from bnfit.harness import (
     obscure,
     query_error,
     run_experiment,
+    sample_obscured,
 )
 from bnfit import inference
 from bnfit.inference import enumerate_joint
@@ -137,6 +138,19 @@ class TestObscure:
         data = obscure(forward_sample(net, 5, seed=16), MissingnessSpec(("M",), 0.0, seed=17))
         with pytest.raises(ValidationError):
             obscure(data, MissingnessSpec((), 0.1, seed=18))
+
+    def test_negative_seeds_rejected(self):
+        with pytest.raises(ValidationError, match="seed must be a nonnegative integer, got -1"):
+            forward_sample(chain3(), 5, seed=-1)
+        with pytest.raises(ValidationError, match="seed must be a nonnegative integer, got -2"):
+            MissingnessSpec(("M",), 0.2, seed=-2)
+
+    def test_sample_obscured_seeds(self):
+        """Sampling takes the seed and obscuring the next one."""
+        net = tree8()
+        want = obscure(forward_sample(net, 60, seed=19), MissingnessSpec(("T3",), 0.3, seed=20))
+        got = sample_obscured(net, 60, ("T3",), 0.3, 19)
+        np.testing.assert_array_equal(got.values, want.values)
 
 
 class TestQueryError:
@@ -472,6 +486,17 @@ class TestRunExperiment:
         with pytest.raises(ValidationError, match="n_test must be nonnegative"):
             ExperimentConfig("builtin:chain3", 10, -1, (), 0.0, 1, (ExperimentArm("em", 1.0),))
         assert ExperimentConfig.from_json(json.dumps({**self.MINIMAL, "n_test": 0})).n_test == 0
+
+    @pytest.mark.parametrize("key, value, message", [
+        ("init", "file", "unknown experiment init 'file'"),
+        ("init_seed", -2, "init_seed must be a nonnegative integer"),
+        ("seed", -1, "seed must be a nonnegative integer"),
+        ("n_train", -3, "n_train must be nonnegative"),
+    ])
+    def test_bad_field_rejected_at_construction(self, key, value, message):
+        """So run_experiment, which takes a constructed config, never starts on one."""
+        with pytest.raises(ValidationError, match=message):
+            ExperimentConfig.from_json(json.dumps({**self.MINIMAL, key: value}))
 
     def test_config_string_boolean_rejected(self):
         doc = {**self.MINIMAL, "warm_start_em1": "false"}

@@ -4,6 +4,8 @@ import itertools
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from bnfit.model import (
     Network,
@@ -11,10 +13,13 @@ from bnfit.model import (
     ParameterVector,
     ValidationError,
     Variable,
+    ZeroProbabilityError,
+    check_seed,
     clamp_rows,
     decode_parent_config,
     param_distance,
     parent_config_index,
+    parent_rows,
     random_init,
     uniform_init,
 )
@@ -66,6 +71,57 @@ class TestParentConfigIndex:
             parent_config_index(s, 2, {0: 0, 1: 5})
         with pytest.raises(ValidationError):
             decode_parent_config(s, 2, 6)
+
+
+class TestParentRows:
+    @settings(max_examples=60, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        n_vars=st.integers(1, 8),
+        n_cases=st.integers(0, 20),
+    )
+    def test_matches_parent_config_index(self, seed, n_vars, n_cases):
+        """On single cases and case matrices, parent_rows is
+        parent_config_index of each row, and decode_parent_config inverts it."""
+        rng = np.random.default_rng(seed)
+        s = random_structure(rng, n_vars, max_parents=4, arities=(2, 3, 5))
+        arities = [v.arity for v in s.variables]
+        values = rng.integers(0, arities, size=(n_cases, n_vars))
+        for i in range(n_vars):
+            rows = parent_rows(s, i, values)
+            assert rows.shape == (n_cases,)
+            if not s.parents[i]:
+                assert not rows.any()
+            for case, j in zip(values, rows):
+                assert parent_rows(s, i, case) == j
+                assignment = {p: int(case[p]) for p in s.parents[i]}
+                assert parent_config_index(s, i, assignment) == j
+                assert decode_parent_config(s, i, int(j)) == assignment
+
+
+class TestCheckSeed:
+    @pytest.mark.parametrize("seed", [0, 7, np.int64(3), 2**40])
+    def test_nonnegative_integers_pass(self, seed):
+        check_seed(seed)
+
+    @pytest.mark.parametrize("seed", [-1, 1.5, "3", None])
+    def test_others_rejected_by_name(self, seed):
+        with pytest.raises(ValidationError, match="init_seed must be a nonnegative integer"):
+            check_seed(seed, "init_seed")
+
+    def test_random_init_rejects_negative_seed(self):
+        with pytest.raises(ValidationError, match="seed"):
+            random_init(two_parent_structure(), -1)
+
+
+class TestZeroProbabilityError:
+    def test_of_row_names_the_row(self):
+        e = ZeroProbabilityError.of_row(4)
+        assert str(e) == "case 4 has probability 0 under the current parameters"
+        assert e.case_index == 4
+        e = ZeroProbabilityError.of_row(2, "test set")
+        assert str(e) == "test set case 2 has probability 0 under the current parameters"
+        assert e.case_index == 2
 
 
 class TestStructureValidation:

@@ -7,18 +7,21 @@ from hypothesis import strategies as st
 
 from bnfit.estimation import FitConfig, TraceRecord, fit
 from bnfit.harness import forward_sample
-from bnfit.model import ValidationError, uniform_init
+from bnfit.model import ParameterVector, ValidationError, uniform_init
 from bnfit.netio import (
     MISSING,
+    DataCase,
     DataSet,
     dataset_from_cases,
     format_dataset,
+    format_online_trace,
     format_trace,
     load_dataset,
     parse_network,
     serialize_network,
 )
 from bnfit.networks import chain3, tree8
+from bnfit.online import LearningRateSchedule, OnlineTraceRecord, run_stream
 
 from util import random_network
 
@@ -228,3 +231,13 @@ class TestTraceFormat:
         rec = TraceRecord(0, -1.5, None, 0.0, 0.0, 1.0)
         line = format_trace([rec]).splitlines()[1]
         assert line.split(",")[2] == ""
+
+    def test_online_trace_of_a_skipped_first_case(self):
+        """A skipped case has an empty case_ll and skipped 1."""
+        net = chain3()
+        impossible_a0 = [np.array([[0.0, 1.0]])] + list(net.theta.tables[1:])
+        net = net.with_theta(ParameterVector(impossible_a0))
+        result = run_stream(net, [DataCase(np.array([0, MISSING, 1]))], "em",
+                            LearningRateSchedule.fixed(0.5))
+        records = result.trace + (OnlineTraceRecord(1, -0.5, 0.25, False),)
+        assert format_online_trace(records) == "t,case_ll,step_l2,skipped\n0,,0,1\n1,-0.5,0.25,0\n"
