@@ -82,7 +82,7 @@ def expected_stats(network: Network, dataset: DataSet) -> SufficientStats:
 
 
 def _e_step_blocks(
-    network: Network, dataset: DataSet
+    network: Network, dataset: DataSet, summed: bool = False
 ) -> Iterator[tuple[int, list[np.ndarray], np.ndarray]]:
     """Yield (start, family posteriors, log-likelihoods) per E_STEP_CHUNK block.
 
@@ -93,18 +93,19 @@ def _e_step_blocks(
     if n == 0:
         raise ValidationError("cannot compute expected statistics of an empty dataset")
     for start in range(0, n, E_STEP_CHUNK):
-        yield (start, *_block_posteriors(network, dataset, start))
+        yield (start, *_block_posteriors(network, dataset, start, summed))
 
 
 def _block_posteriors(
-    network: Network, dataset: DataSet, start: int
+    network: Network, dataset: DataSet, start: int, summed: bool = False
 ) -> tuple[list[np.ndarray], np.ndarray]:
     """`batch_family_posteriors` of the E_STEP_CHUNK-row block from `start`.
 
     A zero-probability case is reported by its row in `dataset`.
     """
+    block = dataset.values[start : start + E_STEP_CHUNK]
     try:
-        return batch_family_posteriors(network, dataset.values[start : start + E_STEP_CHUNK])
+        return batch_family_posteriors(network, block, summed=summed)
     except ZeroProbabilityError as e:
         raise ZeroProbabilityError.of_row(start + (e.case_index or 0)) from None
 
@@ -114,9 +115,9 @@ def expected_stats_with_ll(network: Network, dataset: DataSet) -> tuple[Sufficie
     s = network.structure
     sums = [np.zeros(s.table_shape(i)) for i in range(s.n_vars)]
     ll_total = 0.0
-    for _, posts, lls in _e_step_blocks(network, dataset):
-        for i in range(s.n_vars):
-            sums[i] += posts[i].sum(axis=0)
+    for _, counts, lls in _e_step_blocks(network, dataset, summed=True):
+        for a, c in zip(sums, counts):
+            a += c
         ll_total += float(lls.sum())
     n = len(dataset)
     joint = [a / n for a in sums]

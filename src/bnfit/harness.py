@@ -296,6 +296,9 @@ def run_experiment(config: ExperimentConfig, out_dir: str) -> dict:
     """
     truth = load_network_ref(config.network)
     structure = truth.structure
+    # an unknown hidden or target name fails here, before any file is written
+    for name in (*config.hidden, *config.targets):
+        structure.by_name(name)
     os.makedirs(out_dir, exist_ok=True)
 
     train = sample_obscured(truth, config.n_train, config.hidden, config.obscure_prob, config.seed)

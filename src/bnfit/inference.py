@@ -24,6 +24,24 @@ Two independent routes compute the same quantities:
   adjoints that leave float range.  Each message is released once its
   bucket's reverse step is done.
 
+  An E-step needs only each family's posteriors summed over the cases,
+  its expected counts, and `summed=True` returns those.  They come from
+  one product per bucket.  A CPT factor f is constant over the bucket's
+  axes outside its scope, so f times its adjoint is the sum over those
+  axes of J = (product of all the bucket's factors) * (output's adjoint):
+  one J serves every CPT factor of the bucket, and only messages still
+  need the product of the others.  The unchecked replay's root carries
+  log-scale 0, so a root adjoint seeded with 1 / P(y) makes J's case
+  entries posteriors already, and a family's expected counts are J
+  summed over its outside axes and the case axis, with no per-case
+  normalization.  The seed cannot overflow: the unchecked result is kept
+  only when P(y) > 2 * RESCALE_TRIGGER * B, and with seed 1 every adjoint
+  total is at most B (`_safe_total`), so with seed 1 / P(y) every
+  adjoint total is below 1 / (2 * RESCALE_TRIGGER) and no entry of J
+  exceeds 1.  The checked replay rescales adjoints by arbitrary per-case
+  divisors, so there each family still divides by its own total per
+  case, and is summed afterwards.
+
   A marginal query is batched over cases too: one elimination of every
   variable outside the query answers it for a whole case matrix.
 
@@ -412,6 +430,18 @@ def _family_posterior(cpt: _Cpt, factor: np.ndarray, adjoint: np.ndarray, n_case
     return _normalize(joint, n_cases, "family posteriors")
 
 
+def _case_sums(bucket: np.ndarray, n_cases: int) -> np.ndarray:
+    """A case-last bucket product summed over n_cases cases; an all-missing
+    batch keeps a case axis of length 1, standing for every case."""
+    return bucket.sum(axis=-1) * (n_cases / bucket.shape[-1])
+
+
+def _family_counts(cpt: _Cpt, counts: np.ndarray, outside: tuple[int, ...]) -> np.ndarray:
+    """A family's expected counts, CPT-shaped, from its bucket's case-summed product."""
+    joint = counts.sum(axis=outside) if outside else counts
+    return joint.transpose(cpt.post_perm[:-1]).reshape(cpt.table_shape)
+
+
 def _normalize(joint: np.ndarray, n_cases: int, what: str) -> np.ndarray:
     """Each case's joint divided by its total, broadcast to n_cases cases.
 
@@ -473,12 +503,14 @@ def family_posteriors(network: Network, case: DataCase) -> list[np.ndarray]:
 
 
 def batch_family_posteriors(
-    network: Network, values: np.ndarray
+    network: Network, values: np.ndarray, summed: bool = False
 ) -> tuple[list[np.ndarray], np.ndarray]:
     """Family posteriors for every case row, plus per-case log-likelihoods.
 
     Returns ([(N, q_i, r_i) arrays], (N,) log-likelihood vector), both
-    from one forward elimination and its reverse sweep.
+    from one forward elimination and its reverse sweep.  With `summed`,
+    each family's array is its (q_i, r_i) sum over the N cases instead,
+    the expected counts sum_c P(x_i, pa_i | y_c).
     """
     n_vars = network.structure.n_vars
     n_cases = values.shape[0]
@@ -486,23 +518,40 @@ def batch_family_posteriors(
     factors, root, logscale, checked = _forward(plan, network.theta, values, keep=True)
     loglik = _root_loglik(root, logscale, n_cases, "family posteriors")
 
+    # The unchecked root has log-scale 0: seeded with 1 / P(y), every
+    # bucket product holds posteriors, and CPT factors need no adjoint.
+    direct = summed and not checked
     posteriors: list[np.ndarray] = [np.empty(0)] * n_vars
-    adjoints = {len(factors) - 1: np.ones(1)}
+    adjoints = {len(factors) - 1: 1.0 / root if direct else np.ones(1)}
     for k in reversed(range(len(plan.steps))):
         step = plan.steps[k]
         upstream = _aligned(adjoints.pop(n_vars + k), step.upstream)
         aligned = [_aligned(factors[u], shape) for u, shape in zip(step.ids, step.shapes)]
-        for p, t in enumerate(step.ids):
+        # A bucket holding a CPT factor gives counts, the case sums of J.
+        # Its factors, CPTs first, go in reverse: a message's product with
+        # the others and upstream, times the message, is J.
+        counts = None
+        gives_counts = direct and min(step.ids) < n_vars
+        for p in reversed(range(len(step.ids))):
+            t = step.ids[p]
+            if gives_counts and t < n_vars:
+                if counts is None:
+                    counts = _case_sums(reduce(np.multiply, aligned + [upstream]), n_cases)
+                posteriors[t] = _family_counts(plan.cpts[t], counts, step.sums[p])
+                continue
             # The bucket's other factors first: their product is mostly
             # smaller than the union, which the upstream adjoint nearly spans.
             adj = reduce(np.multiply, aligned[:p] + aligned[p + 1:] + [upstream])
+            if gives_counts and counts is None:
+                counts = _case_sums(adj * aligned[p], n_cases)
             if step.sums[p]:
                 adj = adj.sum(axis=step.sums[p])
             div = _case_divisors(adj, 1.0 / RESCALE_TRIGGER) if checked else None
             if div is not None:
                 adj = adj / div
             if t < n_vars:
-                posteriors[t] = _family_posterior(plan.cpts[t], factors[t], adj, n_cases)
+                post = _family_posterior(plan.cpts[t], factors[t], adj, n_cases)
+                posteriors[t] = post.sum(axis=0) if summed else post
             else:
                 shape = plan.steps[t - n_vars].out_shape + adj.shape[-1:]
                 adjoints[t] = adj if adj.shape == shape else np.broadcast_to(adj, shape)

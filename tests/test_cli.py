@@ -309,6 +309,17 @@ class TestExperiment:
         assert err.startswith("error: ") and "Traceback" not in err
         assert not (tmp_path / "x").exists()
 
+    @pytest.mark.parametrize("key", ["hidden", "targets"])
+    def test_unknown_variable_name_exit_2_writes_nothing(self, tmp_path, capsys, key):
+        cfg_path = tmp_path / "exp.json"
+        cfg_path.write_text(json.dumps({"network": "builtin:chain3", "n_train": 20, "n_test": 10,
+                                        "seed": 1, "arms": [{"rule": "em", "eta": 1.0}],
+                                        key: ["ZZ"]}))
+        assert run("experiment", "--config", cfg_path, "--out-dir", tmp_path / "x") == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "'ZZ'" in err and "Traceback" not in err
+        assert not (tmp_path / "x").exists()
+
     def test_bad_config_exit_2(self, tmp_path):
         cfg_path = tmp_path / "exp.json"
         cfg_path.write_text("{}")

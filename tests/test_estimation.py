@@ -108,6 +108,24 @@ class TestExpectedStats:
             expected_stats(net, DataSet(net.structure, values))
         assert err.value.case_index == 2
 
+    def test_impossible_case_in_a_later_block_named_by_its_row(self, monkeypatch):
+        """With 4-row E-step blocks, row 6 (A = s1, probability 0) is the
+        third case of the second block: both the summed E-step and a fit
+        name it by its row in the dataset."""
+        monkeypatch.setattr("bnfit.estimation.E_STEP_CHUNK", 4)
+        tables = [np.array([[1.0, 0.0]])] + [t.copy() for t in chain3().theta.tables[1:]]
+        net = chain3().with_theta(ParameterVector(tables))
+        values = np.tile(np.array([0, MISSING, 1]), (9, 1))
+        values[6, 0] = 1
+        data = DataSet(net.structure, values)
+        with pytest.raises(ZeroProbabilityError) as err:
+            expected_stats(net, data)
+        assert err.value.case_index == 6
+        with pytest.raises(ZeroProbabilityError) as err:
+            fit(net, data, FitConfig("em", 1.0, 3, init="network"))
+        assert str(err.value) == "iteration 0: case 6 has probability 0 under the current parameters"
+        assert err.value.case_index == 6
+
 
 class TestGradient:
     def test_indicator_over_theta(self):

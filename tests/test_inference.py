@@ -696,6 +696,56 @@ class TestUncheckedReplay:
         assert replays == [False, True] * 3
 
 
+class TestSummedPosteriors:
+    """`summed=True` returns each family's sum over the cases of the
+    per-case posteriors.  The unchecked replay reads it off each bucket's
+    product, so it sums in another order: it must agree with the per-case
+    sum to rtol 1e-12 and atol 1e-12 per case, float64 rounding over a few
+    dozen operations per entry, and give the same log-likelihoods."""
+
+    @settings(max_examples=80, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        n_vars=st.integers(1, 8),
+        batch=st.sampled_from(["partial", "single", "all_missing", "exact_zero", "checked"]),
+        n_cases=st.integers(1, 6),
+    )
+    def test_equals_the_sum_of_the_per_case_posteriors(self, seed, n_vars, batch, n_cases):
+        rng = np.random.default_rng(seed)
+        if batch == "checked":
+            # P = 1e-600 for the all-s0 case: the batch replays checked
+            net = rare_chain(300, 0.01)
+        else:
+            net = random_network(rng, n_vars, arities=(2, 3, 4))
+        s = net.structure
+        if batch == "exact_zero":
+            tables = [t.copy() for t in net.theta.tables]
+            i = int(rng.integers(s.n_vars))
+            j = int(rng.integers(tables[i].shape[0]))
+            tables[i][j, int(rng.integers(tables[i].shape[1]))] = 0.0
+            tables[i][j] /= tables[i][j].sum()
+            net = net.with_theta(ParameterVector(tables))
+        if batch == "single":
+            n_cases = 1
+        # forward-sampled cases are possible, whatever the zeros in the tables
+        values = forward_sample(net, n_cases, seed=int(rng.integers(2**31))).values.copy()
+        values[rng.random(values.shape) < rng.choice([0.0, 0.3, 0.7, 1.0])] = MISSING
+        if batch == "all_missing":
+            values[:] = MISSING
+        if batch == "checked":
+            values[0] = 0
+
+        posts, lls = batch_family_posteriors(net, values)
+        sums, summed_lls = batch_family_posteriors(net, values, summed=True)
+        np.testing.assert_array_equal(summed_lls, lls)
+        for i, (got, post) in enumerate(zip(sums, posts)):
+            assert got.shape == s.table_shape(i)
+            np.testing.assert_allclose(got, post.sum(axis=0), rtol=1e-12, atol=1e-12 * n_cases)
+        if batch == "checked":
+            bound = _safe_total(_plan_of(s, frozenset(range(s.n_vars))), net.theta)
+            assert lls[0] < np.log(bound)
+
+
 @pytest.mark.skipif(platform.libc_ver()[0] != "glibc", reason="heap thresholds are set on glibc only")
 def test_repeated_passes_fault_in_no_fresh_pages():
     """A pass frees a few MB of factors; the next pass reuses them instead

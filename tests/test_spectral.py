@@ -282,9 +282,9 @@ class TestProbeReconstruction:
         calls = []
         inner = bnfit.estimation.batch_family_posteriors
 
-        def counting(network, values):
+        def counting(network, values, **kwargs):
             calls.append(len(values))
-            return inner(network, values)
+            return inner(network, values, **kwargs)
 
         monkeypatch.setattr(bnfit.estimation, "batch_family_posteriors", counting)
         build_report(net, data, [1.0])
@@ -296,9 +296,9 @@ class TestProbeReconstruction:
         calls = []
         inner = bnfit.estimation.batch_family_posteriors
 
-        def counting(network, values):
+        def counting(network, values, **kwargs):
             calls.append(len(values))
-            return inner(network, values)
+            return inner(network, values, **kwargs)
 
         monkeypatch.setattr(bnfit.estimation, "batch_family_posteriors", counting)
         with pytest.raises(ValidationError, match="eta must be a finite positive number"):
