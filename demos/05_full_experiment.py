@@ -5,7 +5,8 @@ obscures the rest at a fixed rate, fits several (rule, eta) arms from
 one shared random initialization, and scores each arm by held-out
 likelihood and by query error on output variables.  Everything lands in
 an artifact directory: datasets, per-arm traces, learned networks, and a
-summary JSON.
+summary JSON.  The demo writes it to a temporary directory that is
+removed when the demo ends.
 """
 
 import json
@@ -34,23 +35,24 @@ config = ExperimentConfig(
     warm_start_em1=True,
 )
 
-out_dir = Path(tempfile.mkdtemp(prefix="bnfit_experiment_"))
-summary = run_experiment(config, str(out_dir))
+with tempfile.TemporaryDirectory(prefix="bnfit_experiment_") as tmp:
+    out_dir = Path(tmp)
+    summary = run_experiment(config, str(out_dir))
 
-print(f"artifacts in {out_dir}:")
-for path in sorted(out_dir.rglob("*")):
-    if path.is_file():
-        print("  ", path.relative_to(out_dir))
+    print(f"artifacts in {out_dir}:")
+    for path in sorted(out_dir.rglob("*")):
+        if path.is_file():
+            print("  ", path.relative_to(out_dir))
 
-print("\narm results:")
-for arm in summary["arms"]:
-    errors = arm["errors"]["overall"]
-    print(
-        f"  {arm['rule']}({arm['eta']:g}): {arm['iterations']:3d} iterations "
-        f"({arm['termination']}), test LL {arm['final_test_ll']:.5f}, "
-        f"mean query error {errors['mean_abs']:.4f}"
-    )
+    print("\narm results:")
+    for arm in summary["arms"]:
+        errors = arm["errors"]["overall"]
+        print(
+            f"  {arm['rule']}({arm['eta']:g}): {arm['iterations']:3d} iterations "
+            f"({arm['termination']}), test LL {arm['final_test_ll']:.5f}, "
+            f"mean query error {errors['mean_abs']:.4f}"
+        )
 
-with open(out_dir / "summary.json") as f:
-    doc = json.load(f)
-print("\ntrain file hash:", doc["train_sha256"][:16], "...")
+    with open(out_dir / "summary.json") as f:
+        doc = json.load(f)
+    print("\ntrain file hash:", doc["train_sha256"][:16], "...")

@@ -31,7 +31,6 @@ from .inference import batch_family_posteriors, log_likelihood_cases
 from .model import (
     PROB_FLOOR,
     Network,
-    NetworkStructure,
     NumericalError,
     ParameterVector,
     ValidationError,
@@ -356,22 +355,6 @@ class FitResult:
         return self.trace[-1].iteration
 
 
-def initial_theta(
-    structure: NetworkStructure,
-    init: str,
-    seed: int = 0,
-    theta: ParameterVector | None = None,
-) -> ParameterVector:
-    """The starting point `init` names: a random or uniform draw, or `theta`."""
-    if init == "random":
-        return random_init(structure, seed)
-    if init == "uniform":
-        return uniform_init(structure)
-    assert theta is not None
-    theta.check_shapes(structure)
-    return theta
-
-
 def _apply_rule(
     theta: ParameterVector,
     stats: SufficientStats,
@@ -415,8 +398,13 @@ def fit(
     entry (a diverging step under a very large eta) raises NumericalError
     naming the iteration, the rule and eta.
     """
-    given = network.theta if config.init == "network" else config.init_theta
-    theta = initial_theta(network.structure, config.init, config.seed, given)
+    if config.init == "random":
+        theta = random_init(network.structure, config.seed)
+    elif config.init == "uniform":
+        theta = uniform_init(network.structure)
+    else:
+        theta = network.theta if config.init == "network" else config.init_theta
+        theta.check_shapes(network.structure)
     trace: list[TraceRecord] = []
     thetas = [] if config.record_thetas else None
     termination = "max_iters"

@@ -23,7 +23,7 @@ from dataclasses import dataclass, fields
 
 import numpy as np
 
-from .estimation import FitConfig, fit, initial_theta
+from .estimation import FitConfig, fit
 from .inference import batch_posterior_marginals, posterior_marginal
 from .model import BnError, Network, ValidationError, ZeroProbabilityError, check_seed, parent_rows
 from .netio import (
@@ -210,8 +210,8 @@ class ExperimentConfig:
     ``network`` is a path to a network JSON file or "builtin:<name>".
     The training set is ``sample_obscured(truth, n_train, hidden,
     obscure_prob, seed)`` and the test set the same with ``n_test`` and
-    ``seed + 2``, so a config fully pins its artifacts.  Its counts, init
-    and seeds are checked here, before any file is written.
+    ``seed + 2``, so a config fully pins its artifacts.  All of it but the
+    variable names is checked here, each arm too, before any file is written.
     """
 
     network: str
@@ -237,6 +237,17 @@ class ExperimentConfig:
             raise ValidationError(f"unknown experiment init {self.init!r}")
         check_seed(self.seed)
         check_seed(self.init_seed, "init_seed")
+        MissingnessSpec(self.hidden, self.obscure_prob, self.seed + 1)
+        for arm in self.arms:
+            self.fit_config(arm)
+
+    def fit_config(self, arm: ExperimentArm) -> FitConfig:
+        """The fit settings of one arm; every arm starts from the same init draw."""
+        try:
+            return FitConfig(arm.rule, arm.eta, self.max_iters, self.tol_ll, init=self.init,
+                             seed=self.init_seed, warm_start_em1=self.warm_start_em1)
+        except ValidationError as e:
+            raise ValidationError(f"arm {arm.label}: {e}") from None
 
     @classmethod
     def from_json(cls, text: str) -> "ExperimentConfig":
@@ -265,12 +276,23 @@ class ExperimentConfig:
         convert = {
             "n_train": int, "n_test": int, "seed": int, "init_seed": int, "max_iters": int,
             "obscure_prob": float, "tol_ll": float, "hidden": tuple, "targets": tuple,
-            "arms": lambda arms: tuple(ExperimentArm(a["rule"], float(a["eta"])) for a in arms),
+            "arms": _parse_arms,
         }
         try:
             return cls(**{k: convert.get(k, lambda v: v)(v) for k, v in doc.items()})
         except (KeyError, TypeError, ValueError) as e:
             raise ValidationError(f"bad experiment config: {e}") from None
+
+
+def _parse_arms(arms) -> tuple[ExperimentArm, ...]:
+    """The ``arms`` list of a config document; a malformed arm is named by its index."""
+    if not isinstance(arms, list):
+        raise ValidationError("arms must be a list of objects with keys rule and eta")
+    for k, arm in enumerate(arms):
+        missing = sorted({"rule", "eta"} - (arm.keys() if isinstance(arm, dict) else set()))
+        if missing:
+            raise ValidationError(f"arm {k} is missing {', '.join(map(repr, missing))}")
+    return tuple(ExperimentArm(a["rule"], float(a["eta"])) for a in arms)
 
 
 def load_network_ref(ref: str) -> Network:
@@ -295,10 +317,9 @@ def run_experiment(config: ExperimentConfig, out_dir: str) -> dict:
     up to the wall-clock column of the traces.
     """
     truth = load_network_ref(config.network)
-    structure = truth.structure
     # an unknown hidden or target name fails here, before any file is written
     for name in (*config.hidden, *config.targets):
-        structure.by_name(name)
+        truth.structure.by_name(name)
     os.makedirs(out_dir, exist_ok=True)
 
     train = sample_obscured(truth, config.n_train, config.hidden, config.obscure_prob, config.seed)
@@ -311,8 +332,6 @@ def run_experiment(config: ExperimentConfig, out_dir: str) -> dict:
         test = sample_obscured(truth, config.n_test, config.hidden, config.obscure_prob, config.seed + 2)
         test_path = os.path.join(out_dir, "test.csv")
         write_dataset(test, test_path)
-
-    theta0 = initial_theta(structure, config.init, config.init_seed)
 
     summary: dict = {
         "network": config.network,
@@ -330,17 +349,8 @@ def run_experiment(config: ExperimentConfig, out_dir: str) -> dict:
     for idx, arm in enumerate(config.arms):
         arm_dir = os.path.join(out_dir, f"arm_{idx:02d}_{arm.label}")
         os.makedirs(arm_dir, exist_ok=True)
-        fit_config = FitConfig(
-            rule=arm.rule,
-            eta=arm.eta,
-            max_iters=config.max_iters,
-            tol_ll=config.tol_ll,
-            init="file",
-            init_theta=theta0,
-            warm_start_em1=config.warm_start_em1,
-        )
         try:
-            result = fit(truth.with_theta(theta0), train, fit_config, test)
+            result = fit(truth, train, config.fit_config(arm), test)
         except BnError as e:
             # Relabel in place: the type and fields such as case_index stay.
             e.args = (f"arm {arm.label}: {e}",)

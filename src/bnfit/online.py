@@ -160,9 +160,9 @@ def _step(
     rule: str, state: OnlineState, case: DataCase, schedule: LearningRateSchedule
 ) -> OnlineState:
     """The batch update of `rule` with the case's posteriors as the expected counts."""
-    prior = rule != "gp" and not schedule.conditioned_mass
-    posts, visits, mass, case_ll = _case_posteriors(state, case, prior)
-    if schedule.kind == "per_row_count":
+    counting = schedule.conditioned_mass
+    posts, visits, mass, case_ll = _case_posteriors(state, case, rule != "gp" and not counting)
+    if counting:
         eta, floor = [schedule.row_rates(state.t, m) for m in state.visit_mass], RUNNING_AVG_FLOOR
     else:
         eta, floor = schedule._rate(state.t), PROB_FLOOR

@@ -160,20 +160,18 @@ def jacobian(network: Network, dataset: DataSet, h: float = FD_STEP) -> np.ndarr
     return _jacobian(network, dataset, h)[0]
 
 
-def _case_last(post: np.ndarray) -> np.ndarray:
-    """(N, q, r) family posteriors as a (q * r, N) matrix, a view if it can be."""
-    return np.moveaxis(post, 0, -1).reshape(-1, post.shape[0])
-
-
 def _jacobian(network: Network, dataset: DataSet, h: float) -> tuple[np.ndarray, float]:
     """`jacobian`, and the fixpoint residual read from its base pass.
 
-    Cases are taken one E_STEP_CHUNK block at a time, and within a block
-    one coordinate at a time, so only the block's base posteriors and one
-    probe's are held.  All families' entries are laid out side by side in
-    one axis of Q = sum_i q_i * r_i; per coordinate the case sums of the
-    slopes at 0 and at +h and of the posteriors at +h accumulate as (m, Q)
-    arrays.
+    Every table entry has one place on a flat axis of Q = sum_i q_i * r_i
+    entries, table after table and row after row; `starts` holds each
+    row's first entry and `free` each coordinate's entry.  Cases are
+    taken one E_STEP_CHUNK block at a time, and within a block one
+    coordinate at a time: a pass's posteriors fill one (Q, N) matrix, and
+    only the block's base matrix and one probe's are held.  Per coordinate
+    the case sums of the slopes at 0 and at +h and of the posteriors at
+    +h accumulate in one (3, m, Q) array.  Row sums on the flat axis are
+    `np.add.reduceat` over `starts`.
     """
     coords = _free_coords(network)
     m = len(coords)
@@ -183,24 +181,30 @@ def _jacobian(network: Network, dataset: DataSet, h: float) -> tuple[np.ndarray,
         )
     theta = network.theta
     n = len(dataset)
-    base_sums = [np.zeros(t.shape) for t in theta.tables]
-    n_entries = sum(t.size for t in theta.tables)
-    slope_sums = np.zeros((m, n_entries))
-    slope_h_sums = np.zeros((m, n_entries))
-    moved_sums = np.zeros((m, n_entries))
+    offsets = np.cumsum([0] + [t.size for t in theta.tables])
+    # row starts per table: a table's size need not be a multiple of the
+    # next table's row length
+    starts = np.concatenate(
+        [np.arange(o, o + t.size, t.shape[1]) for o, t in zip(offsets, theta.tables)]
+    )
+    free = np.array([offsets[i] + j * theta.tables[i].shape[1] + k for i, j, k in coords])
+    row = np.searchsorted(starts, free, side="right") - 1
+    base_sum = np.zeros(offsets[-1])
+    sums = np.zeros((3, m, offsets[-1]))
     for start, base, lls in _e_step_blocks(network, dataset):
-        for f, p in enumerate(base):
-            base_sums[f] += p.sum(axis=0)
+        p0 = np.concatenate([p.reshape(len(p), -1).T for p in base])
+        base_sum += p0.sum(axis=1)
+        del base
         # The base statistics are complete once the last block's base pass
         # is in: a one-block dataset off the fixpoint runs no probe.
         if start + len(lls) == n:
-            stats = SufficientStats.from_joint([a / n for a in base_sums])
-            ok, residual = is_fixpoint(theta, stats, FIXPOINT_TOL)
+            flat = np.split(base_sum / n, offsets[1:-1])
+            per_table = [a.reshape(t.shape) for a, t in zip(flat, theta.tables)]
+            ok, residual = is_fixpoint(theta, SufficientStats.from_joint(per_table), FIXPOINT_TOL)
             if not ok:
                 raise NotAFixpointError(
                     f"analysis point has fixpoint residual {residual:.3g} > {FIXPOINT_TOL}"
                 )
-        base = [_case_last(p) for p in base]
         for c, (i, j, k) in enumerate(coords):
             probe = network.with_theta(_probe(theta, i, j, k, h))
             moved, moved_lls = _block_posteriors(probe, dataset, start)
@@ -210,49 +214,40 @@ def _jacobian(network: Network, dataset: DataSet, h: float) -> tuple[np.ndarray,
             bad = np.flatnonzero(~(rho < 2.0))
             if bad.size:
                 raise ZeroProbabilityError.of_row(start + int(bad[0]))
-            moved = [_case_last(p) for p in moved]
-            diffs = [p1 - p0 for p0, p1 in zip(base, moved)]
-            slope_sums[c] += np.concatenate([d @ rho for d in diffs])
-            slope_h_sums[c] += np.concatenate([d @ (1.0 / rho) for d in diffs])
-            moved_sums[c] += np.concatenate([p1.sum(axis=1) for p1 in moved])
+            p1 = np.concatenate([p.reshape(len(p), -1).T for p in moved])
+            sums[2, c] += p1.sum(axis=1)
+            p1 -= p0
+            sums[0, c] += p1 @ rho
+            sums[1, c] += p1 @ (1.0 / rho)
             # free this probe's posteriors before the next probe's pass
-            del moved, diffs
+            del moved, p1
 
-    grad, gap, frozen = [], [], []
-    offset = 0
-    for t, joint in zip(theta.tables, base_sums):
-        q, r = t.shape
-        block = slice(offset, offset + q * r)
-        offset += q * r
-        joint = joint / n
-        parent = joint.sum(axis=1)
-        # the rows phi_apply(clamp=False) moves; the others keep the probe
-        mask = parent > 0.0
-        frozen.append(np.repeat(~mask, r - 1))
-        ratio = joint[mask] / parent[mask, None]
-        slope = slope_sums[:, block].reshape(m, q, r)[:, mask] / (n * h)
-        slope_h = slope_h_sums[:, block].reshape(m, q, r)[:, mask] / (n * h)
-        at_h = moved_sums[:, block].reshape(m, q, r)[:, mask]
-        d_phi = np.zeros((m, q, r))
-        d_gap = np.zeros((m, q, r))
+    # Below, row c holds the derivative along coordinate c at every free
+    # entry.  An entry whose row has zero parent mass keeps its probed
+    # value in phi_apply(clamp=False): it has no quotient, and its
+    # derivative is the identity.
+    joint = base_sum / n
+    parent = np.add.reduceat(joint, starts)[row]
+    moving = parent > 0.0
+    sums[:2] /= n * h
+    slope, slope_h, at_h = sums[..., free]
+    slope_mass, slope_h_mass, mass_h = np.add.reduceat(sums, starts, axis=2)[..., row]
+    with np.errstate(divide="ignore", invalid="ignore"):
         # quotient rule on joint / parent, at 0 and at +h; the gap of
         # (Phi(+h) - Phi) / h to the mean of the two
-        d_phi[:, mask] = (slope - ratio * slope.sum(axis=2, keepdims=True)) / parent[mask, None]
-        with np.errstate(divide="ignore", invalid="ignore"):
-            mass_h = at_h.sum(axis=2, keepdims=True)
-            ratio_h = at_h / mass_h
-            d_phi_h = (slope_h - ratio_h * slope_h.sum(axis=2, keepdims=True)) / (mass_h / n)
-            d_gap[:, mask] = (ratio_h - ratio) / h - 0.5 * (d_phi[:, mask] + d_phi_h)
-        grad.append(d_phi[:, :, :-1].reshape(m, -1))
-        gap.append(d_gap[:, :, :-1].reshape(m, -1))
-    # column c is the derivative along coordinate c
-    grad = np.concatenate(grad, axis=1).T
-    disagreement = float(np.max(np.abs(np.concatenate(gap, axis=1))))
+        ratio = joint[free] / parent
+        d_phi = (slope - ratio * slope_mass) / parent
+        ratio_h = at_h / mass_h
+        d_phi_h = (slope_h - ratio_h * slope_h_mass) / (mass_h / n)
+        gap = (ratio_h - ratio) / h - 0.5 * (d_phi + d_phi_h)
+    disagreement = float(np.max(np.abs(np.where(moving, gap, 0.0))))
     if not disagreement <= FD_AGREEMENT:
         raise NumericalError(
             f"the secant over h and the exact derivatives disagree by {disagreement:.3g}"
         )
-    frozen = np.flatnonzero(np.concatenate(frozen))
+    # column c of the result is the derivative along coordinate c
+    grad = np.where(moving, d_phi, 0.0).T
+    frozen = np.flatnonzero(~moving)
     grad[frozen, frozen] = 1.0
     return np.eye(m) - grad, residual
 

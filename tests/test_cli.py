@@ -299,7 +299,16 @@ class TestExperiment:
         assert "n_test must be nonnegative" in capsys.readouterr().err
         assert not (tmp_path / "x").exists()
 
-    @pytest.mark.parametrize("key, value", [("init", "file"), ("init_seed", -2)])
+    @pytest.mark.parametrize("key, value", [
+        ("init", "file"),
+        ("init_seed", -2),
+        ("obscure_prob", 1.5),
+        ("max_iters", -3),
+        ("tol_ll", -1.0),
+        pytest.param("arms", [{"rule": "xx", "eta": 1.0}], id="arms-bad-rule"),
+        pytest.param("arms", [{"rule": "em", "eta": 1.0}, {"rule": "em", "eta": -1.0}],
+                     id="arms-negative-eta"),
+    ])
     def test_bad_field_exit_2_writes_nothing(self, tmp_path, capsys, key, value):
         cfg_path = tmp_path / "exp.json"
         cfg_path.write_text(json.dumps({"network": "builtin:chain3", "n_train": 20, "seed": 1,

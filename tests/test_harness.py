@@ -492,11 +492,35 @@ class TestRunExperiment:
         ("init_seed", -2, "init_seed must be a nonnegative integer"),
         ("seed", -1, "seed must be a nonnegative integer"),
         ("n_train", -3, "n_train must be nonnegative"),
+        ("obscure_prob", 1.5, "obscure_prob must be in"),
+        ("max_iters", -3, "arm em_1: max_iters must be nonnegative"),
+        ("tol_ll", -1.0, "arm em_1: tol_ll must be a finite nonnegative number"),
+        pytest.param("arms", [{"rule": "xx", "eta": 1.0}], "arm xx_1: unknown rule 'xx'",
+                     id="arms-bad-rule"),
+        pytest.param("arms", [{"rule": "em", "eta": 1.0}, {"rule": "em", "eta": -1.0}],
+                     "arm em_-1: eta must be a finite nonnegative number", id="arms-negative-eta"),
     ])
     def test_bad_field_rejected_at_construction(self, key, value, message):
         """So run_experiment, which takes a constructed config, never starts on one."""
         with pytest.raises(ValidationError, match=message):
             ExperimentConfig.from_json(json.dumps({**self.MINIMAL, key: value}))
+
+    @pytest.mark.parametrize("arms, message", [
+        ([{"rule": "em"}], "arm 0 is missing 'eta'"),
+        ([{"rule": "em", "eta": 1.0}, {}], "arm 1 is missing 'eta', 'rule'"),
+        ([["em", 1.0]], "arm 0 is missing 'eta', 'rule'"),
+        ({"rule": "em", "eta": 1.0}, "arms must be a list"),
+    ], ids=["no-eta", "empty-second-arm", "arm-not-an-object", "arms-not-a-list"])
+    def test_malformed_arm_named(self, arms, message):
+        with pytest.raises(ValidationError, match=message):
+            ExperimentConfig.from_json(json.dumps({**self.MINIMAL, "arms": arms}))
+
+    def test_fit_config_of_an_arm(self):
+        config = ExperimentConfig.from_json(json.dumps(
+            {**self.MINIMAL, "init": "uniform", "init_seed": 7, "max_iters": 12,
+             "tol_ll": 1e-4, "warm_start_em1": False}))
+        assert config.fit_config(ExperimentArm("eg", 1.4)) == FitConfig(
+            "eg", 1.4, 12, tol_ll=1e-4, init="uniform", seed=7, warm_start_em1=False)
 
     def test_config_string_boolean_rejected(self):
         doc = {**self.MINIMAL, "warm_start_em1": "false"}

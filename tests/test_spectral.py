@@ -190,7 +190,7 @@ class TestProbeReconstruction:
     )
     def test_matches_central_differences_of_phi(self, seed, n_vars, obscure_prob, n_hidden):
         rng = np.random.default_rng(seed)
-        s = random_structure(rng, n_vars)
+        s = random_structure(rng, n_vars, arities=(2, 3, 4))
         # X1 depends on X0, whose state 0 has probability 0: X1's row 0
         # carries no mass at the base point.
         parents = (s.parents[0], tuple(sorted({0, *s.parents[1]}))) + s.parents[2:]
