@@ -33,11 +33,10 @@ for eta in (1.0, 1.8):
         eta=eta,
         max_iters=300,
         tol_ll=1e-6,
-        init="file",
-        init_theta=shared_init,
+        init="network",
         warm_start_em1=True,
     )
-    result = fit(truth, train, config, test)
+    result = fit(truth.with_theta(shared_init), train, config, test)
     last = result.trace[-1]
     print(
         f"EM({eta}): {result.iterations:3d} iterations ({result.termination}), "
@@ -45,8 +44,8 @@ for eta in (1.0, 1.8):
     )
 
 # the trace rows are plain records; column meanings match the trace CSV
-result = fit(truth, train, FitConfig(rule="em", eta=1.8, max_iters=5, tol_ll=1e-9,
-                                     init="file", init_theta=shared_init), test)
+result = fit(truth.with_theta(shared_init), train,
+             FitConfig(rule="em", eta=1.8, max_iters=5, tol_ll=1e-9, init="network"), test)
 print("\nfirst iterations of an EM(1.8) run:")
 for rec in result.trace:
     print(f"  iter {rec.iteration}: train {rec.train_ll:.5f}, "

@@ -72,12 +72,9 @@ def _cmd_fit(args) -> int:
     network = read_network(args.network)
     data = read_dataset(args.data, network.structure)
     test = read_dataset(args.test, network.structure) if args.test else None
-    if args.init.startswith("file:"):
-        init, init_theta = "file", read_network(args.init.split(":", 1)[1]).theta
-    elif args.init in ("random", "uniform"):
-        init, init_theta = args.init, None
-    else:
-        raise ValidationError(f"unknown init {args.init!r}")
+    init = args.init
+    if init.startswith("file:"):
+        network, init = network.with_theta(read_network(init.split(":", 1)[1]).theta), "network"
     config = FitConfig(
         rule=args.rule,
         eta=args.eta,
@@ -85,7 +82,6 @@ def _cmd_fit(args) -> int:
         tol_ll=args.tol_ll,
         init=init,
         seed=args.seed,
-        init_theta=init_theta,
         warm_start_em1=args.warm_start_em1,
     )
     result = fit(network, data, config, test)
@@ -174,7 +170,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--eta", type=float, default=1.0)
     p.add_argument("--max-iters", type=int, default=200)
     p.add_argument("--tol-ll", type=float, default=1e-6)
-    p.add_argument("--init", default="random")
+    p.add_argument("--init", default="random", help="random|uniform|network|file:PATH")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--warm-start-em1", type=_bool, default=False)
     p.add_argument("--trace")

@@ -35,6 +35,7 @@ from .model import (
     ParameterVector,
     ValidationError,
     ZeroProbabilityError,
+    check_number,
     check_seed,
     clamp_rows,
     param_delta_stats,
@@ -297,7 +298,7 @@ def distance_chi2(
 # -- the fit loop ------------------------------------------------------------
 
 RULES = ("em", "eg", "gp")
-INITS = ("network", "random", "uniform", "file")
+INITS = ("network", "random", "uniform")
 
 
 @dataclass(frozen=True)
@@ -309,28 +310,30 @@ class FitConfig:
     tol_param: float | None = None
     init: str = "network"
     seed: int = 0
-    init_theta: ParameterVector | None = None
     warm_start_em1: bool = False
     record_thetas: bool = False
 
     def __post_init__(self):
         if self.rule not in RULES:
             raise ValidationError(f"unknown rule {self.rule!r}; expected one of {RULES}")
+        check_number(self.eta, "eta")
         if not (math.isfinite(self.eta) and self.eta >= 0):
             raise ValidationError("eta must be a finite nonnegative number")
+        check_number(self.max_iters, "max_iters", integer=True)
         if self.max_iters < 0:
             raise ValidationError("max_iters must be nonnegative")
         if self.tol_ll is None and self.tol_param is None:
             raise ValidationError("at most one stopping tolerance may be disabled")
         for name in ("tol_ll", "tol_param"):
             tol = getattr(self, name)
-            if tol is not None and not (math.isfinite(tol) and tol >= 0):
+            if tol is None:
+                continue
+            check_number(tol, name)
+            if not (math.isfinite(tol) and tol >= 0):
                 raise ValidationError(f"{name} must be a finite nonnegative number, got {tol!r}")
         check_seed(self.seed)
         if self.init not in INITS:
             raise ValidationError(f"unknown init {self.init!r}; expected one of {INITS}")
-        if self.init == "file" and self.init_theta is None:
-            raise ValidationError("init='file' requires init_theta")
 
 
 @dataclass(frozen=True)
@@ -391,20 +394,20 @@ def fit(
 ) -> FitResult:
     """Iterate E-step + configured update rule until a stopping rule fires.
 
-    Trace row 0 records the initial point; row s records the state after
-    s updates.  ``warm_start_em1`` makes the first update a plain EM(1)
-    step before switching to the configured rule, mirroring the usual
-    protocol for eta > 1 runs.  An update that leaves a non-finite table
-    entry (a diverging step under a very large eta) raises NumericalError
-    naming the iteration, the rule and eta.
+    The start point is ``network.theta`` (init "network") or a random or
+    uniform draw.  Trace row 0 records the initial point; row s records
+    the state after s updates.  ``warm_start_em1`` makes the first update
+    a plain EM(1) step before switching to the configured rule, mirroring
+    the usual protocol for eta > 1 runs.  An update that leaves a
+    non-finite table entry (a diverging step under a very large eta)
+    raises NumericalError naming the iteration, the rule and eta.
     """
     if config.init == "random":
         theta = random_init(network.structure, config.seed)
     elif config.init == "uniform":
         theta = uniform_init(network.structure)
     else:
-        theta = network.theta if config.init == "network" else config.init_theta
-        theta.check_shapes(network.structure)
+        theta = network.theta
     trace: list[TraceRecord] = []
     thetas = [] if config.record_thetas else None
     termination = "max_iters"

@@ -25,7 +25,9 @@ import numpy as np
 
 from .estimation import FitConfig, fit
 from .inference import batch_posterior_marginals, posterior_marginal
-from .model import BnError, Network, ValidationError, ZeroProbabilityError, check_seed, parent_rows
+from .model import (
+    BnError, Network, ValidationError, ZeroProbabilityError, check_number, check_seed, parent_rows,
+)
 from .netio import (
     MISSING,
     DataCase,
@@ -44,6 +46,7 @@ from .networks import builtin_network
 
 def forward_sample(network: Network, n: int, seed: int) -> DataSet:
     """Ancestral sampling: n complete cases, deterministic per seed."""
+    check_number(n, "the number of cases", integer=True)
     if n < 0:
         raise ValidationError(f"the number of cases must be nonnegative, got {n}")
     check_seed(seed)
@@ -68,6 +71,7 @@ class MissingnessSpec:
     seed: int
 
     def __post_init__(self):
+        check_number(self.obscure_prob, "obscure_prob")
         if not (0.0 <= self.obscure_prob <= 1.0):
             raise ValidationError("obscure_prob must be in [0, 1]")
         check_seed(self.seed)
@@ -229,6 +233,10 @@ class ExperimentConfig:
     warm_start_em1: bool = True
 
     def __post_init__(self):
+        if not isinstance(self.network, str):
+            raise ValidationError(f"network must be a path or builtin:<name>, got {self.network!r}")
+        check_number(self.n_train, "n_train", integer=True)
+        check_number(self.n_test, "n_test", integer=True)
         if self.n_train < 0:
             raise ValidationError(f"n_train must be nonnegative, got {self.n_train}")
         if self.n_test < 0:
@@ -273,14 +281,10 @@ class ExperimentConfig:
             names = doc.get(key, [])
             if not (isinstance(names, list) and all(isinstance(x, str) for x in names)):
                 raise ValidationError(f"{key} must be a list of variable names")
-        convert = {
-            "n_train": int, "n_test": int, "seed": int, "init_seed": int, "max_iters": int,
-            "obscure_prob": float, "tol_ll": float, "hidden": tuple, "targets": tuple,
-            "arms": _parse_arms,
-        }
+        convert = {"hidden": tuple, "targets": tuple, "arms": _parse_arms}
         try:
             return cls(**{k: convert.get(k, lambda v: v)(v) for k, v in doc.items()})
-        except (KeyError, TypeError, ValueError) as e:
+        except TypeError as e:
             raise ValidationError(f"bad experiment config: {e}") from None
 
 
@@ -292,6 +296,8 @@ def _parse_arms(arms) -> tuple[ExperimentArm, ...]:
         missing = sorted({"rule", "eta"} - (arm.keys() if isinstance(arm, dict) else set()))
         if missing:
             raise ValidationError(f"arm {k} is missing {', '.join(map(repr, missing))}")
+        check_number(arm["eta"], f"arm {k} eta")
+    # an integer eta is written as a float (1 -> 1.0), as the summary always has
     return tuple(ExperimentArm(a["rule"], float(a["eta"])) for a in arms)
 
 

@@ -473,14 +473,9 @@ def _raise_zero(total: np.ndarray, what: str) -> None:
 
 def joint_probability(network: Network, case: DataCase) -> float:
     """Chain-rule product for a fully observed case."""
-    s = network.structure
-    states = case.states
-    if np.any(states < 0):
+    if np.any(case.states < 0):
         raise ValidationError("joint_probability requires a fully observed case")
-    p = 1.0
-    for i in range(s.n_vars):
-        p *= float(network.theta.tables[i][parent_rows(s, i, states), states[i]])
-    return p
+    return float(_assignment_weights(network, case.states[None, :])[0])
 
 
 def log_marginal_likelihood(network: Network, case: DataCase) -> float:
@@ -589,23 +584,14 @@ def parent_config_marginals(network: Network) -> list[np.ndarray]:
 # -- enumeration oracle ----------------------------------------------------
 
 
-def _check_enum_size(structure: NetworkStructure, free: list[int]) -> None:
-    total = 1
-    for v in free:
-        total *= structure.arity(v)
-        if total > MAX_ENUM_STATES:
-            raise ValidationError(
-                f"state space too large to enumerate (> {MAX_ENUM_STATES})"
-            )
-
-
 def _completions(structure: NetworkStructure, case_states: np.ndarray) -> np.ndarray:
     """All full assignments consistent with the case, as an (T, V) matrix."""
     free = [i for i in range(structure.n_vars) if case_states[i] < 0]
-    _check_enum_size(structure, free)
     t = 1
     for v in free:
         t *= structure.arity(v)
+        if t > MAX_ENUM_STATES:
+            raise ValidationError(f"state space too large to enumerate (> {MAX_ENUM_STATES})")
     full = np.tile(case_states, (t, 1))
     if free:
         grids = np.meshgrid(*[np.arange(structure.arity(v)) for v in free], indexing="ij")

@@ -57,9 +57,18 @@ class ZeroProbabilityError(NumericalError):
         return cls(f"{name} {row} has probability 0 under the current parameters", case_index=row)
 
 
+def check_number(value, what: str, integer: bool = False) -> None:
+    """Raise ValidationError unless `value` is a real number, or an integer
+    when `integer`; a bool is neither, and nothing is converted."""
+    kinds = (int, np.integer) if integer else (int, float, np.integer, np.floating)
+    if isinstance(value, bool) or not isinstance(value, kinds):
+        kind = "an integer" if integer else "a number"
+        raise ValidationError(f"{what} must be {kind}, got {value!r}")
+
+
 def check_seed(seed: int, what: str = "seed") -> None:
     """Raise ValidationError unless `seed` is a nonnegative integer, as numpy's generators need."""
-    if not isinstance(seed, (int, np.integer)) or seed < 0:
+    if isinstance(seed, bool) or not isinstance(seed, (int, np.integer)) or seed < 0:
         raise ValidationError(f"{what} must be a nonnegative integer, got {seed!r}")
 
 

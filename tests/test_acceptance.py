@@ -370,10 +370,9 @@ def test_c09_em18_speedup():
         runs = {}
         for eta in (1.0, 1.8):
             runs[eta] = fit(
-                net,
+                net.with_theta(theta0),
                 data,
-                FitConfig("em", eta, 800, tol_ll=1e-6, init="file",
-                          init_theta=theta0, warm_start_em1=True),
+                FitConfig("em", eta, 800, tol_ll=1e-6, init="network", warm_start_em1=True),
             )
         gap = abs(runs[1.0].trace[-1].train_ll - runs[1.8].trace[-1].train_ll)
         i10, i18 = runs[1.0].iterations, runs[1.8].iterations

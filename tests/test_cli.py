@@ -78,6 +78,40 @@ class TestFit:
                    "--out", out)
         assert code == 0
 
+    def test_init_network_starts_from_the_network_file(self, tmp_path, chain3_file):
+        """`--init network` fits from the --network file's tables, as `file:` on it does."""
+        data = tmp_path / "train.csv"
+        run("sample", "--network", chain3_file, "--n", 40, "--hidden", "M", "--seed", 4,
+            "--out", data)
+        runs = []
+        for k, init in enumerate(("network", f"file:{chain3_file}")):
+            out, trace = tmp_path / f"fitted{k}.json", tmp_path / f"trace{k}.csv"
+            assert run("fit", "--network", chain3_file, "--data", data, "--init", init,
+                       "--max-iters", 3, "--trace", trace, "--out", out) == 0
+            rows = [line.rsplit(",", 1)[0] for line in trace.read_text().splitlines()]
+            runs.append((out.read_bytes(), rows))
+        assert runs[0] == runs[1]
+
+    @pytest.mark.parametrize("init, message", [
+        ("bogus", "unknown init 'bogus'"),
+        ("file:", "table count != number of variables"),
+    ])
+    def test_bad_init_exit_2_writes_nothing(self, tmp_path, chain3_file, capsys, init, message):
+        """An unknown init name, or a `file:` network of another structure (here tree8)."""
+        data = tmp_path / "train.csv"
+        run("sample", "--network", chain3_file, "--n", 20, "--seed", 1, "--out", data)
+        other = tmp_path / "tree8.json"
+        write_network(tree8(), str(other))
+        if init == "file:":
+            init += str(other)
+        out, trace = tmp_path / "fitted.json", tmp_path / "trace.csv"
+        code = run("fit", "--network", chain3_file, "--data", data, "--init", init,
+                   "--trace", trace, "--out", out)
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {message}") and "Traceback" not in err
+        assert not out.exists() and not trace.exists()
+
     @pytest.mark.parametrize("flag, value", [("--eta", "nan"), ("--eta", "inf"), ("--tol-ll", "nan")])
     def test_non_finite_setting_exit_2(self, tmp_path, chain3_file, capsys, flag, value):
         data = tmp_path / "train.csv"
@@ -308,6 +342,15 @@ class TestExperiment:
         pytest.param("arms", [{"rule": "xx", "eta": 1.0}], id="arms-bad-rule"),
         pytest.param("arms", [{"rule": "em", "eta": 1.0}, {"rule": "em", "eta": -1.0}],
                      id="arms-negative-eta"),
+        # a JSON number of the wrong kind, a bool or a string is refused, never converted
+        ("n_train", 10.9),
+        ("n_test", 3.7),
+        ("seed", 1.5),
+        ("max_iters", 2.5),
+        ("n_train", True),
+        pytest.param("arms", [{"rule": "em", "eta": True}], id="arms-boolean-eta"),
+        ("obscure_prob", "0.2"),
+        ("network", 5),
     ])
     def test_bad_field_exit_2_writes_nothing(self, tmp_path, capsys, key, value):
         cfg_path = tmp_path / "exp.json"

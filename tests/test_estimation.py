@@ -409,9 +409,8 @@ class TestFit:
         net = chain3()
         data = obscure(forward_sample(net, 100, seed=4), MissingnessSpec(("M",), 0.0, seed=5))
         theta0 = random_init(net.structure, 6)
-        cfg = FitConfig("eg", 1.4, 1, tol_ll=1e-15, init="file", init_theta=theta0,
-                        warm_start_em1=True)
-        res = fit(net, data, cfg)
+        cfg = FitConfig("eg", 1.4, 1, tol_ll=1e-15, init="network", warm_start_em1=True)
+        res = fit(net.with_theta(theta0), data, cfg)
         stats0 = expected_stats(net.with_theta(theta0), data)
         expected = em_eta_step(theta0, stats0, 1.0)
         for a, b in zip(res.theta.tables, expected.tables):
@@ -460,6 +459,19 @@ class TestFit:
         with pytest.raises(ValidationError, match="seed must be a nonnegative integer, got -3"):
             FitConfig("em", 1.0, 10, init="random", seed=-3)
 
+    @pytest.mark.parametrize("kwargs, message", [
+        ({"max_iters": 2.5}, "max_iters must be an integer, got 2.5"),
+        ({"eta": True}, "eta must be a number, got True"),
+        ({"eta": "1.0"}, "eta must be a number, got '1.0'"),
+        ({"seed": True}, "seed must be a nonnegative integer, got True"),
+        ({"tol_ll": True}, "tol_ll must be a number, got True"),
+        ({"tol_param": "0"}, "tol_param must be a number, got '0'"),
+    ])
+    def test_setting_of_the_wrong_type_rejected(self, kwargs, message):
+        """Not coerced, and not left to fail inside `fit`."""
+        with pytest.raises(ValidationError, match=message):
+            FitConfig(**kwargs)
+
     def test_non_finite_update_named(self):
         """A diverging GP step: the update overflows, and the fit names the
         iteration, the rule and eta instead of a zero-probability case."""
@@ -505,8 +517,8 @@ class TestFit:
         net = chain3()
         data = forward_sample(net, 30, seed=2)
         theta0 = random_init(net.structure, 3)
-        res = fit(net, data, FitConfig("em", 1.8, 0, init="file", init_theta=theta0,
-                                       record_thetas=True))
+        res = fit(net.with_theta(theta0), data,
+                  FitConfig("em", 1.8, 0, init="network", record_thetas=True))
         assert len(res.trace) == 1
         assert (res.trace[0].iteration, res.trace[0].max_param_delta, res.trace[0].l2_step) == (
             0, 0.0, 0.0)

@@ -145,6 +145,12 @@ class TestObscure:
         with pytest.raises(ValidationError, match="seed must be a nonnegative integer, got -2"):
             MissingnessSpec(("M",), 0.2, seed=-2)
 
+    def test_settings_of_the_wrong_type_rejected(self):
+        with pytest.raises(ValidationError, match="obscure_prob must be a number, got '0.2'"):
+            MissingnessSpec(("M",), "0.2", seed=2)
+        with pytest.raises(ValidationError, match="number of cases must be an integer, got 2.5"):
+            forward_sample(chain3(), 2.5, seed=1)
+
     def test_sample_obscured_seeds(self):
         """Sampling takes the seed and obscuring the next one."""
         net = tree8()
@@ -499,11 +505,26 @@ class TestRunExperiment:
                      id="arms-bad-rule"),
         pytest.param("arms", [{"rule": "em", "eta": 1.0}, {"rule": "em", "eta": -1.0}],
                      "arm em_-1: eta must be a finite nonnegative number", id="arms-negative-eta"),
+        # a JSON number of the wrong kind, a bool or a string is refused, never converted
+        ("n_train", 10.9, "n_train must be an integer, got 10.9"),
+        ("n_test", 3.7, "n_test must be an integer, got 3.7"),
+        ("seed", 1.5, "seed must be a nonnegative integer, got 1.5"),
+        ("max_iters", 2.5, "arm em_1: max_iters must be an integer, got 2.5"),
+        ("n_train", True, "n_train must be an integer, got True"),
+        pytest.param("arms", [{"rule": "em", "eta": True}], "arm 0 eta must be a number, got True",
+                     id="arms-boolean-eta"),
+        ("obscure_prob", "0.2", "obscure_prob must be a number, got '0.2'"),
+        ("network", 5, "network must be a path or builtin:<name>, got 5"),
     ])
     def test_bad_field_rejected_at_construction(self, key, value, message):
         """So run_experiment, which takes a constructed config, never starts on one."""
         with pytest.raises(ValidationError, match=message):
             ExperimentConfig.from_json(json.dumps({**self.MINIMAL, key: value}))
+
+    def test_integer_eta_reads_as_a_float(self):
+        doc = {**self.MINIMAL, "arms": [{"rule": "em", "eta": 1}]}
+        config = ExperimentConfig.from_json(json.dumps(doc))
+        assert config.arms == (ExperimentArm("em", 1.0),) and type(config.arms[0].eta) is float
 
     @pytest.mark.parametrize("arms, message", [
         ([{"rule": "em"}], "arm 0 is missing 'eta'"),

@@ -14,6 +14,7 @@ from bnfit.model import (
     ValidationError,
     Variable,
     ZeroProbabilityError,
+    check_number,
     check_seed,
     clamp_rows,
     decode_parent_config,
@@ -104,7 +105,7 @@ class TestCheckSeed:
     def test_nonnegative_integers_pass(self, seed):
         check_seed(seed)
 
-    @pytest.mark.parametrize("seed", [-1, 1.5, "3", None])
+    @pytest.mark.parametrize("seed", [-1, 1.5, "3", None, True, False])
     def test_others_rejected_by_name(self, seed):
         with pytest.raises(ValidationError, match="init_seed must be a nonnegative integer"):
             check_seed(seed, "init_seed")
@@ -112,6 +113,27 @@ class TestCheckSeed:
     def test_random_init_rejects_negative_seed(self):
         with pytest.raises(ValidationError, match="seed"):
             random_init(two_parent_structure(), -1)
+
+
+class TestCheckNumber:
+    @pytest.mark.parametrize("value", [0, -3, np.int64(2), 2**70])
+    def test_integers_pass_as_counts(self, value):
+        check_number(value, "n", integer=True)
+
+    @pytest.mark.parametrize("value", [0, -1.5, np.float32(0.25), float("nan"), float("inf")])
+    def test_numbers_pass_as_reals(self, value):
+        """Ranges and finiteness are the caller's checks, with its own messages."""
+        check_number(value, "x")
+
+    @pytest.mark.parametrize("value", [2.5, 10.0, True, "3", None])
+    def test_non_integer_count_rejected(self, value):
+        with pytest.raises(ValidationError, match=f"n_train must be an integer, got {value!r}"):
+            check_number(value, "n_train", integer=True)
+
+    @pytest.mark.parametrize("value", [True, False, "0.2", None, [1.0]])
+    def test_non_number_real_rejected(self, value):
+        with pytest.raises(ValidationError, match=r"eta must be a number, got "):
+            check_number(value, "eta")
 
 
 class TestZeroProbabilityError:

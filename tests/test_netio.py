@@ -110,8 +110,8 @@ class TestSerializeNetwork:
         result = fit(net, data, FitConfig("em", 1.0, 3, tol_ll=1e-12, init="random", seed=1))
         text = serialize_network(net.with_theta(result.theta))
         reloaded = parse_network(text)
-        cfg = FitConfig("em", 1.0, 3, tol_ll=1e-12, init="file", init_theta=reloaded.theta)
-        result2 = fit(net, data, cfg)
+        cfg = FitConfig("em", 1.0, 3, tol_ll=1e-12, init="network")
+        result2 = fit(reloaded, data, cfg)
         assert result2.trace[0].train_ll == pytest.approx(result.trace[-1].train_ll, abs=1e-12)
 
 
