@@ -20,7 +20,6 @@ the simplex.
 
 from __future__ import annotations
 
-import math
 import time
 from dataclasses import dataclass
 from typing import Callable, Iterator, Sequence
@@ -36,7 +35,7 @@ from .model import (
     ValidationError,
     ZeroProbabilityError,
     check_number,
-    check_seed,
+    check_same_structure,
     clamp_rows,
     param_delta_stats,
     random_init,
@@ -89,6 +88,7 @@ def _e_step_blocks(
     `start` is the block's first row in `dataset`; the rest is what
     `_block_posteriors` gives for that block.
     """
+    check_same_structure(dataset.structure, network.structure, "the data", "the network")
     n = len(dataset)
     if n == 0:
         raise ValidationError("cannot compute expected statistics of an empty dataset")
@@ -316,22 +316,14 @@ class FitConfig:
     def __post_init__(self):
         if self.rule not in RULES:
             raise ValidationError(f"unknown rule {self.rule!r}; expected one of {RULES}")
-        check_number(self.eta, "eta")
-        if not (math.isfinite(self.eta) and self.eta >= 0):
-            raise ValidationError("eta must be a finite nonnegative number")
-        check_number(self.max_iters, "max_iters", integer=True)
-        if self.max_iters < 0:
-            raise ValidationError("max_iters must be nonnegative")
+        check_number(self.eta, "eta", low=0)
+        check_number(self.max_iters, "max_iters", integer=True, low=0)
         if self.tol_ll is None and self.tol_param is None:
             raise ValidationError("at most one stopping tolerance may be disabled")
         for name in ("tol_ll", "tol_param"):
-            tol = getattr(self, name)
-            if tol is None:
-                continue
-            check_number(tol, name)
-            if not (math.isfinite(tol) and tol >= 0):
-                raise ValidationError(f"{name} must be a finite nonnegative number, got {tol!r}")
-        check_seed(self.seed)
+            if getattr(self, name) is not None:
+                check_number(getattr(self, name), name, low=0)
+        check_number(self.seed, "seed", integer=True, low=0)
         if self.init not in INITS:
             raise ValidationError(f"unknown init {self.init!r}; expected one of {INITS}")
 
@@ -380,6 +372,7 @@ def _mean_test_ll(network: Network, test: DataSet | None) -> float | None:
     by its row in the test set."""
     if test is None or len(test) == 0:
         return None
+    check_same_structure(test.structure, network.structure, "the test set", "the network")
     try:
         return float(np.mean(log_likelihood_cases(network, test.values)))
     except ZeroProbabilityError as e:

@@ -26,7 +26,8 @@ import numpy as np
 from .estimation import FitConfig, fit
 from .inference import batch_posterior_marginals, posterior_marginal
 from .model import (
-    BnError, Network, ValidationError, ZeroProbabilityError, check_number, check_seed, parent_rows,
+    BnError, Network, ValidationError, ZeroProbabilityError, check_number, check_same_structure,
+    parent_rows,
 )
 from .netio import (
     MISSING,
@@ -46,13 +47,14 @@ from .networks import builtin_network
 
 def forward_sample(network: Network, n: int, seed: int) -> DataSet:
     """Ancestral sampling: n complete cases, deterministic per seed."""
-    check_number(n, "the number of cases", integer=True)
-    if n < 0:
-        raise ValidationError(f"the number of cases must be nonnegative, got {n}")
-    check_seed(seed)
+    check_number(n, "the number of cases", integer=True, low=0)
+    check_number(seed, "seed", integer=True, low=0)
     s = network.structure
     rng = np.random.default_rng(seed)
-    values = np.zeros((n, s.n_vars), dtype=np.int64)
+    try:
+        values = np.zeros((n, s.n_vars), dtype=np.int64)
+    except (ValueError, MemoryError):
+        raise ValidationError(f"the number of cases {n} is too large to hold in memory") from None
     for i in s.topo_order:
         rows = network.theta.tables[i][parent_rows(s, i, values)]
         u = rng.random(n)
@@ -71,10 +73,8 @@ class MissingnessSpec:
     seed: int
 
     def __post_init__(self):
-        check_number(self.obscure_prob, "obscure_prob")
-        if not (0.0 <= self.obscure_prob <= 1.0):
-            raise ValidationError("obscure_prob must be in [0, 1]")
-        check_seed(self.seed)
+        check_number(self.obscure_prob, "obscure_prob", low=0, high=1)
+        check_number(self.seed, "seed", integer=True, low=0)
 
 
 def obscure(cases: DataSet, spec: MissingnessSpec) -> DataSet:
@@ -154,6 +154,7 @@ def _errors(states: tuple[str, ...], p_learned: np.ndarray, p_true: np.ndarray):
 def query_error(
     learned: Network, truth: Network, case: DataCase, target: str
 ) -> QueryError:
+    check_same_structure(learned.structure, truth.structure, "the learned network", "the true network")
     v = truth.structure.by_name(target)
     if case.states[v.index] != MISSING:
         raise ValidationError(f"target {target!r} is observed in the case")
@@ -169,7 +170,10 @@ def evaluate_queries(
 ) -> dict:
     """Mean absolute/relative error per target over the cases where the
     target is unobserved, plus a per-state breakdown.  Each target costs
-    one batched query per network."""
+    one batched query per network.  The learned network and the data must
+    have the true network's structure."""
+    check_same_structure(learned.structure, truth.structure, "the learned network", "the true network")
+    check_same_structure(dataset.structure, truth.structure, "the data", "the true network")
     out: dict = {"targets": {}, "overall": {}}
     all_abs = [np.empty(0)]
     all_rel = [np.empty(0)]
@@ -235,16 +239,13 @@ class ExperimentConfig:
     def __post_init__(self):
         if not isinstance(self.network, str):
             raise ValidationError(f"network must be a path or builtin:<name>, got {self.network!r}")
-        check_number(self.n_train, "n_train", integer=True)
-        check_number(self.n_test, "n_test", integer=True)
-        if self.n_train < 0:
-            raise ValidationError(f"n_train must be nonnegative, got {self.n_train}")
-        if self.n_test < 0:
-            raise ValidationError(f"n_test must be nonnegative (0: no test set), got {self.n_test}")
+        # a fit needs a case; n_test = 0 means no test set
+        check_number(self.n_train, "n_train", integer=True, above=0)
+        check_number(self.n_test, "n_test", integer=True, low=0)
         if self.init not in ("random", "uniform"):
             raise ValidationError(f"unknown experiment init {self.init!r}")
-        check_seed(self.seed)
-        check_seed(self.init_seed, "init_seed")
+        check_number(self.seed, "seed", integer=True, low=0)
+        check_number(self.init_seed, "init_seed", integer=True, low=0)
         MissingnessSpec(self.hidden, self.obscure_prob, self.seed + 1)
         for arm in self.arms:
             self.fit_config(arm)
@@ -326,16 +327,17 @@ def run_experiment(config: ExperimentConfig, out_dir: str) -> dict:
     # an unknown hidden or target name fails here, before any file is written
     for name in (*config.hidden, *config.targets):
         truth.structure.by_name(name)
-    os.makedirs(out_dir, exist_ok=True)
-
+    # and so does a count too large to sample: both datasets are drawn first
     train = sample_obscured(truth, config.n_train, config.hidden, config.obscure_prob, config.seed)
-    train_path = os.path.join(out_dir, "train.csv")
-    write_dataset(train, train_path)
-
     test = None
-    test_path = None
     if config.n_test > 0:
         test = sample_obscured(truth, config.n_test, config.hidden, config.obscure_prob, config.seed + 2)
+    os.makedirs(out_dir, exist_ok=True)
+
+    train_path = os.path.join(out_dir, "train.csv")
+    write_dataset(train, train_path)
+    test_path = None
+    if test is not None:
         test_path = os.path.join(out_dir, "test.csv")
         write_dataset(test, test_path)
 

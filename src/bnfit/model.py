@@ -57,19 +57,33 @@ class ZeroProbabilityError(NumericalError):
         return cls(f"{name} {row} has probability 0 under the current parameters", case_index=row)
 
 
-def check_number(value, what: str, integer: bool = False) -> None:
-    """Raise ValidationError unless `value` is a real number, or an integer
-    when `integer`; a bool is neither, and nothing is converted."""
+# An int beyond the largest float is not finite either.
+_FLOAT_MAX = float(np.finfo(np.float64).max)
+
+
+def check_number(value, what: str, integer: bool = False, low: float | None = None,
+                 above: float | None = None, high: float | None = None) -> None:
+    """Raise ValidationError unless `value` is a valid numeric setting.
+
+    The one check of every numeric setting; nothing is converted.  A count
+    or seed (`integer`) is a non-bool int, numpy's too; a real is a non-bool
+    int or float, numpy's too, and finite.  The value lies in [low, high],
+    or (above, high]; in use are [0, inf), (0, inf), [0, 1] and (0, ETA_MAX].
+    """
     kinds = (int, np.integer) if integer else (int, float, np.integer, np.floating)
+    kind = "integer" if integer else "number"
     if isinstance(value, bool) or not isinstance(value, kinds):
-        kind = "an integer" if integer else "a number"
-        raise ValidationError(f"{what} must be {kind}, got {value!r}")
-
-
-def check_seed(seed: int, what: str = "seed") -> None:
-    """Raise ValidationError unless `seed` is a nonnegative integer, as numpy's generators need."""
-    if isinstance(seed, bool) or not isinstance(seed, (int, np.integer)) or seed < 0:
-        raise ValidationError(f"{what} must be a nonnegative integer, got {seed!r}")
+        raise ValidationError(f"{what} must be {'an' if integer else 'a'} {kind}, got {value!r}")
+    finite = integer or (abs(value) <= _FLOAT_MAX if isinstance(value, int) else abs(value) < np.inf)
+    lower_ok = (low is None or value >= low) and (above is None or value > above)
+    if finite and lower_ok and (high is None or value <= high):
+        return
+    if high is not None:
+        desc = f"a {kind} in " + (f"[{low}" if above is None else f"({above}") + f", {high}]"
+    else:
+        sign = "nonnegative " if low == 0 else "positive " if above == 0 else ""
+        desc = f"a {'' if integer else 'finite '}{sign}{kind}"
+    raise ValidationError(f"{what} must be {desc}, got {value!r}")
 
 
 def _check_token(name: str, what: str) -> None:
@@ -328,6 +342,14 @@ class Network:
         return Network(self.structure, theta)
 
 
+def check_same_structure(
+    a: NetworkStructure, b: NetworkStructure, a_name: str, b_name: str
+) -> None:
+    """Raise ValidationError, naming both sides, unless `a` and `b` are equal."""
+    if a is not b and a != b:
+        raise ValidationError(f"{a_name} and {b_name} have different structures")
+
+
 def uniform_init(structure: NetworkStructure) -> ParameterVector:
     """Every row the uniform distribution over the variable's states."""
     tables = []
@@ -343,7 +365,7 @@ def random_init(structure: NetworkStructure, seed: int) -> ParameterVector:
     Deterministic for a given seed: rows are drawn variable by variable
     in declared order, row by row.
     """
-    check_seed(seed)
+    check_number(seed, "seed", integer=True, low=0)
     rng = np.random.default_rng(seed)
     tables = []
     for i in range(structure.n_vars):

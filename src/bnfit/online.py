@@ -25,7 +25,6 @@ in a different order generally gives a different model.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, replace
 from typing import Iterable, Sequence
 
@@ -41,6 +40,8 @@ from .model import (
     ParameterVector,
     ValidationError,
     ZeroProbabilityError,
+    check_number,
+    check_same_structure,
     param_delta_stats,
 )
 from .netio import MISSING, DataCase, DataSet, _check_states
@@ -70,13 +71,11 @@ class LearningRateSchedule:
     def __post_init__(self):
         if self.kind not in SCHEDULE_KINDS:
             raise ValidationError(f"unknown schedule {self.kind!r}")
-        if self.kind == "fixed" and not (0.0 < self.eta <= ETA_MAX):
-            raise ValidationError(f"fixed rate must be in (0, {ETA_MAX}]")
+        if self.kind == "fixed":
+            check_number(self.eta, "the fixed rate", above=0, high=ETA_MAX)
         if self.kind == "inverse_t":
-            if not (math.isfinite(self.c) and self.c > 0):
-                raise ValidationError("inverse_t needs a finite c > 0")
-            if not (math.isfinite(self.t0) and self.t0 >= 0):
-                raise ValidationError("inverse_t needs a finite t0 >= 0")
+            check_number(self.c, "inverse_t c", above=0)
+            check_number(self.t0, "inverse_t t0", low=0)
 
     @classmethod
     def fixed(cls, eta: float) -> "LearningRateSchedule":
@@ -229,11 +228,14 @@ def run_stream(
     A case with probability zero under the current model is skipped and
     counted rather than aborting the stream; the model and visit masses
     are left untouched for that case (the step counter still advances).
-    A case that does not fit the structure raises ValidationError.
+    A dataset of another structure, or a case that does not fit the
+    structure, raises ValidationError.
     """
     if rule not in RULES:
         raise ValidationError(f"unknown rule {rule!r}; expected one of {RULES}")
     checked = isinstance(cases, DataSet)
+    if checked:
+        check_same_structure(cases.structure, network.structure, "the stream", "the network")
     stream = cases.cases() if checked else cases
     state = init_online_state(network)
     trace: list[OnlineTraceRecord] = []

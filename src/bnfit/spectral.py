@@ -34,7 +34,6 @@ predicted-versus-measured comparisons are approximate by design.
 from __future__ import annotations
 
 import json
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -49,7 +48,7 @@ from .estimation import (
 )
 from .model import (
     PROB_FLOOR, Network, NumericalError, ParameterVector, ValidationError, ZeroProbabilityError,
-    param_delta_stats,
+    check_number, param_delta_stats,
 )
 from .netio import DataSet
 
@@ -160,19 +159,27 @@ def jacobian(network: Network, dataset: DataSet, h: float = FD_STEP) -> np.ndarr
     return _jacobian(network, dataset, h)[0]
 
 
+def _flat_posteriors(posteriors: list[np.ndarray]) -> np.ndarray:
+    """A pass's family posteriors as one (Q, N) matrix on the flat entry axis."""
+    return np.concatenate([p.reshape(len(p), -1).T for p in posteriors])
+
+
 def _jacobian(network: Network, dataset: DataSet, h: float) -> tuple[np.ndarray, float]:
     """`jacobian`, and the fixpoint residual read from its base pass.
 
     Every table entry has one place on a flat axis of Q = sum_i q_i * r_i
     entries, table after table and row after row; `starts` holds each
-    row's first entry and `free` each coordinate's entry.  Cases are
-    taken one E_STEP_CHUNK block at a time, and within a block one
-    coordinate at a time: a pass's posteriors fill one (Q, N) matrix, and
-    only the block's base matrix and one probe's are held.  Per coordinate
-    the case sums of the slopes at 0 and at +h and of the posteriors at
-    +h accumulate in one (3, m, Q) array.  Row sums on the flat axis are
-    `np.add.reduceat` over `starts`.
+    row's first entry and `free` each coordinate's entry.  Every block's
+    base pass runs first, so a point off the fixpoint is refused after one
+    pass per block.  Then cases are taken one E_STEP_CHUNK block at a
+    time, and within a block one coordinate at a time: a pass's posteriors
+    fill one (Q, N) matrix, and besides the last block's base matrix, kept
+    from the first sweep, only the block's base matrix and one probe's are
+    held.  Per coordinate the case sums of the slopes at 0 and at +h and
+    of the posteriors at +h accumulate in one (3, m, Q) array.  Row sums
+    on the flat axis are `np.add.reduceat` over `starts`.
     """
+    check_number(h, "h", above=0)
     coords = _free_coords(network)
     m = len(coords)
     if m > MAX_JACOBIAN_DIM:
@@ -190,21 +197,28 @@ def _jacobian(network: Network, dataset: DataSet, h: float) -> tuple[np.ndarray,
     free = np.array([offsets[i] + j * theta.tables[i].shape[1] + k for i, j, k in coords])
     row = np.searchsorted(starts, free, side="right") - 1
     base_sum = np.zeros(offsets[-1])
-    sums = np.zeros((3, m, offsets[-1]))
+    blocks = []
     for start, base, lls in _e_step_blocks(network, dataset):
-        p0 = np.concatenate([p.reshape(len(p), -1).T for p in base])
-        base_sum += p0.sum(axis=1)
+        p0 = _flat_posteriors(base)
         del base
-        # The base statistics are complete once the last block's base pass
-        # is in: a one-block dataset off the fixpoint runs no probe.
-        if start + len(lls) == n:
-            flat = np.split(base_sum / n, offsets[1:-1])
-            per_table = [a.reshape(t.shape) for a, t in zip(flat, theta.tables)]
-            ok, residual = is_fixpoint(theta, SufficientStats.from_joint(per_table), FIXPOINT_TOL)
-            if not ok:
-                raise NotAFixpointError(
-                    f"analysis point has fixpoint residual {residual:.3g} > {FIXPOINT_TOL}"
-                )
+        base_sum += p0.sum(axis=1)
+        blocks.append(start)
+    last = (p0, lls)
+    flat = np.split(base_sum / n, offsets[1:-1])
+    per_table = [a.reshape(t.shape) for a, t in zip(flat, theta.tables)]
+    ok, residual = is_fixpoint(theta, SufficientStats.from_joint(per_table), FIXPOINT_TOL)
+    if not ok:
+        raise NotAFixpointError(
+            f"analysis point has fixpoint residual {residual:.3g} > {FIXPOINT_TOL}"
+        )
+    sums = np.zeros((3, m, offsets[-1]))
+    for start in blocks:
+        if start == blocks[-1]:
+            p0, lls = last
+        else:
+            base, lls = _block_posteriors(network, dataset, start)
+            p0 = _flat_posteriors(base)
+            del base
         for c, (i, j, k) in enumerate(coords):
             probe = network.with_theta(_probe(theta, i, j, k, h))
             moved, moved_lls = _block_posteriors(probe, dataset, start)
@@ -214,7 +228,7 @@ def _jacobian(network: Network, dataset: DataSet, h: float) -> tuple[np.ndarray,
             bad = np.flatnonzero(~(rho < 2.0))
             if bad.size:
                 raise ZeroProbabilityError.of_row(start + int(bad[0]))
-            p1 = np.concatenate([p.reshape(len(p), -1).T for p in moved])
+            p1 = _flat_posteriors(moved)
             sums[2, c] += p1.sum(axis=1)
             p1 -= p0
             sums[0, c] += p1 @ rho
@@ -258,6 +272,7 @@ def eigen_range(m_matrix: np.ndarray, cutoff: float = EIGEN_CUTOFF) -> tuple[flo
     The matrix is similar to a symmetric positive-semidefinite one, so
     eigenvalues are real up to numerical noise; real parts are used.
     """
+    check_number(cutoff, "cutoff", low=0)
     try:
         eigs = np.linalg.eigvals(m_matrix).real
     except np.linalg.LinAlgError as e:
@@ -269,8 +284,10 @@ def eigen_range(m_matrix: np.ndarray, cutoff: float = EIGEN_CUTOFF) -> tuple[flo
 
 
 def _check_range(lambda_min: float, lambda_max: float) -> None:
-    if not (0.0 < lambda_min <= lambda_max):
-        raise ValidationError("need 0 < lambda_min <= lambda_max")
+    check_number(lambda_min, "lambda_min", above=0)
+    check_number(lambda_max, "lambda_max", above=0)
+    if not lambda_min <= lambda_max:
+        raise ValidationError(f"lambda_min {lambda_min!r} exceeds lambda_max {lambda_max!r}")
 
 
 def eta_star(lambda_min: float, lambda_max: float) -> float:
@@ -279,14 +296,9 @@ def eta_star(lambda_min: float, lambda_max: float) -> float:
     return 2.0 / (lambda_min + lambda_max)
 
 
-def _check_eta(eta: float) -> None:
-    if not (math.isfinite(eta) and eta > 0):
-        raise ValidationError(f"eta must be a finite positive number, got {eta!r}")
-
-
 def contraction_rate(eta: float, lambda_min: float, lambda_max: float) -> float:
     """Per-iteration shrink factor of the linearized EM(eta) map."""
-    _check_eta(eta)
+    check_number(eta, "eta", above=0)
     _check_range(lambda_min, lambda_max)
     return max(abs(1.0 - eta * lambda_min), abs(1.0 - eta * lambda_max))
 
@@ -327,7 +339,7 @@ def build_report(
     The etas are checked before any inference pass runs.
     """
     for eta in etas:
-        _check_eta(eta)
+        check_number(eta, "eta", above=0)
     m_matrix, residual = _jacobian(network, dataset, FD_STEP)
     lmin, lmax, deficient = eigen_range(m_matrix)
     entries = []

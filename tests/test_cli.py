@@ -41,7 +41,7 @@ class TestSample:
     def test_negative_n_exit_2(self, tmp_path, chain3_file, capsys):
         code = run("sample", "--network", chain3_file, "--n", -5, "--out", tmp_path / "x.csv")
         assert code == 2
-        assert "nonnegative, got -5" in capsys.readouterr().err
+        assert "nonnegative integer, got -5" in capsys.readouterr().err
 
     def test_negative_seed_exit_2(self, tmp_path, chain3_file, capsys):
         out = tmp_path / "x.csv"
@@ -323,14 +323,14 @@ class TestExperiment:
         cfg_path.write_text(json.dumps({"network": "builtin:chain3", "n_train": -3, "seed": 1,
                                         "arms": [{"rule": "em", "eta": 1.0}]}))
         assert run("experiment", "--config", cfg_path, "--out-dir", tmp_path / "x") == 2
-        assert "nonnegative, got -3" in capsys.readouterr().err
+        assert "positive integer, got -3" in capsys.readouterr().err
 
     def test_negative_n_test_exit_2(self, tmp_path, capsys):
         cfg_path = tmp_path / "exp.json"
         cfg_path.write_text(json.dumps({"network": "builtin:chain3", "n_train": 20, "n_test": -4,
                                         "seed": 1, "arms": [{"rule": "em", "eta": 1.0}]}))
         assert run("experiment", "--config", cfg_path, "--out-dir", tmp_path / "x") == 2
-        assert "n_test must be nonnegative" in capsys.readouterr().err
+        assert "n_test must be a nonnegative integer" in capsys.readouterr().err
         assert not (tmp_path / "x").exists()
 
     @pytest.mark.parametrize("key, value", [
@@ -353,6 +353,22 @@ class TestExperiment:
         ("network", 5),
     ])
     def test_bad_field_exit_2_writes_nothing(self, tmp_path, capsys, key, value):
+        cfg_path = tmp_path / "exp.json"
+        cfg_path.write_text(json.dumps({"network": "builtin:chain3", "n_train": 20, "seed": 1,
+                                        "arms": [{"rule": "em", "eta": 1.0}], key: value}))
+        assert run("experiment", "--config", cfg_path, "--out-dir", tmp_path / "x") == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "Traceback" not in err
+        assert not (tmp_path / "x").exists()
+
+    @pytest.mark.parametrize("key, value", [
+        ("n_train", 10**30),
+        ("n_test", 10**30),
+        pytest.param("arms", [{"rule": "em", "eta": 10**400}], id="arms-400-digit-eta"),
+    ])
+    def test_huge_number_exit_2_writes_nothing(self, tmp_path, capsys, key, value):
+        """A count too large to sample, or an eta written as 400 digits, which
+        no float holds: exit 2, no traceback and no output directory."""
         cfg_path = tmp_path / "exp.json"
         cfg_path.write_text(json.dumps({"network": "builtin:chain3", "n_train": 20, "seed": 1,
                                         "arms": [{"rule": "em", "eta": 1.0}], key: value}))

@@ -463,7 +463,7 @@ class TestFit:
         ({"max_iters": 2.5}, "max_iters must be an integer, got 2.5"),
         ({"eta": True}, "eta must be a number, got True"),
         ({"eta": "1.0"}, "eta must be a number, got '1.0'"),
-        ({"seed": True}, "seed must be a nonnegative integer, got True"),
+        ({"seed": True}, "seed must be an integer, got True"),
         ({"tol_ll": True}, "tol_ll must be a number, got True"),
         ({"tol_param": "0"}, "tol_param must be a number, got '0'"),
     ])

@@ -2,6 +2,7 @@
 
 import json
 import os
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -56,8 +57,13 @@ class TestForwardSample:
         assert abs(freq - 0.7) < 0.015
 
     def test_negative_count_rejected(self):
-        with pytest.raises(ValidationError, match="nonnegative, got -3"):
+        with pytest.raises(ValidationError, match="nonnegative integer, got -3"):
             forward_sample(chain3(), -3, seed=1)
+
+    def test_count_too_large_to_hold_rejected(self):
+        """numpy refuses the (n, V) matrix before allocating any of it."""
+        with pytest.raises(ValidationError, match=f"number of cases {10**30} is too large"):
+            forward_sample(chain3(), 10**30, seed=1)
 
     def test_seed_determinism_bytes(self):
         net = tree8()
@@ -472,6 +478,15 @@ class TestRunExperiment:
         assert config.arms == (ExperimentArm("em", 1.8), ExperimentArm("gp", 0.4))
         assert config.warm_start_em1 is True
 
+    @pytest.mark.parametrize("key", ["n_train", "n_test"])
+    def test_count_too_large_to_sample_writes_nothing(self, tmp_path, key):
+        """Both datasets are drawn before the output directory is made."""
+        config = self.small_config(tmp_path, [ExperimentArm("em", 1.0)])
+        out = tmp_path / "out"
+        with pytest.raises(ValidationError, match=f"number of cases {10**30} is too large"):
+            run_experiment(replace(config, **{key: 10**30}), str(out))
+        assert not out.exists()
+
     def test_bad_config_rejected(self):
         with pytest.raises(ValidationError):
             ExperimentConfig.from_json("{not json")
@@ -487,9 +502,9 @@ class TestRunExperiment:
         assert (config.max_iters, config.tol_ll, config.warm_start_em1) == (200, 1e-6, True)
 
     def test_negative_n_test_rejected(self):
-        with pytest.raises(ValidationError, match="n_test must be nonnegative"):
+        with pytest.raises(ValidationError, match="n_test must be a nonnegative integer"):
             ExperimentConfig.from_json(json.dumps({**self.MINIMAL, "n_test": -4}))
-        with pytest.raises(ValidationError, match="n_test must be nonnegative"):
+        with pytest.raises(ValidationError, match="n_test must be a nonnegative integer"):
             ExperimentConfig("builtin:chain3", 10, -1, (), 0.0, 1, (ExperimentArm("em", 1.0),))
         assert ExperimentConfig.from_json(json.dumps({**self.MINIMAL, "n_test": 0})).n_test == 0
 
@@ -497,9 +512,9 @@ class TestRunExperiment:
         ("init", "file", "unknown experiment init 'file'"),
         ("init_seed", -2, "init_seed must be a nonnegative integer"),
         ("seed", -1, "seed must be a nonnegative integer"),
-        ("n_train", -3, "n_train must be nonnegative"),
-        ("obscure_prob", 1.5, "obscure_prob must be in"),
-        ("max_iters", -3, "arm em_1: max_iters must be nonnegative"),
+        ("n_train", -3, "n_train must be a positive integer"),
+        ("obscure_prob", 1.5, r"obscure_prob must be a number in \[0, 1\]"),
+        ("max_iters", -3, "arm em_1: max_iters must be a nonnegative integer"),
         ("tol_ll", -1.0, "arm em_1: tol_ll must be a finite nonnegative number"),
         pytest.param("arms", [{"rule": "xx", "eta": 1.0}], "arm xx_1: unknown rule 'xx'",
                      id="arms-bad-rule"),
@@ -508,7 +523,7 @@ class TestRunExperiment:
         # a JSON number of the wrong kind, a bool or a string is refused, never converted
         ("n_train", 10.9, "n_train must be an integer, got 10.9"),
         ("n_test", 3.7, "n_test must be an integer, got 3.7"),
-        ("seed", 1.5, "seed must be a nonnegative integer, got 1.5"),
+        ("seed", 1.5, "seed must be an integer, got 1.5"),
         ("max_iters", 2.5, "arm em_1: max_iters must be an integer, got 2.5"),
         ("n_train", True, "n_train must be an integer, got True"),
         pytest.param("arms", [{"rule": "em", "eta": True}], "arm 0 eta must be a number, got True",

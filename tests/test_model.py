@@ -15,7 +15,6 @@ from bnfit.model import (
     Variable,
     ZeroProbabilityError,
     check_number,
-    check_seed,
     clamp_rows,
     decode_parent_config,
     param_distance,
@@ -103,12 +102,12 @@ class TestParentRows:
 class TestCheckSeed:
     @pytest.mark.parametrize("seed", [0, 7, np.int64(3), 2**40])
     def test_nonnegative_integers_pass(self, seed):
-        check_seed(seed)
+        check_number(seed, "seed", integer=True, low=0)
 
     @pytest.mark.parametrize("seed", [-1, 1.5, "3", None, True, False])
     def test_others_rejected_by_name(self, seed):
-        with pytest.raises(ValidationError, match="init_seed must be a nonnegative integer"):
-            check_seed(seed, "init_seed")
+        with pytest.raises(ValidationError, match="init_seed must be (a nonnegative|an) integer"):
+            check_number(seed, "init_seed", integer=True, low=0)
 
     def test_random_init_rejects_negative_seed(self):
         with pytest.raises(ValidationError, match="seed"):
@@ -120,9 +119,9 @@ class TestCheckNumber:
     def test_integers_pass_as_counts(self, value):
         check_number(value, "n", integer=True)
 
-    @pytest.mark.parametrize("value", [0, -1.5, np.float32(0.25), float("nan"), float("inf")])
+    @pytest.mark.parametrize("value", [0, -1.5, np.float32(0.25)])
     def test_numbers_pass_as_reals(self, value):
-        """Ranges and finiteness are the caller's checks, with its own messages."""
+        """Without bounds any finite real passes."""
         check_number(value, "x")
 
     @pytest.mark.parametrize("value", [2.5, 10.0, True, "3", None])

@@ -278,6 +278,26 @@ class TestProbeReconstruction:
         monkeypatch.setattr(bnfit.estimation, "E_STEP_CHUNK", 37)
         np.testing.assert_allclose(jacobian(net, data), one_block, rtol=0, atol=1e-9)
 
+    def test_non_fixpoint_refused_after_one_pass_per_block(self, monkeypatch):
+        """Every block's base pass runs before any probe: off the fixpoint,
+        200 cases in blocks of 37 cost six passes, not the probes of five
+        blocks too."""
+        net = chain3()
+        data = forward_sample(net, 200, seed=7)
+        shifted = net.with_theta(random_init(net.structure, 99))
+        calls = []
+        inner = bnfit.estimation.batch_family_posteriors
+
+        def counting(network, values, **kwargs):
+            calls.append(len(values))
+            return inner(network, values, **kwargs)
+
+        monkeypatch.setattr(bnfit.estimation, "batch_family_posteriors", counting)
+        monkeypatch.setattr(bnfit.estimation, "E_STEP_CHUNK", 37)
+        with pytest.raises(NotAFixpointError):
+            jacobian(shifted, data)
+        assert calls == [37] * 5 + [15]
+
     def test_one_e_step_per_coordinate(self, monkeypatch, twolayer15_at_fixpoint):
         net, data = twolayer15_at_fixpoint
         calls = []

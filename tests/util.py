@@ -13,8 +13,18 @@ from functools import reduce
 import numpy as np
 
 from bnfit.inference import RESCALE_TRIGGER, _min_degree_order
-from bnfit.model import Network, NetworkStructure, ParameterVector, Variable
+from bnfit.model import Network, NetworkStructure, ParameterVector, Variable, random_init
 from bnfit.netio import MISSING, DataCase
+from bnfit.networks import chain3
+
+
+def alt_chain3() -> Network:
+    """chain3 with a third state for A: the same names, another structure."""
+    s = chain3().structure
+    a = s.variables[0]
+    structure = NetworkStructure((Variable(0, a.name, a.states + ("s2",)), *s.variables[1:]),
+                                 s.parents)
+    return Network(structure, random_init(structure, 3))
 
 
 def random_structure(
