@@ -52,7 +52,10 @@ ROW_MASS_FLOOR = 1e-12
 EXP_CLIP = 500.0
 
 # Cases per vectorized E-step block; block boundaries are fixed so the
-# reduction order (and hence the result) is run-to-run identical.
+# reduction order (and hence the result) is run-to-run identical.  Also a
+# spectral probe pass's column budget: P probes take at most
+# E_STEP_CHUNK // P cases per pass, so its factors are no larger than an
+# E-step block's.
 E_STEP_CHUNK = 1024
 
 # A learning rate: one for every row, or per table an array of row rates.

@@ -23,7 +23,7 @@ from dataclasses import dataclass, fields
 
 import numpy as np
 
-from .estimation import FitConfig, fit
+from .estimation import RULES, FitConfig, fit
 from .inference import batch_posterior_marginals, posterior_marginal
 from .model import (
     BnError, Network, ValidationError, ZeroProbabilityError, check_number, check_same_structure,
@@ -203,8 +203,19 @@ def evaluate_queries(
 
 @dataclass(frozen=True)
 class ExperimentArm:
+    """One fit of an experiment: a batch rule and its eta.
+
+    Both are checked here, so every arm has a label; the bounds on eta
+    are the fit's, checked with the rest of its settings (`fit_config`).
+    """
+
     rule: str
     eta: float
+
+    def __post_init__(self):
+        if not (isinstance(self.rule, str) and self.rule in RULES):
+            raise ValidationError(f"rule must be one of {RULES}, got {self.rule!r}")
+        check_number(self.eta, "eta")
 
     @property
     def label(self) -> str:
@@ -268,7 +279,8 @@ class ExperimentConfig:
         """
         try:
             doc = json.loads(text)
-        except json.JSONDecodeError as e:
+        except ValueError as e:
+            # JSONDecodeError, or an integer of more digits than Python converts
             raise ValidationError(f"experiment config is not valid JSON: {e}") from None
         if not isinstance(doc, dict):
             raise ValidationError("experiment config must be a JSON object")
@@ -293,13 +305,17 @@ def _parse_arms(arms) -> tuple[ExperimentArm, ...]:
     """The ``arms`` list of a config document; a malformed arm is named by its index."""
     if not isinstance(arms, list):
         raise ValidationError("arms must be a list of objects with keys rule and eta")
+    parsed = []
     for k, arm in enumerate(arms):
         missing = sorted({"rule", "eta"} - (arm.keys() if isinstance(arm, dict) else set()))
         if missing:
             raise ValidationError(f"arm {k} is missing {', '.join(map(repr, missing))}")
-        check_number(arm["eta"], f"arm {k} eta")
+        try:
+            parsed.append(ExperimentArm(arm["rule"], arm["eta"]))
+        except ValidationError as e:
+            raise ValidationError(f"arm {k} {e}") from None
     # an integer eta is written as a float (1 -> 1.0), as the summary always has
-    return tuple(ExperimentArm(a["rule"], float(a["eta"])) for a in arms)
+    return tuple(ExperimentArm(a.rule, float(a.eta)) for a in parsed)
 
 
 def load_network_ref(ref: str) -> Network:

@@ -45,6 +45,21 @@ Two independent routes compute the same quantities:
   A marginal query is batched over cases too: one elimination of every
   variable outside the query answers it for a whole case matrix.
 
+  Every factor also has a probe axis, just before the case axis.  Its
+  length is 1, except where one table is replaced by a stack of P probed
+  copies (`probe_case_sums`, for the spectral Jacobian): that table's
+  factor has length P there, and every message and adjoint that depends
+  on it gets length P by broadcasting, while the others are computed
+  once for all the probes.  A root total, a rescale check and a
+  normalization are per (probe, case) column.  Such a pass returns no
+  per-case posteriors but K weighted case sums per family,
+  sum_c W[k, p, c] P_p(x_i, pa_i | y_c), with weights computed from the
+  pass's own log-likelihoods between the two sweeps: the unchecked
+  replay contracts each bucket's J with W, the checked one each
+  normalized family posterior.  The E-step, the likelihood pass,
+  queries and the online step are the length-1 case of the same replay,
+  with the same bits as without the axis.
+
   The rescale checks, a per-case total of every message and adjoint, cost
   more than the arithmetic on a batch of one or two cases, and almost
   never fire.  So a call first replays without them.  When no table
@@ -84,12 +99,12 @@ import math
 import sys
 from dataclasses import dataclass
 from functools import lru_cache, reduce
-from typing import NamedTuple
+from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
 
 from .model import (
-    Network, NetworkStructure, ParameterVector, ValidationError, ZeroProbabilityError, parent_rows
+    Network, NetworkStructure, ValidationError, ZeroProbabilityError, parent_rows
 )
 from .netio import DataCase, MISSING
 
@@ -123,14 +138,15 @@ PLAN_CACHE_SIZE = 128
 
 
 class _Cpt(NamedTuple):
-    """How CPT i becomes a case-last factor over its sorted scope, and back.
+    """How CPT i becomes a factor over its sorted scope, and back.
 
-    The table is reshaped to one axis per parent and one for the child
-    (`shape`), transposed to the sorted scope (`perm`) and given a case
-    axis.  Its evidence is rows `ev_rows` of the indicator matrix, reshaped
-    to `ev_shape` plus the case axis.  A family joint is transposed by
-    `post_perm` to parents-then-child order, case axis last, and reshaped
-    to `table_shape`.
+    The table, with a leading probe axis (length 1 for a plain table), is
+    reshaped to that axis, one axis per parent and one for the child
+    (`shape`), transposed by `perm` to the sorted scope with the probe axis
+    last, and given a case axis.  Its evidence is rows `ev_rows` of the
+    indicator matrix, reshaped to `ev_shape` plus the case axis.  A family
+    joint is transposed by `post_perm` to parents-then-child order, its
+    two trailing axes kept, and reshaped to `table_shape`.
     """
 
     shape: tuple[int, ...]
@@ -150,7 +166,7 @@ class _Step(NamedTuple):
     None).  The reverse sweep reshapes the output's adjoint to `upstream`
     (None: no reshape) and sums each factor's adjoint over its entry of
     `sums`, the union axes outside that factor's scope.  `out_shape` is
-    the output's shape without the case axis.
+    the output's shape without the probe and case axes.
     """
 
     ids: tuple[int, ...]
@@ -180,17 +196,18 @@ class _Plan:
 
 
 def _aligned(values: np.ndarray, shape: tuple[int, ...] | None) -> np.ndarray:
-    """`values` reshaped to `shape` plus its case axis; as is for None."""
-    return values if shape is None else values.reshape(shape + values.shape[-1:])
+    """`values` reshaped to `shape` plus its probe and case axes; as is for None."""
+    return values if shape is None else values.reshape(shape + values.shape[-2:])
 
 
 def _case_divisors(values: np.ndarray, high: float = np.inf) -> np.ndarray | None:
-    """Per-case totals of the cases whose total left [RESCALE_TRIGGER, high].
+    """Per-column totals of the columns whose total left [RESCALE_TRIGGER, high].
 
-    Returns None when no case needs rescaling.  Other cases get divisor
-    1, and so do cases that are identically zero: they signal
-    zero-probability evidence and are reported by the caller.  Totals
-    rather than maxima, because they are the cheaper per-case reduction.
+    A column is one (probe, case) pair.  Returns None when no column needs
+    rescaling.  Other columns get divisor 1, and so do columns that are
+    identically zero: they signal zero-probability evidence and are
+    reported by the caller.  Totals rather than maxima, because they are
+    the cheaper per-column reduction.
     """
     total = _case_totals(values)
     # A NaN total fails the first test, and the move test below.
@@ -203,8 +220,8 @@ def _case_divisors(values: np.ndarray, high: float = np.inf) -> np.ndarray | Non
 
 
 def _case_totals(values: np.ndarray) -> np.ndarray:
-    """Sum over every variable axis of a case-last array: one total per case."""
-    return values.reshape(-1, values.shape[-1]).sum(axis=0)
+    """Sum over every variable axis: one total per (probe, case) column."""
+    return values.reshape((-1,) + values.shape[-2:]).sum(axis=0)
 
 
 def _min_degree_order(scopes: tuple[tuple[int, ...], ...], elim: frozenset[int]) -> tuple[int, ...]:
@@ -269,11 +286,11 @@ def _plan(
         pos = scope.index(i)
         r = arities[i]
         cpts.append(_Cpt(
-            shape=tuple(arities[v] for v in axis_vars),
-            perm=perm,
+            shape=(-1,) + tuple(arities[v] for v in axis_vars),
+            perm=tuple(p + 1 for p in perm) + (0,),
             ev_rows=slice(len(ev_var), len(ev_var) + r),
-            ev_shape=(1,) * pos + (r,) + (1,) * (len(scope) - pos - 1),
-            post_perm=tuple(scope.index(v) for v in axis_vars) + (len(scope),),
+            ev_shape=(1,) * pos + (r,) + (1,) * (len(scope) - pos),
+            post_perm=tuple(scope.index(v) for v in axis_vars) + (len(scope), len(scope) + 1),
             table_shape=(math.prod(arities[p] for p in pa), r),
         ))
         scopes.append(scope)
@@ -309,10 +326,13 @@ def _plan_of(structure: NetworkStructure, elim: frozenset[int]) -> _Plan:
 # -- plan replay ---------------------------------------------------------------
 
 
-def _cpt_factors(plan: _Plan, theta: ParameterVector, values: np.ndarray) -> list[np.ndarray]:
-    """Every CPT as a case-last factor, with its variable's evidence folded in.
+def _cpt_factors(plan: _Plan, tables: Sequence[np.ndarray], values: np.ndarray) -> list[np.ndarray]:
+    """Every CPT as a factor ending in probe and case axes, with its
+    variable's evidence folded in.
 
-    A variable no row of `values` observes keeps a case axis of length 1.
+    A (P, q, r) stack in `tables` gives its factor a probe axis of length
+    P; every other factor's has length 1.  A variable no row of `values`
+    observes keeps a case axis of length 1.
     """
     missing = values < 0
     observed = (~missing.all(axis=0)).tolist()
@@ -321,7 +341,7 @@ def _cpt_factors(plan: _Plan, theta: ParameterVector, values: np.ndarray) -> lis
         (values.T[plan.ev_var] == plan.ev_state) | missing.T[plan.ev_var]
     ).astype(np.float64)
     factors = []
-    for table, cpt, seen in zip(theta.tables, plan.cpts, observed):
+    for table, cpt, seen in zip(tables, plan.cpts, observed):
         f = table.reshape(cpt.shape).transpose(cpt.perm)[..., None]
         if seen:
             ev = evidence[cpt.ev_rows]
@@ -330,8 +350,8 @@ def _cpt_factors(plan: _Plan, theta: ParameterVector, values: np.ndarray) -> lis
     return factors
 
 
-def _safe_total(plan: _Plan, theta: ParameterVector) -> float:
-    """A P(y) above which no rescale check of a replay on `theta` can fire.
+def _safe_total(plan: _Plan, tables: Sequence[np.ndarray]) -> float:
+    """A P(y) above which no rescale check of a replay on `tables` can fire.
 
     Let every table entry lie in [0, M], M = max(1, largest entry), and
     B = (product of all arities) * M ** n_vars.  Evidence indicators are
@@ -356,11 +376,14 @@ def _safe_total(plan: _Plan, theta: ParameterVector) -> float:
     by a relative 2**-53, or in the subnormal range by an absolute
     2**-1075, per operation, both far inside it.
 
+    With a stack of probed tables the bound holds for every probe: every
+    one of its entries counts towards M.
+
     Returns that bound, 2 * RESCALE_TRIGGER * B, or inf when there is
     none: an entry is negative or NaN (spectral probes and
     `phi_apply(clamp=False)` can make one negative), or B is too large.
     """
-    entries = np.concatenate(theta.tables, axis=None)
+    entries = np.concatenate(tables, axis=None)
     if not entries.min() >= 0.0:
         return math.inf
     log_b = plan.log_states + len(plan.cpts) * math.log(max(1.0, float(entries.max())))
@@ -374,11 +397,11 @@ def _eliminate(
 ) -> tuple[np.ndarray, np.ndarray | float]:
     """Replay `plan` on `factors`; return the result and its log-scales.
 
-    Factor `k` times exp(its log-scale) is its exact value, per case; a
-    log-scale is the scalar 0.0 until a rescale makes it a per-case
-    array.  Only a `checked` replay rescales.  Each step's output is
-    appended to `factors`.  Without `keep`, the factors a step consumes
-    are released.
+    Factor `k` times exp(its log-scale) is its exact value, per (probe,
+    case) column; a log-scale is the scalar 0.0 until a rescale makes it
+    a per-column array.  Only a `checked` replay rescales.  Each step's
+    output is appended to `factors`.  Without `keep`, the factors a step
+    consumes are released.
     """
     logscales: list = [0.0] * len(factors)
     for step in plan.steps:
@@ -403,69 +426,151 @@ def _eliminate(
 
 
 def _forward(
-    plan: _Plan, theta: ParameterVector, values: np.ndarray, keep: bool = False
+    plan: _Plan, tables: Sequence[np.ndarray], values: np.ndarray, keep: bool = False
 ) -> tuple[list[np.ndarray | None], np.ndarray, np.ndarray | float, bool]:
     """The checked replay's (factors, root, root log-scales), and whether it ran.
 
-    The unchecked replay stands in for it when every case's root total is
-    above `_safe_total`, which proves that no check would have fired.  A
-    total at or below it, 0 and NaN included, sends the whole batch to
+    The unchecked replay stands in for it when every column's root total
+    is above `_safe_total`, which proves that no check would have fired.
+    A total at or below it, 0 and NaN included, sends the whole batch to
     the checked replay on freshly built factors.
     """
-    bound = _safe_total(plan, theta)
+    bound = _safe_total(plan, tables)
     if bound < math.inf:
-        factors = _cpt_factors(plan, theta, values)
+        factors = _cpt_factors(plan, tables, values)
         root, logscale = _eliminate(plan, factors, keep, checked=False)
         if _case_totals(root).min() > bound:
             return factors, root, logscale, False
-    factors = _cpt_factors(plan, theta, values)
+    factors = _cpt_factors(plan, tables, values)
     root, logscale = _eliminate(plan, factors, keep)
     return factors, root, logscale, True
 
 
-def _family_posterior(cpt: _Cpt, factor: np.ndarray, adjoint: np.ndarray, n_cases: int) -> np.ndarray:
-    """Evidence-folded CPT factor times its adjoint, CPT-shaped and normalized per case."""
-    joint = (factor * adjoint).transpose(cpt.post_perm)
-    joint = joint.reshape(cpt.table_shape + joint.shape[-1:])
-    return _normalize(joint, n_cases, "family posteriors")
+def _family_table(cpt: _Cpt, joint: np.ndarray) -> np.ndarray:
+    """A family's array over its sorted scope and two trailing axes, in CPT shape."""
+    joint = joint.transpose(cpt.post_perm)
+    return joint.reshape(cpt.table_shape + joint.shape[-2:])
 
 
-def _case_sums(bucket: np.ndarray, n_cases: int) -> np.ndarray:
-    """A case-last bucket product summed over n_cases cases; an all-missing
-    batch keeps a case axis of length 1, standing for every case."""
-    return bucket.sum(axis=-1) * (n_cases / bucket.shape[-1])
+def _family_posterior(cpt: _Cpt, factor: np.ndarray, adjoint: np.ndarray) -> np.ndarray:
+    """Evidence-folded CPT factor times its adjoint, CPT-shaped and normalized per column."""
+    return _normalize(_family_table(cpt, factor * adjoint), "family posteriors")
+
+
+def _case_sums(columns: np.ndarray, weights: np.ndarray | None, n_cases: int) -> np.ndarray:
+    """An array ending in probe and case axes, summed over n_cases cases.
+
+    The result ends in (P, K): with (K, P, N) weights W, its entries are
+    sum_c W[k, p, c] * columns[..., p, c]; without, K = 1 and the weights
+    are 1.  An all-missing batch keeps a case axis of length 1, standing
+    for every case.
+    """
+    n = columns.shape[-1]
+    if weights is None:
+        return (columns.sum(axis=-1) * (n_cases / n))[..., None]
+    if n < n_cases:
+        weights = weights.sum(axis=-1, keepdims=True)
+    p = columns.shape[-2]
+    # one (entries, N) @ (N, K) product per probe
+    sums = np.matmul(columns.reshape(-1, p, n).transpose(1, 0, 2), weights.transpose(1, 2, 0))
+    return sums.transpose(1, 0, 2).reshape(columns.shape[:-1] + weights.shape[:1])
 
 
 def _family_counts(cpt: _Cpt, counts: np.ndarray, outside: tuple[int, ...]) -> np.ndarray:
     """A family's expected counts, CPT-shaped, from its bucket's case-summed product."""
-    joint = counts.sum(axis=outside) if outside else counts
-    return joint.transpose(cpt.post_perm[:-1]).reshape(cpt.table_shape)
+    return _family_table(cpt, counts.sum(axis=outside) if outside else counts)
 
 
-def _normalize(joint: np.ndarray, n_cases: int, what: str) -> np.ndarray:
-    """Each case's joint divided by its total, broadcast to n_cases cases.
-
-    `joint` is case-last; the result is its view with the case axis first.
-    """
+def _normalize(joint: np.ndarray, what: str) -> np.ndarray:
+    """Each (probe, case) column of `joint` divided by its total."""
     total = _case_totals(joint)
     _raise_zero(total, what)
-    post = (joint / total).transpose([joint.ndim - 1, *range(joint.ndim - 1)])
+    return joint / total
+
+
+def _case_first(post: np.ndarray, n_cases: int) -> np.ndarray:
+    """A case-last array viewed case-first, broadcast to n_cases cases."""
+    post = post.transpose([post.ndim - 1, *range(post.ndim - 1)])
     if post.shape[0] == n_cases:
         return post
     return np.broadcast_to(post, (n_cases,) + post.shape[1:])
 
 
 def _root_loglik(root: np.ndarray, logscale: np.ndarray | float, n_cases: int, what: str) -> np.ndarray:
-    """log P(y) of each case from a full elimination's scalar root and its log-scales."""
-    total = np.broadcast_to(root, (n_cases,))
+    """log P(y) of each (probe, case) column from a full elimination's root and its log-scales."""
+    total = np.broadcast_to(root, root.shape[:-1] + (n_cases,))
     _raise_zero(total, what)
     return np.log(total) + logscale
 
 
 def _raise_zero(total: np.ndarray, what: str) -> None:
-    bad = np.nonzero(~(total > 0.0))[0]
+    """Report the first case with a (probe, case) total that is not positive."""
+    bad = np.nonzero(~(total > 0.0))[-1]
     if bad.size:
-        raise ZeroProbabilityError.of_row(int(bad[0]), f"{what}:")
+        raise ZeroProbabilityError.of_row(int(bad.min()), f"{what}:")
+
+
+def _posteriors(
+    plan: _Plan,
+    tables: Sequence[np.ndarray],
+    values: np.ndarray,
+    summed: bool,
+    weigh: Callable[[np.ndarray], np.ndarray] | None = None,
+) -> tuple[list[np.ndarray], np.ndarray, np.ndarray | None]:
+    """Family posteriors from one forward elimination and its reverse sweep.
+
+    Returns per family its (q_i, r_i, P, N) posteriors, or with `summed`
+    their case sums, (q_i, r_i, P, 1); the (P, N) log-likelihoods; and the
+    weights.  `weigh`, called between the sweeps, maps the log-likelihoods
+    to (K, P, N) weights W, and the case sums become the (q_i, r_i, P, K)
+    weighted ones (`_case_sums`).
+    """
+    n_vars = len(plan.cpts)
+    n_cases = values.shape[0]
+    factors, root, logscale, checked = _forward(plan, tables, values, keep=True)
+    loglik = _root_loglik(root, logscale, n_cases, "family posteriors")
+    weights = None if weigh is None else weigh(loglik)
+
+    # The unchecked root has log-scale 0: seeded with 1 / P(y), every
+    # bucket product holds posteriors, and CPT factors need no adjoint.
+    direct = summed and not checked
+    posteriors: list[np.ndarray] = [np.empty(0)] * n_vars
+    adjoints = {len(factors) - 1: 1.0 / root if direct else np.ones((1, 1))}
+    for k in reversed(range(len(plan.steps))):
+        step = plan.steps[k]
+        upstream = _aligned(adjoints.pop(n_vars + k), step.upstream)
+        aligned = [_aligned(factors[u], shape) for u, shape in zip(step.ids, step.shapes)]
+        # A bucket holding a CPT factor gives counts, the case sums of J.
+        # Its factors, CPTs first, go in reverse: a message's product with
+        # the others and upstream, times the message, is J.
+        counts = None
+        gives_counts = direct and min(step.ids) < n_vars
+        for p in reversed(range(len(step.ids))):
+            t = step.ids[p]
+            if gives_counts and t < n_vars:
+                if counts is None:
+                    counts = _case_sums(reduce(np.multiply, aligned + [upstream]), weights, n_cases)
+                posteriors[t] = _family_counts(plan.cpts[t], counts, step.sums[p])
+                continue
+            # The bucket's other factors first: their product is mostly
+            # smaller than the union, which the upstream adjoint nearly spans.
+            adj = reduce(np.multiply, aligned[:p] + aligned[p + 1:] + [upstream])
+            if gives_counts and counts is None:
+                counts = _case_sums(adj * aligned[p], weights, n_cases)
+            if step.sums[p]:
+                adj = adj.sum(axis=step.sums[p])
+            div = _case_divisors(adj, 1.0 / RESCALE_TRIGGER) if checked else None
+            if div is not None:
+                adj = adj / div
+            if t < n_vars:
+                post = _family_posterior(plan.cpts[t], factors[t], adj)
+                posteriors[t] = _case_sums(post, weights, n_cases) if summed else post
+            else:
+                shape = plan.steps[t - n_vars].out_shape + adj.shape[-2:]
+                adjoints[t] = adj if adj.shape == shape else np.broadcast_to(adj, shape)
+        for t in step.ids:
+            factors[t] = None
+    return posteriors, loglik, weights
 
 
 # -- public single-case operations ----------------------------------------
@@ -487,8 +592,8 @@ def log_marginal_likelihood(network: Network, case: DataCase) -> float:
 def log_likelihood_cases(network: Network, values: np.ndarray) -> np.ndarray:
     """log P(y) for every row of an (N, V) case matrix."""
     plan = _plan_of(network.structure, frozenset(range(network.structure.n_vars)))
-    _, root, logscale, _ = _forward(plan, network.theta, values)
-    return _root_loglik(root, logscale, values.shape[0], "log-likelihood")
+    _, root, logscale, _ = _forward(plan, network.theta.tables, values)
+    return _root_loglik(root, logscale, values.shape[0], "log-likelihood")[0]
 
 
 def family_posteriors(network: Network, case: DataCase) -> list[np.ndarray]:
@@ -507,52 +612,34 @@ def batch_family_posteriors(
     each family's array is its (q_i, r_i) sum over the N cases instead,
     the expected counts sum_c P(x_i, pa_i | y_c).
     """
-    n_vars = network.structure.n_vars
-    n_cases = values.shape[0]
-    plan = _plan_of(network.structure, frozenset(range(n_vars)))
-    factors, root, logscale, checked = _forward(plan, network.theta, values, keep=True)
-    loglik = _root_loglik(root, logscale, n_cases, "family posteriors")
+    plan = _plan_of(network.structure, frozenset(range(network.structure.n_vars)))
+    out, loglik, _ = _posteriors(plan, network.theta.tables, values, summed)
+    if summed:
+        return [a[..., 0, 0] for a in out], loglik[0]
+    return [_case_first(p[..., 0, :], values.shape[0]) for p in out], loglik[0]
 
-    # The unchecked root has log-scale 0: seeded with 1 / P(y), every
-    # bucket product holds posteriors, and CPT factors need no adjoint.
-    direct = summed and not checked
-    posteriors: list[np.ndarray] = [np.empty(0)] * n_vars
-    adjoints = {len(factors) - 1: 1.0 / root if direct else np.ones(1)}
-    for k in reversed(range(len(plan.steps))):
-        step = plan.steps[k]
-        upstream = _aligned(adjoints.pop(n_vars + k), step.upstream)
-        aligned = [_aligned(factors[u], shape) for u, shape in zip(step.ids, step.shapes)]
-        # A bucket holding a CPT factor gives counts, the case sums of J.
-        # Its factors, CPTs first, go in reverse: a message's product with
-        # the others and upstream, times the message, is J.
-        counts = None
-        gives_counts = direct and min(step.ids) < n_vars
-        for p in reversed(range(len(step.ids))):
-            t = step.ids[p]
-            if gives_counts and t < n_vars:
-                if counts is None:
-                    counts = _case_sums(reduce(np.multiply, aligned + [upstream]), n_cases)
-                posteriors[t] = _family_counts(plan.cpts[t], counts, step.sums[p])
-                continue
-            # The bucket's other factors first: their product is mostly
-            # smaller than the union, which the upstream adjoint nearly spans.
-            adj = reduce(np.multiply, aligned[:p] + aligned[p + 1:] + [upstream])
-            if gives_counts and counts is None:
-                counts = _case_sums(adj * aligned[p], n_cases)
-            if step.sums[p]:
-                adj = adj.sum(axis=step.sums[p])
-            div = _case_divisors(adj, 1.0 / RESCALE_TRIGGER) if checked else None
-            if div is not None:
-                adj = adj / div
-            if t < n_vars:
-                post = _family_posterior(plan.cpts[t], factors[t], adj, n_cases)
-                posteriors[t] = post.sum(axis=0) if summed else post
-            else:
-                shape = plan.steps[t - n_vars].out_shape + adj.shape[-1:]
-                adjoints[t] = adj if adj.shape == shape else np.broadcast_to(adj, shape)
-        for t in step.ids:
-            factors[t] = None
-    return posteriors, loglik
+
+def probe_case_sums(
+    network: Network,
+    values: np.ndarray,
+    table: int,
+    probed: np.ndarray,
+    weigh: Callable[[np.ndarray], np.ndarray],
+) -> tuple[list[np.ndarray], np.ndarray]:
+    """Weighted case sums of every family posterior under P probed copies of one table.
+
+    `probed` is a (P, q, r) stack of copies of table `table`; every other
+    table is the network's.  The stack rides the probe axis, so one replay
+    answers every probe.  `weigh` maps the (P, N) log-likelihoods to
+    (K, P, N) weights W before the reverse sweep, and may raise.  Returns
+    per family the (q_i, r_i, P, K) sums sum_c W[k, p, c] P_p(x, pa | y_c),
+    and W.  No per-case posterior is returned.
+    """
+    plan = _plan_of(network.structure, frozenset(range(network.structure.n_vars)))
+    tables = list(network.theta.tables)
+    tables[table] = probed
+    out, _, weights = _posteriors(plan, tables, values, True, weigh)
+    return out, weights
 
 
 def batch_posterior_marginals(network: Network, values: np.ndarray, var_ids: list[int]) -> np.ndarray:
@@ -562,10 +649,10 @@ def batch_posterior_marginals(network: Network, values: np.ndarray, var_ids: lis
         raise ValidationError("duplicate variables in marginal query")
     elim = frozenset(range(network.structure.n_vars)) - frozenset(var_ids)
     plan = _plan_of(network.structure, elim)
-    _, root, _, _ = _forward(plan, network.theta, values)
-    perm = [plan.root_scope.index(v) for v in var_ids]
-    joint = root.transpose(perm + [len(perm)])
-    return _normalize(joint, values.shape[0], "marginal query")
+    _, root, _, _ = _forward(plan, network.theta.tables, values)
+    n = len(var_ids)
+    joint = root.transpose([plan.root_scope.index(v) for v in var_ids] + [n, n + 1])
+    return _case_first(_normalize(joint, "marginal query")[..., 0, :], values.shape[0])
 
 
 def posterior_marginal(network: Network, case: DataCase, var_ids: list[int]) -> np.ndarray:

@@ -17,14 +17,18 @@ a rank-deficient subspace and excluded, mirroring the restriction to the
 span of the per-case posterior vectors; the report flags when that
 happens.
 
-Each coordinate's column of M is exact and costs one E-step.
-P(y; theta) is multilinear in the CPT entries: every term of the sum
-over completions holds exactly one entry of each table.  A probe moves
-entries of one table only, so each case's probability, and each
-unnormalized family joint P(x_f, pa_f, y) = theta_f * dP/dtheta_f, is
-affine in the step delta (dP/dtheta_f contains no entry of table f).
-The base pass, shared by all coordinates, and one pass at +h fix both
-lines, and so the exact derivative of every family posterior.
+Each coordinate's column of M is exact.  P(y; theta) is multilinear in
+the CPT entries: every term of the sum over completions holds exactly
+one entry of each table.  A probe moves entries of one table only, so
+each case's probability, and each unnormalized family joint
+P(x_f, pa_f, y) = theta_f * dP/dtheta_f, is affine in the step delta
+(dP/dtheta_f contains no entry of table f).  The base pass, shared by
+all coordinates, and the probe at +h fix both lines, and so the exact
+derivative of every family posterior.  The probes of one table ride one
+inference pass, stacked on its probe axis (see `inference`): the
+quantities they change are second partials of the network polynomial
+(Darwiche 2003), and what does not depend on the probed table is
+computed once for all of them.
 
 The theory's contraction factor is stated in a reweighted norm; the
 empirical rate reported here is measured in the plain L2 norm, so
@@ -38,6 +42,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import estimation
 from .estimation import (
     SufficientStats,
     _apply_rule,
@@ -46,6 +51,7 @@ from .estimation import (
     expected_stats,
     is_fixpoint,
 )
+from .inference import probe_case_sums
 from .model import (
     PROB_FLOOR, Network, NumericalError, ParameterVector, ValidationError, ZeroProbabilityError,
     check_number, param_delta_stats,
@@ -115,25 +121,15 @@ def _free_coords(network: Network) -> list[tuple[int, int, int]]:
     return coords
 
 
-def _to_free(theta: ParameterVector, coords: list[tuple[int, int, int]]) -> np.ndarray:
-    return np.array([theta.tables[i][j, k] for (i, j, k) in coords])
-
-
-def _probe(theta: ParameterVector, i: int, j: int, k: int, delta: float) -> ParameterVector:
-    """Shift one free coordinate, balancing the row's last entry."""
-    tables = [t.copy() for t in theta.tables]
-    tables[i][j, k] += delta
-    tables[i][j, -1] -= delta
-    return ParameterVector(tables, _validate=False)
-
-
 def jacobian(network: Network, dataset: DataSet, h: float = FD_STEP) -> np.ndarray:
     """M = I - grad(Phi) at eta = 1 on the free-coordinate chart, exactly.
 
-    Each coordinate takes one inference pass, at a step of +h, besides the
-    base pass all coordinates share.  A probe moves entries of one table
-    only, and P(y) is multilinear in the tables, so a case's probability
-    and its unnormalized family joints are affine in the step: with
+    Each coordinate is probed at a step of +h.  The probes of a table share
+    inference passes, one per group of them (`_probe_groups`) and case
+    sub-block (`_probe_passes`), besides the base pass all coordinates
+    share.  A probe moves entries of one table only, and P(y) is
+    multilinear in the tables, so a case's probability and its
+    unnormalized family joints are affine in the step: with
     s = delta / h and rho = P(y; +h) / P(y), the family posterior at
     delta is exactly
 
@@ -164,6 +160,75 @@ def _flat_posteriors(posteriors: list[np.ndarray]) -> np.ndarray:
     return np.concatenate([p.reshape(len(p), -1).T for p in posteriors])
 
 
+def _probe_groups(
+    theta: ParameterVector, coords: list[tuple[int, int, int]], h: float
+) -> list[tuple[int, np.ndarray, np.ndarray]]:
+    """The probes at +h as (table, (P, q, r) stack of probed copies, coordinates).
+
+    A group holds probes of one table, at most E_STEP_CHUNK of them.  The
+    probes that leave an entry negative, the row's last entry being below
+    h, form groups of their own: a negative entry leaves `_safe_total` no
+    bound and sends its whole pass to the checked replay.
+    """
+    at = np.array(coords, dtype=np.intp).reshape(-1, 3)
+    groups = []
+    for i, table in enumerate(theta.tables):
+        cols = np.flatnonzero(at[:, 0] == i)
+        probed = np.repeat(table[None], cols.size, axis=0)
+        # copy c: coordinate c up by h, its row's last entry down by h
+        probed[np.arange(cols.size), at[cols, 1], at[cols, 2]] += h
+        probed[np.arange(cols.size), at[cols, 1], -1] -= h
+        negative = probed.min(axis=(1, 2)) < 0.0
+        for kind in (~negative, negative):
+            for c in range(0, np.count_nonzero(kind), estimation.E_STEP_CHUNK):
+                part = np.flatnonzero(kind)[c : c + estimation.E_STEP_CHUNK]
+                groups.append((i, probed[part], cols[part]))
+    return groups
+
+
+def _probe_passes(
+    network: Network,
+    dataset: DataSet,
+    start: int,
+    group: tuple[int, np.ndarray, np.ndarray],
+    p0: np.ndarray,
+    lls: np.ndarray,
+    sums: np.ndarray,
+) -> None:
+    """Add a probe group's case sums over the block of cases from `start`
+    to its coordinates' rows of `sums`.
+
+    A pass takes at most E_STEP_CHUNK // P cases, so it has at most
+    E_STEP_CHUNK (probe, case) columns.  With rho = P(y; +h) / P(y), it
+    returns the sums of rho * p1, p1 / rho and p1 over its cases; one
+    product of the block's base posteriors `p0` with the weights turns the
+    first two into the sums of rho * (p1 - p0) and (p1 - p0) / rho.
+    """
+    table, probed, cols = group
+    block = dataset.values[start : start + len(lls)]
+    width = estimation.E_STEP_CHUNK // len(probed)
+    for a in range(0, len(lls), width):
+        base_lls = lls[a : a + width]
+
+        def weigh(moved_lls: np.ndarray) -> np.ndarray:
+            rho = np.exp(moved_lls - base_lls)
+            # P(y; theta - h) / P(y; theta) = 2 - rho; the pass at +h has
+            # already refused a case with P(y; theta + h) = rho * P(y) <= 0.
+            bad = np.flatnonzero(~(rho < 2.0).all(axis=0))
+            if bad.size:
+                raise ZeroProbabilityError.of_row(int(bad[0]))
+            return np.stack([rho, 1.0 / rho, np.ones_like(rho)])
+
+        try:
+            out, weights = probe_case_sums(network, block[a : a + width], table, probed, weigh)
+        except ZeroProbabilityError as e:
+            raise ZeroProbabilityError.of_row(start + a + (e.case_index or 0)) from None
+        # every family's (q_i * r_i, P, 3) sums, on the flat entry axis
+        sums[:, cols] += np.concatenate([o.reshape(-1, *o.shape[-2:]) for o in out]).T
+        shifts = p0[:, a : a + width] @ weights[:2].reshape(2 * len(cols), -1).T
+        sums[:2, cols] -= shifts.T.reshape(2, len(cols), -1)
+
+
 def _jacobian(network: Network, dataset: DataSet, h: float) -> tuple[np.ndarray, float]:
     """`jacobian`, and the fixpoint residual read from its base pass.
 
@@ -172,12 +237,12 @@ def _jacobian(network: Network, dataset: DataSet, h: float) -> tuple[np.ndarray,
     row's first entry and `free` each coordinate's entry.  Every block's
     base pass runs first, so a point off the fixpoint is refused after one
     pass per block.  Then cases are taken one E_STEP_CHUNK block at a
-    time, and within a block one coordinate at a time: a pass's posteriors
-    fill one (Q, N) matrix, and besides the last block's base matrix, kept
-    from the first sweep, only the block's base matrix and one probe's are
-    held.  Per coordinate the case sums of the slopes at 0 and at +h and
-    of the posteriors at +h accumulate in one (3, m, Q) array.  Row sums
-    on the flat axis are `np.add.reduceat` over `starts`.
+    time; a block's base posteriors fill one (Q, N) matrix, and its probes
+    go one group at a time (`_probe_groups`, `_probe_passes`).  Besides the
+    last block's base matrix, kept from the first sweep, only the block's
+    base matrix is held.  Per coordinate the case sums of the slopes at 0
+    and at +h and of the posteriors at +h accumulate in one (3, m, Q)
+    array.  Row sums on the flat axis are `np.add.reduceat` over `starts`.
     """
     check_number(h, "h", above=0)
     coords = _free_coords(network)
@@ -211,6 +276,7 @@ def _jacobian(network: Network, dataset: DataSet, h: float) -> tuple[np.ndarray,
         raise NotAFixpointError(
             f"analysis point has fixpoint residual {residual:.3g} > {FIXPOINT_TOL}"
         )
+    groups = _probe_groups(theta, coords, h)
     sums = np.zeros((3, m, offsets[-1]))
     for start in blocks:
         if start == blocks[-1]:
@@ -219,22 +285,8 @@ def _jacobian(network: Network, dataset: DataSet, h: float) -> tuple[np.ndarray,
             base, lls = _block_posteriors(network, dataset, start)
             p0 = _flat_posteriors(base)
             del base
-        for c, (i, j, k) in enumerate(coords):
-            probe = network.with_theta(_probe(theta, i, j, k, h))
-            moved, moved_lls = _block_posteriors(probe, dataset, start)
-            rho = np.exp(moved_lls - lls)
-            # P(y; theta - h) / P(y; theta) = 2 - rho; the pass at +h has
-            # already refused a case with P(y; theta + h) = rho * P(y) <= 0.
-            bad = np.flatnonzero(~(rho < 2.0))
-            if bad.size:
-                raise ZeroProbabilityError.of_row(start + int(bad[0]))
-            p1 = _flat_posteriors(moved)
-            sums[2, c] += p1.sum(axis=1)
-            p1 -= p0
-            sums[0, c] += p1 @ rho
-            sums[1, c] += p1 @ (1.0 / rho)
-            # free this probe's posteriors before the next probe's pass
-            del moved, p1
+        for group in groups:
+            _probe_passes(network, dataset, start, group, p0, lls, sums)
 
     # Below, row c holds the derivative along coordinate c at every free
     # entry.  An entry whose row has zero parent mass keeps its probed

@@ -377,6 +377,17 @@ class TestExperiment:
         assert err.startswith("error: ") and "Traceback" not in err
         assert not (tmp_path / "x").exists()
 
+    def test_5000_digit_eta_exit_2_writes_nothing(self, tmp_path, capsys):
+        """More digits than Python converts to an int: json.loads raises a
+        ValueError that is no JSONDecodeError."""
+        cfg_path = tmp_path / "exp.json"
+        cfg_path.write_text('{"network": "builtin:chain3", "n_train": 20, "seed": 1, '
+                            '"arms": [{"rule": "em", "eta": 1' + "0" * 5000 + '}]}')
+        assert run("experiment", "--config", cfg_path, "--out-dir", tmp_path / "x") == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: experiment config is not valid JSON") and "Traceback" not in err
+        assert not (tmp_path / "x").exists()
+
     @pytest.mark.parametrize("key", ["hidden", "targets"])
     def test_unknown_variable_name_exit_2_writes_nothing(self, tmp_path, capsys, key):
         cfg_path = tmp_path / "exp.json"

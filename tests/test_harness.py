@@ -516,7 +516,7 @@ class TestRunExperiment:
         ("obscure_prob", 1.5, r"obscure_prob must be a number in \[0, 1\]"),
         ("max_iters", -3, "arm em_1: max_iters must be a nonnegative integer"),
         ("tol_ll", -1.0, "arm em_1: tol_ll must be a finite nonnegative number"),
-        pytest.param("arms", [{"rule": "xx", "eta": 1.0}], "arm xx_1: unknown rule 'xx'",
+        pytest.param("arms", [{"rule": "xx", "eta": 1.0}], "arm 0 rule must be one of",
                      id="arms-bad-rule"),
         pytest.param("arms", [{"rule": "em", "eta": 1.0}, {"rule": "em", "eta": -1.0}],
                      "arm em_-1: eta must be a finite nonnegative number", id="arms-negative-eta"),
@@ -550,6 +550,18 @@ class TestRunExperiment:
     def test_malformed_arm_named(self, arms, message):
         with pytest.raises(ValidationError, match=message):
             ExperimentConfig.from_json(json.dumps({**self.MINIMAL, "arms": arms}))
+
+    @pytest.mark.parametrize("rule, eta, message", [
+        ("em", "x", "eta must be a number, got 'x'"),
+        ("em", float("nan"), "eta must be a finite number, got nan"),
+        ("xx", 1.0, r"rule must be one of \('em', 'eg', 'gp'\), got 'xx'"),
+        (["em"], 1.0, r"rule must be one of .*, got \['em'\]"),
+    ])
+    def test_bad_arm_rejected_at_construction(self, rule, eta, message):
+        """So every arm has a label: ("em", "x") made `label` raise a
+        ValueError from the format code."""
+        with pytest.raises(ValidationError, match=message):
+            ExperimentArm(rule, eta)
 
     def test_fit_config_of_an_arm(self):
         config = ExperimentConfig.from_json(json.dumps(

@@ -35,13 +35,13 @@ from bnfit.model import (
 )
 from bnfit.netio import MISSING, DataCase, case_from_dict
 from bnfit.networks import chain3, twolayer15
-from bnfit.spectral import _probe
 
 import util
 from util import (
     oracle_case_probability,
     oracle_family_posteriors,
     oracle_marginal,
+    probe,
     random_network,
     random_partial_case,
     random_structure,
@@ -626,9 +626,9 @@ class TestUncheckedReplay:
         so one checked replay per call."""
         net = chain3()
         last = net.theta.tables[0][0, -1]
-        probed = net.with_theta(_probe(net.theta, 0, 0, 0, last + 0.01))
+        probed = net.with_theta(probe(net.theta, 0, 0, 0, last + 0.01))
         assert probed.theta.tables[0].min() < 0.0
-        assert _safe_total(_plan_of(net.structure, frozenset(range(3))), probed.theta) == np.inf
+        assert _safe_total(_plan_of(net.structure, frozenset(range(3))), probed.theta.tables) == np.inf
         values = np.array([[MISSING, 0, 1], [MISSING, MISSING, 0], [MISSING, 1, MISSING]])
         assert_replay_equals_reference(probed, values, [0])
         assert replays == [True] * 3
@@ -663,7 +663,7 @@ class TestUncheckedReplay:
             if n_cases > 1:
                 values[-1] = MISSING
         s = net.structure
-        bound = _safe_total(_plan_of(s, frozenset(range(s.n_vars))), net.theta)
+        bound = _safe_total(_plan_of(s, frozenset(range(s.n_vars))), net.theta.tables)
         rescales = []
         check = util._case_divisors
 
@@ -690,7 +690,7 @@ class TestUncheckedReplay:
         likely = np.tile([1, 0], n // 2)
         values = np.stack([likely, np.zeros(n, dtype=np.int64), likely, np.full(n, MISSING)])
         values[2, rng.random(n) < 0.5] = MISSING
-        bound = _safe_total(_plan_of(net.structure, frozenset(range(n))), net.theta)
+        bound = _safe_total(_plan_of(net.structure, frozenset(range(n))), net.theta.tables)
         assert np.log(bound) > n * np.log(0.01)
         assert_replay_equals_reference(net, values, [n // 2, 7])
         assert replays == [False, True] * 3
@@ -742,7 +742,7 @@ class TestSummedPosteriors:
             assert got.shape == s.table_shape(i)
             np.testing.assert_allclose(got, post.sum(axis=0), rtol=1e-12, atol=1e-12 * n_cases)
         if batch == "checked":
-            bound = _safe_total(_plan_of(s, frozenset(range(s.n_vars))), net.theta)
+            bound = _safe_total(_plan_of(s, frozenset(range(s.n_vars))), net.theta.tables)
             assert lls[0] < np.log(bound)
 
 

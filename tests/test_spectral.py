@@ -8,6 +8,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import bnfit.estimation
+import bnfit.inference
 import bnfit.spectral
 from bnfit.estimation import ROW_MASS_FLOOR, FitConfig, expected_stats, fit, is_fixpoint
 from bnfit.harness import MissingnessSpec, forward_sample, obscure
@@ -30,8 +31,6 @@ from bnfit.spectral import (
     FIXPOINT_TOL,
     NotAFixpointError,
     _free_coords,
-    _probe,
-    _to_free,
     build_report,
     contraction_rate,
     empirical_rate,
@@ -42,7 +41,7 @@ from bnfit.spectral import (
     report_to_json,
 )
 
-from util import random_network, random_structure, random_tables
+from util import probe, random_network, random_structure, random_tables, reference_jacobian, to_free
 
 
 def converged_chain3(n=400, hidden=("M",), seed=0, init_seed=5):
@@ -66,30 +65,6 @@ def twolayer15_fixpoint(n=500, seed=0, init_seed=3):
     cfg = FitConfig("em", 1.8, 1000, tol_ll=None, tol_param=1e-10, init="random",
                     seed=init_seed, warm_start_em1=True)
     return net.with_theta(fit(net, data, cfg).theta), data
-
-
-def reference_jacobian(network, dataset, h=FD_STEP):
-    """The four-probe finite-difference Jacobian: one full E-step per image."""
-    coords = _free_coords(network)
-    m = len(coords)
-    ok, residual = is_fixpoint(network.theta, expected_stats(network, dataset), FIXPOINT_TOL)
-    if not ok:
-        raise NotAFixpointError(f"fixpoint residual {residual:.3g}")
-
-    def grad_phi(step):
-        cols = np.empty((m, m))
-        for c, (i, j, k) in enumerate(coords):
-            plus = phi_apply(network.with_theta(_probe(network.theta, i, j, k, step)),
-                             dataset, 1.0, clamp=False)
-            minus = phi_apply(network.with_theta(_probe(network.theta, i, j, k, -step)),
-                              dataset, 1.0, clamp=False)
-            cols[:, c] = (_to_free(plus, coords) - _to_free(minus, coords)) / (2.0 * step)
-        return cols
-
-    j_h = grad_phi(h)
-    j_half = grad_phi(h / 2.0)
-    assert np.max(np.abs(j_h - j_half)) <= FD_AGREEMENT
-    return np.eye(m) - (4.0 * j_half - j_h) / 3.0
 
 
 @pytest.fixture(scope="module")
@@ -216,10 +191,10 @@ class TestProbeReconstruction:
         central = np.empty((len(coords), len(coords)))
         for c, (i, j, k) in enumerate(coords):
             plus, minus = (
-                phi_apply(net.with_theta(_probe(net.theta, i, j, k, step)), data, 1.0, clamp=False)
+                phi_apply(net.with_theta(probe(net.theta, i, j, k, step)), data, 1.0, clamp=False)
                 for step in (h, -h)
             )
-            central[:, c] = (_to_free(plus, coords) - _to_free(minus, coords)) / (2.0 * h)
+            central[:, c] = (to_free(plus, coords) - to_free(minus, coords)) / (2.0 * h)
         # Phi jumps where a probe gives a zero-mass row some mass, from the
         # probed entries to the ratio; at the base point such a row keeps
         # its entries, so its derivative is the identity and its row of M
@@ -252,13 +227,12 @@ class TestProbeReconstruction:
         """Halving each case's likelihood ratio halves the slope at 0 and
         doubles the slope at +h, but leaves Phi(+h) alone: the guard trips."""
         net, data = converged_chain3()
-        passes = bnfit.spectral._block_posteriors
+        passes = bnfit.spectral.probe_case_sums
 
-        def wrong_ratio(network, dataset, start):
-            moved, lls = passes(network, dataset, start)
-            return moved, lls + np.log(0.5)
+        def wrong_ratio(network, values, table, probed, weigh):
+            return passes(network, values, table, probed, lambda lls: weigh(lls + np.log(0.5)))
 
-        monkeypatch.setattr(bnfit.spectral, "_block_posteriors", wrong_ratio)
+        monkeypatch.setattr(bnfit.spectral, "probe_case_sums", wrong_ratio)
         with pytest.raises(NumericalError, match="disagree"):
             jacobian(net, data)
 
@@ -298,18 +272,83 @@ class TestProbeReconstruction:
             jacobian(shifted, data)
         assert calls == [37] * 5 + [15]
 
-    def test_one_e_step_per_coordinate(self, monkeypatch, twolayer15_at_fixpoint):
+    def test_one_pass_per_probe_group_and_case_block(self, monkeypatch, twolayer15_at_fixpoint):
+        """One base pass; then per table one group of the probes that keep
+        every entry nonnegative and one of those that move a row's last
+        entry below 0, each over sub-blocks of E_STEP_CHUNK // P cases."""
         net, data = twolayer15_at_fixpoint
-        calls = []
+        calls, passes = [], []
         inner = bnfit.estimation.batch_family_posteriors
+        probes = bnfit.spectral.probe_case_sums
 
         def counting(network, values, **kwargs):
             calls.append(len(values))
             return inner(network, values, **kwargs)
 
+        def recording(network, values, table, probed, weigh):
+            passes.append((table, len(probed), len(values)))
+            return probes(network, values, table, probed, weigh)
+
         monkeypatch.setattr(bnfit.estimation, "batch_family_posteriors", counting)
+        monkeypatch.setattr(bnfit.spectral, "probe_case_sums", recording)
         build_report(net, data, [1.0])
-        assert calls == [len(data)] * (len(_free_coords(net)) + 1)
+        assert calls == [len(data)]
+        n, chunk, expected = len(data), bnfit.estimation.E_STEP_CHUNK, []
+        for i, table in enumerate(net.theta.tables):
+            free = table.shape[1] - 1
+            low = free * int(np.count_nonzero(table[:, -1] < FD_STEP))
+            for size in (table.shape[0] * free - low, low):
+                if size:
+                    width = chunk // size
+                    expected += [(i, size, min(width, n - a)) for a in range(0, n, width)]
+        assert passes == expected
+        assert len(passes) < len(_free_coords(net))
+
+    @pytest.mark.parametrize("chunk", [37, 5])
+    def test_case_and_probe_sub_blocks_same_matrix(self, monkeypatch, chunk):
+        """At 5, fewer than the 18 coordinates of twolayer15's largest
+        table, the probes of a group are split too; no pass has more than
+        E_STEP_CHUNK (probe, case) columns."""
+        net, data = twolayer15_fixpoint(n=60)
+        one_block = jacobian(net, data)
+        columns = []
+        probes = bnfit.spectral.probe_case_sums
+
+        def recording(network, values, table, probed, weigh):
+            columns.append(len(probed) * len(values))
+            return probes(network, values, table, probed, weigh)
+
+        monkeypatch.setattr(bnfit.spectral, "probe_case_sums", recording)
+        monkeypatch.setattr(bnfit.estimation, "E_STEP_CHUNK", chunk)
+        np.testing.assert_allclose(jacobian(net, data), one_block, rtol=0, atol=1e-9)
+        assert 0 < max(columns) <= chunk
+
+    def test_negative_probes_take_the_checked_replay(self, monkeypatch, twolayer15_at_fixpoint):
+        """The fixture has rows whose last entry sits at PROB_FLOOR, below
+        h.  Their probes leave `_safe_total` no bound, and their passes
+        replay checked; every other probe pass replays unchecked."""
+        net, data = twolayer15_at_fixpoint
+        assert min(t.min() for t in net.theta.tables) == PROB_FLOOR
+        passes = []
+        probes = bnfit.spectral.probe_case_sums
+        eliminate = bnfit.inference._eliminate
+
+        def recording(network, values, table, probed, weigh):
+            passes.append((bool(probed.min() < 0.0), []))
+            return probes(network, values, table, probed, weigh)
+
+        def replaying(plan, factors, keep=False, checked=True):
+            if passes:
+                passes[-1][1].append(checked)
+            return eliminate(plan, factors, keep, checked)
+
+        monkeypatch.setattr(bnfit.spectral, "probe_case_sums", recording)
+        monkeypatch.setattr(bnfit.inference, "_eliminate", replaying)
+        m = jacobian(net, data)
+        assert any(negative for negative, _ in passes)
+        for negative, replays in passes:
+            assert replays == [negative]
+        np.testing.assert_allclose(m, reference_jacobian(net, data), rtol=0, atol=1e-8)
 
     @pytest.mark.parametrize("eta", [float("inf"), float("nan"), 0.0])
     def test_bad_eta_rejected_before_any_e_step(self, monkeypatch, eta):

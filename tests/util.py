@@ -12,10 +12,14 @@ from functools import reduce
 
 import numpy as np
 
+from bnfit.estimation import expected_stats, is_fixpoint
 from bnfit.inference import RESCALE_TRIGGER, _min_degree_order
 from bnfit.model import Network, NetworkStructure, ParameterVector, Variable, random_init
 from bnfit.netio import MISSING, DataCase
 from bnfit.networks import chain3
+from bnfit.spectral import (
+    FD_AGREEMENT, FD_STEP, FIXPOINT_TOL, NotAFixpointError, _free_coords, phi_apply
+)
 
 
 def alt_chain3() -> Network:
@@ -323,3 +327,42 @@ def reference_posterior_marginals(network: Network, values: np.ndarray, var_ids:
     res = _reference_eliminate(_reference_factors(network, values), elim, _arities(s))
     perm = [res.scope.index(v) for v in var_ids]
     return _reference_normalize(res.values.transpose(perm + [len(perm)]), values.shape[0])
+
+
+# -- spectral references -----------------------------------------------------
+
+
+def to_free(theta: ParameterVector, coords: list[tuple[int, int, int]]) -> np.ndarray:
+    return np.array([theta.tables[i][j, k] for (i, j, k) in coords])
+
+
+def probe(theta: ParameterVector, i: int, j: int, k: int, delta: float) -> ParameterVector:
+    """Shift one free coordinate, balancing the row's last entry."""
+    tables = [t.copy() for t in theta.tables]
+    tables[i][j, k] += delta
+    tables[i][j, -1] -= delta
+    return ParameterVector(tables, _validate=False)
+
+
+def reference_jacobian(network, dataset, h=FD_STEP):
+    """The four-probe finite-difference Jacobian: one full E-step per image."""
+    coords = _free_coords(network)
+    m = len(coords)
+    ok, residual = is_fixpoint(network.theta, expected_stats(network, dataset), FIXPOINT_TOL)
+    if not ok:
+        raise NotAFixpointError(f"fixpoint residual {residual:.3g}")
+
+    def grad_phi(step):
+        cols = np.empty((m, m))
+        for c, (i, j, k) in enumerate(coords):
+            plus = phi_apply(network.with_theta(probe(network.theta, i, j, k, step)),
+                             dataset, 1.0, clamp=False)
+            minus = phi_apply(network.with_theta(probe(network.theta, i, j, k, -step)),
+                              dataset, 1.0, clamp=False)
+            cols[:, c] = (to_free(plus, coords) - to_free(minus, coords)) / (2.0 * step)
+        return cols
+
+    j_h = grad_phi(h)
+    j_half = grad_phi(h / 2.0)
+    assert np.max(np.abs(j_h - j_half)) <= FD_AGREEMENT
+    return np.eye(m) - (4.0 * j_half - j_h) / 3.0
