@@ -71,15 +71,40 @@ Two independent routes compute the same quantities:
   Otherwise the call rebuilds the factors and replays the whole batch
   checked.
 
-  Evidence enters as indicator columns, so factor scopes, and with them
-  the elimination order and every bucket, depend only on the structure
-  and the eliminated set.  Each (structure, eliminated set) is compiled
-  once into a plan: the order, each CPT's transpose and evidence
-  reshape, each bucket's factor ids, aligned shapes and sum axis, and
-  each reverse step's sum axes and posterior transpose.  A call replays
-  the plan on arrays, doing the multiplications of an elimination from
+  Evidence enters as indicator columns, except for the variables that
+  every row of a batch of two or more observes, the batch's fixed set:
+  the plan conditions on those (instantiating evidence, Darwiche 2003).
+  A factor drops a fixed variable's axis by taking, per case, its
+  entries at the case's values, one flat index per case into the CPT's
+  fixed axes, and the elimination runs over the other variables only.
+  A family whose variables are all fixed has no axis left: the log of
+  its entry joins the case's log-scale, so the root, and the
+  `_safe_total` bound checked against it, leave it out, and its
+  posterior is the one-hot of the case's configuration.  The other
+  families' outputs are scattered back to the (q, r) layout: per case at
+  the case's fixed values, and as case sums by one product with the
+  one-hot matrix of those values.  Conditioning leaves a scalar message
+  per connected part of the unfixed variables in the last step; there a
+  checked replay rescales every partial product, and the reverse sweep
+  gives message m the adjoint 1 / m instead of multiplying all the
+  others for each: the product of the others is P(y) / m, so 1 / m is
+  exact under the seed 1 / P(y) and a per-case multiple of the adjoint,
+  which normalization cancels, otherwise.  Single rows are not
+  conditioned: their observed variables change from row to row, and a
+  plan per pattern would take longer to compile than the online step it
+  serves.
+
+  So factor scopes, and with them the elimination order and every
+  bucket, depend only on the structure, the eliminated set and the fixed
+  set.  Each (structure, eliminated set, fixed set) is compiled once
+  into a plan: the order, each CPT's transpose and evidence reshape,
+  each bucket's factor ids, aligned shapes and sum axis, and each
+  reverse step's sum axes and posterior transpose.  A call replays the
+  plan on arrays, doing the multiplications of an elimination from
   scratch in the same order.  Plans are cached, at most PLAN_CACHE_SIZE
-  of them, keyed on the parent sets, the arities and the eliminated set.
+  of them, keyed on the parent sets, the arities, the eliminated set
+  and the fixed set.  A batch with an empty fixed set replays the plan
+  without conditioning.
 
 * The oracle route (`enumerate_*`) sums over all joint completions.  It
   exists for tests and sanity checks and shares no code with the main
@@ -133,7 +158,8 @@ if hasattr(_libc, "gnu_get_libc_version"):
 # -- elimination plans ------------------------------------------------------
 
 # Plans kept: a fit, an online stream and a spectral analysis use one
-# each; a query evaluation uses one per target variable.
+# each, plus one per fixed set their batches condition on; a query
+# evaluation uses one per target variable and fixed set.
 PLAN_CACHE_SIZE = 128
 
 
@@ -142,19 +168,29 @@ class _Cpt(NamedTuple):
 
     The table, with a leading probe axis (length 1 for a plain table), is
     reshaped to that axis, one axis per parent and one for the child
-    (`shape`), transposed by `perm` to the sorted scope with the probe axis
-    last, and given a case axis.  Its evidence is rows `ev_rows` of the
-    indicator matrix, reshaped to `ev_shape` plus the case axis.  A family
-    joint is transposed by `post_perm` to parents-then-child order, its
-    two trailing axes kept, and reshaped to `table_shape`.
+    (`shape`), transposed by `perm` to the sorted scope with the probe
+    axis last, and given a case axis.  Its evidence is rows `ev_rows` of
+    the indicator matrix, reshaped to `ev_shape` plus the case axis; None
+    when the child is fixed.  A family joint is transposed by `post_perm`
+    to parents-then-child order, its two trailing axes kept, and reshaped
+    to `table_shape`.
+
+    In a conditioned plan the scope's fixed variables, `fixed_shape` their
+    arities, are transposed after the probe axis instead and flattened to
+    one axis, which the case's flat index gathers; the factor's scope is
+    the rest, `rest_shape`.  Its family joint comes back over the fixed
+    axes, then the rest, before `post_perm`.  A family with no rest is
+    folded: no factor, a log term per case.
     """
 
     shape: tuple[int, ...]
     perm: tuple[int, ...]
-    ev_rows: slice
+    ev_rows: slice | None
     ev_shape: tuple[int, ...]
     post_perm: tuple[int, ...]
     table_shape: tuple[int, int]
+    fixed_shape: tuple[int, ...]
+    rest_shape: tuple[int, ...]
 
 
 class _Step(NamedTuple):
@@ -185,6 +221,11 @@ class _Plan:
     step's output is the result, over `root_scope`.  Indicator row k is
     state `ev_state[k]` of variable `ev_var[k]`.  `log_states` is the log
     of the number of joint states, the product of all arities.
+
+    `fixed` are the variables conditioned on, sorted; empty for a plan
+    without conditioning.  A case's flat index into CPT i's fixed axes is
+    its row of `values[:, fixed] @ strides`, column i.  The CPTs in
+    `folded` have every variable fixed and no factor.
     """
 
     cpts: tuple[_Cpt, ...]
@@ -193,6 +234,9 @@ class _Plan:
     ev_var: np.ndarray
     ev_state: np.ndarray
     log_states: float
+    fixed: tuple[int, ...]
+    strides: np.ndarray
+    folded: tuple[int, ...]
 
 
 def _aligned(values: np.ndarray, shape: tuple[int, ...] | None) -> np.ndarray:
@@ -270,36 +314,57 @@ def _step(
 
 @lru_cache(maxsize=PLAN_CACHE_SIZE)
 def _plan(
-    parents: tuple[tuple[int, ...], ...], arities: tuple[int, ...], elim: frozenset[int]
+    parents: tuple[tuple[int, ...], ...],
+    arities: tuple[int, ...],
+    elim: frozenset[int],
+    fixed: frozenset[int] = frozenset(),
 ) -> _Plan:
-    """Compile the elimination of `elim` from the CPT factors of a structure.
+    """Compile the elimination of `elim`, conditioned on `fixed`, from the
+    CPT factors of a structure.
 
-    The steps are those of bucket elimination in min-degree order: each
-    bucket multiplies the live factors that touch its variable, in the
-    order they became live, and its output joins the live factors last.
+    The steps are those of bucket elimination in min-degree order over the
+    variables of `elim` outside `fixed`, on the scopes without `fixed`:
+    each bucket multiplies the live factors that touch its variable, in
+    the order they became live, and its output joins the live factors
+    last.
     """
+    held_vars = tuple(sorted(fixed))
+    strides = np.zeros((len(held_vars), len(parents)))
     cpts, scopes, ev_var, ev_state = [], [], [], []
     for i, pa in enumerate(parents):
         axis_vars = tuple(pa) + (i,)
-        perm = tuple(sorted(range(len(axis_vars)), key=lambda p: axis_vars[p]))
-        scope = tuple(axis_vars[p] for p in perm)
-        pos = scope.index(i)
+        order = sorted(range(len(axis_vars)), key=lambda p: axis_vars[p])
+        held = [p for p in order if axis_vars[p] in fixed]
+        rest = [p for p in order if axis_vars[p] not in fixed]
+        scope = tuple(axis_vars[p] for p in rest)
+        stride = 1
+        for p in reversed(held):
+            strides[held_vars.index(axis_vars[p]), i] = stride
+            stride *= arities[axis_vars[p]]
         r = arities[i]
+        ev_rows, ev_shape = None, ()
+        if i not in fixed:
+            pos = scope.index(i)
+            ev_rows = slice(len(ev_var), len(ev_var) + r)
+            ev_shape = (1,) * pos + (r,) + (1,) * (len(scope) - pos)
+            ev_var += [i] * r
+            ev_state += range(r)
+        back = held + rest
         cpts.append(_Cpt(
             shape=(-1,) + tuple(arities[v] for v in axis_vars),
-            perm=tuple(p + 1 for p in perm) + (0,),
-            ev_rows=slice(len(ev_var), len(ev_var) + r),
-            ev_shape=(1,) * pos + (r,) + (1,) * (len(scope) - pos),
-            post_perm=tuple(scope.index(v) for v in axis_vars) + (len(scope), len(scope) + 1),
+            perm=tuple(p + 1 for p in rest) + (0,) + tuple(p + 1 for p in held),
+            ev_rows=ev_rows,
+            ev_shape=ev_shape,
+            post_perm=tuple(back.index(p) for p in range(len(axis_vars))) + (len(back), len(back) + 1),
             table_shape=(math.prod(arities[p] for p in pa), r),
+            fixed_shape=tuple(arities[axis_vars[p]] for p in held),
+            rest_shape=tuple(arities[v] for v in scope),
         ))
         scopes.append(scope)
-        ev_var += [i] * r
-        ev_state += range(r)
 
-    live = list(enumerate(scopes))
+    live = [(i, sc) for i, sc in enumerate(scopes) if sc]
     steps = []
-    for var in _min_degree_order(tuple(scopes), elim):
+    for var in _min_degree_order(tuple(scopes), elim - fixed):
         touching = [kf for kf in live if var in kf[1]]
         live = [kf for kf in live if var not in kf[1]]
         union = tuple(sorted(set().union(*(sc for _, sc in touching))))
@@ -313,60 +378,102 @@ def _plan(
         tuple(steps),
         root,
         np.array(ev_var, dtype=np.intp),
-        np.array(ev_state)[:, None],
+        np.array(ev_state, dtype=np.int64)[:, None],
         math.fsum(math.log(r) for r in arities),
+        held_vars,
+        strides,
+        tuple(i for i, sc in enumerate(scopes) if not sc),
     )
 
 
-def _plan_of(structure: NetworkStructure, elim: frozenset[int]) -> _Plan:
+def _plan_of(structure: NetworkStructure, elim: frozenset[int], values: np.ndarray | None = None) -> _Plan:
+    """The plan for `elim`; for a batch `values` of two or more rows,
+    conditioned on the variables of `elim` that every row observes."""
     arities = tuple(v.arity for v in structure.variables)
-    return _plan(structure.parents, arities, elim)
+    fixed = frozenset()
+    if values is not None and values.shape[0] > 1:
+        # a column's minimum is negative when some row misses it
+        low = np.minimum.reduce(values, axis=0)
+        if np.maximum.reduce(low) >= 0:
+            fixed = elim.intersection(np.flatnonzero(low >= 0).tolist())
+    return _plan(structure.parents, arities, elim, fixed)
 
 
 # -- plan replay ---------------------------------------------------------------
 
 
-def _cpt_factors(plan: _Plan, tables: Sequence[np.ndarray], values: np.ndarray) -> list[np.ndarray]:
+def _fixed_index(plan: _Plan, values: np.ndarray) -> np.ndarray:
+    """Each case's flat index into each CPT's fixed axes, (n_vars, N)."""
+    # a float product runs on BLAS; indices are far below 2**53
+    return (values[:, plan.fixed] @ plan.strides).T.astype(np.intp)
+
+
+def _cpt_factors(
+    plan: _Plan, tables: Sequence[np.ndarray], values: np.ndarray, what: str
+) -> tuple[list[np.ndarray | None], np.ndarray | float]:
     """Every CPT as a factor ending in probe and case axes, with its
-    variable's evidence folded in.
+    variable's evidence folded in, and the folded families' log terms.
 
     A (P, q, r) stack in `tables` gives its factor a probe axis of length
     P; every other factor's has length 1.  A variable no row of `values`
-    observes keeps a case axis of length 1.
+    observes keeps a case axis of length 1.  In a conditioned plan a
+    factor with fixed axes takes, per case, the entries at the case's
+    fixed values; a folded family leaves None and adds the log of its
+    entry to the (P, N) log terms, which are 0.0 when none is folded.
     """
     missing = values < 0
     observed = (~missing.all(axis=0)).tolist()
-    # (state, case) indicator-or-missing rows of every variable
+    # (state, case) indicator-or-missing rows of every unfixed variable
     evidence = (
         (values.T[plan.ev_var] == plan.ev_state) | missing.T[plan.ev_var]
     ).astype(np.float64)
-    factors = []
-    for table, cpt, seen in zip(tables, plan.cpts, observed):
-        f = table.reshape(cpt.shape).transpose(cpt.perm)[..., None]
-        if seen:
+    index = _fixed_index(plan, values) if plan.fixed else None
+    factors: list[np.ndarray | None] = []
+    logs: np.ndarray | float = 0.0
+    for i, (table, cpt, seen) in enumerate(zip(tables, plan.cpts, observed)):
+        f = table.reshape(cpt.shape).transpose(cpt.perm)
+        if not cpt.fixed_shape:
+            f = f[..., None]
+        else:
+            f = f.reshape(cpt.rest_shape + (-1, math.prod(cpt.fixed_shape)))[..., index[i]]
+            if not cpt.rest_shape:
+                _raise_zero(f, what)
+                logs = logs + np.log(f)
+                factors.append(None)
+                continue
+        if seen and cpt.ev_rows is not None:
             ev = evidence[cpt.ev_rows]
             f = f * ev.reshape(cpt.ev_shape + ev.shape[-1:])
         factors.append(f)
-    return factors
+    return factors, logs
 
 
 def _safe_total(plan: _Plan, tables: Sequence[np.ndarray]) -> float:
-    """A P(y) above which no rescale check of a replay on `tables` can fire.
+    """A root total above which no rescale check of a replay on `tables` can fire.
 
     Let every table entry lie in [0, M], M = max(1, largest entry), and
     B = (product of all arities) * M ** n_vars.  Evidence indicators are
     0 or 1, so a sum, over the assignments of some variables, of products
     of evidence-folded CPT entries, at most one per table, is at most B.
-    A factor f of the replay (a CPT factor or a message) is such a sum
-    over the CPT factors below it; its adjoint a, as the reverse sweep
-    forms it before broadcasting, is such a sum over the other CPT
-    factors; and per case, P(y) is the sum of f * a over f's scope.
-    Bounding one side of that sum by B gives, per case:
+    A gathered factor of a conditioned plan is an evidence-folded one with
+    its zero terms dropped, so the same holds for sums over the rest of
+    its variables, and the folded families' entries are simply left out.
+    Let R be the replay's own root total: P(y), without the folded terms
+    in a conditioned plan.  A factor f of the replay (a CPT factor or a
+    message) is such a sum over the CPT factors below it; its adjoint a,
+    as the reverse sweep forms it before broadcasting, is such a sum over
+    the other CPT factors; and per case, R is the sum of f * a over f's
+    scope.  Bounding one side of that sum by B gives, per case:
 
-    * total(f) >= P(y) / B for every message f;
-    * P(y) / B <= total(a) <= B for every adjoint a.
+    * total(f) >= R / B for every message f;
+    * R / B <= total(a) <= B for every adjoint a.
 
-    So if P(y) > 2 * RESCALE_TRIGGER * B for every case, with
+    The partial products of a conditioned plan's last step are messages of
+    this kind too.  The adjoint that step gives a message m is 1 / m, the
+    adjoint above divided by R, so it and every adjoint below it have
+    totals in [1 / B, B / R].
+
+    So if R > 2 * RESCALE_TRIGGER * B for every case, with
     B < 0.5 / RESCALE_TRIGGER, every message total is above
     RESCALE_TRIGGER and every adjoint total in
     (RESCALE_TRIGGER, 1 / RESCALE_TRIGGER): no check of the checked
@@ -392,6 +499,14 @@ def _safe_total(plan: _Plan, tables: Sequence[np.ndarray]) -> float:
     return 2.0 * RESCALE_TRIGGER * math.exp(log_b)
 
 
+def _rescaled(values: np.ndarray, logscale: np.ndarray | float) -> tuple[np.ndarray, np.ndarray | float]:
+    """`values` with the totals that sank to RESCALE_TRIGGER pulled into `logscale`."""
+    div = _case_divisors(values)
+    if div is None:
+        return values, logscale
+    return values / div, logscale + np.log(div)
+
+
 def _eliminate(
     plan: _Plan, factors: list[np.ndarray | None], keep: bool = False, checked: bool = True
 ) -> tuple[np.ndarray, np.ndarray | float]:
@@ -399,24 +514,30 @@ def _eliminate(
 
     Factor `k` times exp(its log-scale) is its exact value, per (probe,
     case) column; a log-scale is the scalar 0.0 until a rescale makes it
-    a per-column array.  Only a `checked` replay rescales.  Each step's
-    output is appended to `factors`.  Without `keep`, the factors a step
-    consumes are released.
+    a per-column array.  Only a `checked` replay rescales: each step's
+    output, and in a conditioned plan, whose last step may multiply a
+    scalar message per connected part of the unfixed variables, each
+    product of that step too.  Each step's output is appended to
+    `factors`; a last step with no factor gives ones.  Without `keep`,
+    the factors a step consumes are released.
     """
     logscales: list = [0.0] * len(factors)
     for step in plan.steps:
-        first = step.ids[0]
-        values = _aligned(factors[first], step.shapes[0])
-        logscale = logscales[first]
+        if step.ids:
+            values = _aligned(factors[step.ids[0]], step.shapes[0])
+            logscale = logscales[step.ids[0]]
+        else:
+            values, logscale = np.ones((1, 1)), 0.0
+        check_each = checked and step.axis is None and plan.fixed
         for k, shape in zip(step.ids[1:], step.shapes[1:]):
             values = values * _aligned(factors[k], shape)
             logscale = logscale + logscales[k]
+            if check_each:
+                values, logscale = _rescaled(values, logscale)
         if step.axis is not None:
             values = values.sum(axis=step.axis)
-            div = _case_divisors(values) if checked else None
-            if div is not None:
-                values = values / div
-                logscale = logscale + np.log(div)
+            if checked:
+                values, logscale = _rescaled(values, logscale)
         if not keep:
             for k in step.ids:
                 factors[k] = None
@@ -426,24 +547,26 @@ def _eliminate(
 
 
 def _forward(
-    plan: _Plan, tables: Sequence[np.ndarray], values: np.ndarray, keep: bool = False
+    plan: _Plan, tables: Sequence[np.ndarray], values: np.ndarray, what: str, keep: bool = False
 ) -> tuple[list[np.ndarray | None], np.ndarray, np.ndarray | float, bool]:
     """The checked replay's (factors, root, root log-scales), and whether it ran.
 
     The unchecked replay stands in for it when every column's root total
     is above `_safe_total`, which proves that no check would have fired.
     A total at or below it, 0 and NaN included, sends the whole batch to
-    the checked replay on freshly built factors.
+    the checked replay on freshly built factors.  The log-scales include
+    the folded families' log terms; a nonpositive folded entry raises
+    ZeroProbabilityError for its case, `what` naming the operation.
     """
     bound = _safe_total(plan, tables)
     if bound < math.inf:
-        factors = _cpt_factors(plan, tables, values)
+        factors, logs = _cpt_factors(plan, tables, values, what)
         root, logscale = _eliminate(plan, factors, keep, checked=False)
         if _case_totals(root).min() > bound:
-            return factors, root, logscale, False
-    factors = _cpt_factors(plan, tables, values)
+            return factors, root, logscale + logs if plan.folded else logscale, False
+    factors, logs = _cpt_factors(plan, tables, values, what)
     root, logscale = _eliminate(plan, factors, keep)
-    return factors, root, logscale, True
+    return factors, root, logscale + logs if plan.folded else logscale, True
 
 
 def _family_table(cpt: _Cpt, joint: np.ndarray) -> np.ndarray:
@@ -471,9 +594,38 @@ def _case_sums(columns: np.ndarray, weights: np.ndarray | None, n_cases: int) ->
     if n < n_cases:
         weights = weights.sum(axis=-1, keepdims=True)
     p = columns.shape[-2]
-    # one (entries, N) @ (N, K) product per probe
+    # one (entries, N) @ (N, K) product per probe; columns that do not
+    # depend on the probe (p = 1) broadcast over the weights' probes
     sums = np.matmul(columns.reshape(-1, p, n).transpose(1, 0, 2), weights.transpose(1, 2, 0))
-    return sums.transpose(1, 0, 2).reshape(columns.shape[:-1] + weights.shape[:1])
+    return sums.transpose(1, 0, 2).reshape(columns.shape[:-2] + sums.shape[::2])
+
+
+def _scatter(
+    cpt: _Cpt, post: np.ndarray, index: np.ndarray, weights: np.ndarray | None, summed: bool
+) -> np.ndarray:
+    """A gathered family's (rest..., P, N) posteriors, CPT-shaped.
+
+    Case c's family joint is zero off its fixed values, flat index
+    `index[c]` of the fixed axes.  Per case, `post` is written there; with
+    `summed`, the case sums are taken as `_case_sums` takes them, by one
+    (entries, N) @ one-hot(N, fixed configurations) product.
+    """
+    size = math.prod(cpt.fixed_shape)
+    n = index.shape[0]
+    last = post.ndim - 1
+    if summed:
+        # (K, rest..., P, N) weighted columns, K = 1 without weights
+        if weights is None:
+            post = post[None]
+        else:
+            post = post * weights.reshape(weights.shape[:1] + (1,) * (last - 1) + weights.shape[1:])
+        onehot = (index[:, None] == np.arange(size)).astype(np.float64)
+        sums = (post.reshape(-1, n) @ onehot).reshape(post.shape[:-1] + (size,))
+        full = sums.transpose((last + 1,) + tuple(range(1, last + 1)) + (0,))
+    else:
+        full = np.zeros((size,) + post.shape)
+        full[index, ..., np.arange(n)] = post.transpose((last,) + tuple(range(last)))
+    return _family_table(cpt, full.reshape(cpt.fixed_shape + full.shape[1:]))
 
 
 def _family_counts(cpt: _Cpt, counts: np.ndarray, outside: tuple[int, ...]) -> np.ndarray:
@@ -505,9 +657,10 @@ def _root_loglik(root: np.ndarray, logscale: np.ndarray | float, n_cases: int, w
 
 def _raise_zero(total: np.ndarray, what: str) -> None:
     """Report the first case with a (probe, case) total that is not positive."""
-    bad = np.nonzero(~(total > 0.0))[-1]
-    if bad.size:
-        raise ZeroProbabilityError.of_row(int(bad.min()), f"{what}:")
+    # the ufunc's own reduce is the cheapest test on a few columns; a NaN
+    # propagates through it and fails the test too
+    if not np.minimum.reduce(total, axis=None, initial=np.inf) > 0.0:
+        raise ZeroProbabilityError.of_row(int(np.nonzero(~(total > 0.0))[-1].min()), f"{what}:")
 
 
 def _posteriors(
@@ -527,9 +680,10 @@ def _posteriors(
     """
     n_vars = len(plan.cpts)
     n_cases = values.shape[0]
-    factors, root, logscale, checked = _forward(plan, tables, values, keep=True)
+    factors, root, logscale, checked = _forward(plan, tables, values, "family posteriors", keep=True)
     loglik = _root_loglik(root, logscale, n_cases, "family posteriors")
     weights = None if weigh is None else weigh(loglik)
+    index = _fixed_index(plan, values) if plan.fixed else None
 
     # The unchecked root has log-scale 0: seeded with 1 / P(y), every
     # bucket product holds posteriors, and CPT factors need no adjoint.
@@ -540,36 +694,59 @@ def _posteriors(
         step = plan.steps[k]
         upstream = _aligned(adjoints.pop(n_vars + k), step.upstream)
         aligned = [_aligned(factors[u], shape) for u, shape in zip(step.ids, step.shapes)]
+        # The last step of a conditioned plan multiplies scalar messages
+        # only: the adjoint of message m is P(y) / m, which is 1 / m with
+        # the seed 1 / P(y), and a multiple of it per column otherwise.
+        reciprocal = step.axis is None and plan.fixed
         # A bucket holding a CPT factor gives counts, the case sums of J.
         # Its factors, CPTs first, go in reverse: a message's product with
-        # the others and upstream, times the message, is J.
-        counts = None
-        gives_counts = direct and min(step.ids) < n_vars
+        # the others and upstream, times the message, is J.  A family with
+        # fixed axes takes J per case, summed to its scope, and scatters it.
+        joint = counts = None
+        gives_counts = direct and min(step.ids, default=n_vars) < n_vars
         for p in reversed(range(len(step.ids))):
             t = step.ids[p]
             if gives_counts and t < n_vars:
+                if joint is None and counts is None:
+                    joint = reduce(np.multiply, aligned + [upstream])
+                if plan.cpts[t].fixed_shape:
+                    part = joint.sum(axis=step.sums[p]) if step.sums[p] else joint
+                    posteriors[t] = _scatter(plan.cpts[t], part, index[t], weights, True)
+                    continue
                 if counts is None:
-                    counts = _case_sums(reduce(np.multiply, aligned + [upstream]), weights, n_cases)
+                    counts = _case_sums(joint, weights, n_cases)
                 posteriors[t] = _family_counts(plan.cpts[t], counts, step.sums[p])
                 continue
-            # The bucket's other factors first: their product is mostly
-            # smaller than the union, which the upstream adjoint nearly spans.
-            adj = reduce(np.multiply, aligned[:p] + aligned[p + 1:] + [upstream])
-            if gives_counts and counts is None:
-                counts = _case_sums(adj * aligned[p], weights, n_cases)
+            if reciprocal:
+                adj = 1.0 / aligned[p]
+            else:
+                # The bucket's other factors first: their product is mostly
+                # smaller than the union, which the upstream adjoint nearly spans.
+                adj = reduce(np.multiply, aligned[:p] + aligned[p + 1:] + [upstream])
+            if gives_counts and joint is None and counts is None:
+                joint = adj * aligned[p]
+                if not plan.fixed:
+                    # no family needs J per case: keep only its case sums
+                    counts, joint = _case_sums(joint, weights, n_cases), None
             if step.sums[p]:
                 adj = adj.sum(axis=step.sums[p])
             div = _case_divisors(adj, 1.0 / RESCALE_TRIGGER) if checked else None
             if div is not None:
                 adj = adj / div
-            if t < n_vars:
-                post = _family_posterior(plan.cpts[t], factors[t], adj)
-                posteriors[t] = _case_sums(post, weights, n_cases) if summed else post
-            else:
+            if t >= n_vars:
                 shape = plan.steps[t - n_vars].out_shape + adj.shape[-2:]
                 adjoints[t] = adj if adj.shape == shape else np.broadcast_to(adj, shape)
+            elif plan.cpts[t].fixed_shape:
+                post = _normalize(factors[t] * adj, "family posteriors")
+                posteriors[t] = _scatter(plan.cpts[t], post, index[t], weights, summed)
+            else:
+                post = _family_posterior(plan.cpts[t], factors[t], adj)
+                posteriors[t] = _case_sums(post, weights, n_cases) if summed else post
         for t in step.ids:
             factors[t] = None
+    # a folded family's posterior is its case's configuration, one-hot
+    for t in plan.folded:
+        posteriors[t] = _scatter(plan.cpts[t], np.ones((1, n_cases)), index[t], weights, summed)
     return posteriors, loglik, weights
 
 
@@ -591,8 +768,8 @@ def log_marginal_likelihood(network: Network, case: DataCase) -> float:
 
 def log_likelihood_cases(network: Network, values: np.ndarray) -> np.ndarray:
     """log P(y) for every row of an (N, V) case matrix."""
-    plan = _plan_of(network.structure, frozenset(range(network.structure.n_vars)))
-    _, root, logscale, _ = _forward(plan, network.theta.tables, values)
+    plan = _plan_of(network.structure, frozenset(range(network.structure.n_vars)), values)
+    _, root, logscale, _ = _forward(plan, network.theta.tables, values, "log-likelihood")
     return _root_loglik(root, logscale, values.shape[0], "log-likelihood")[0]
 
 
@@ -612,7 +789,7 @@ def batch_family_posteriors(
     each family's array is its (q_i, r_i) sum over the N cases instead,
     the expected counts sum_c P(x_i, pa_i | y_c).
     """
-    plan = _plan_of(network.structure, frozenset(range(network.structure.n_vars)))
+    plan = _plan_of(network.structure, frozenset(range(network.structure.n_vars)), values)
     out, loglik, _ = _posteriors(plan, network.theta.tables, values, summed)
     if summed:
         return [a[..., 0, 0] for a in out], loglik[0]
@@ -635,7 +812,7 @@ def probe_case_sums(
     per family the (q_i, r_i, P, K) sums sum_c W[k, p, c] P_p(x, pa | y_c),
     and W.  No per-case posterior is returned.
     """
-    plan = _plan_of(network.structure, frozenset(range(network.structure.n_vars)))
+    plan = _plan_of(network.structure, frozenset(range(network.structure.n_vars)), values)
     tables = list(network.theta.tables)
     tables[table] = probed
     out, _, weights = _posteriors(plan, tables, values, True, weigh)
@@ -648,8 +825,8 @@ def batch_posterior_marginals(network: Network, values: np.ndarray, var_ids: lis
     if len(set(var_ids)) != len(var_ids):
         raise ValidationError("duplicate variables in marginal query")
     elim = frozenset(range(network.structure.n_vars)) - frozenset(var_ids)
-    plan = _plan_of(network.structure, elim)
-    _, root, _, _ = _forward(plan, network.theta.tables, values)
+    plan = _plan_of(network.structure, elim, values)
+    _, root, _, _ = _forward(plan, network.theta.tables, values, "marginal query")
     n = len(var_ids)
     joint = root.transpose([plan.root_scope.index(v) for v in var_ids] + [n, n + 1])
     return _case_first(_normalize(joint, "marginal query")[..., 0, :], values.shape[0])

@@ -112,7 +112,8 @@ def parse_network(text: str) -> Network:
     """Parse a network JSON document into a validated Network."""
     try:
         doc = json.loads(text)
-    except json.JSONDecodeError as e:
+    except ValueError as e:
+        # JSONDecodeError, or an integer of more digits than Python converts
         raise ValidationError(f"network file is not valid JSON: {e}") from None
     if not isinstance(doc, dict):
         raise ValidationError("network file must be a JSON object")

@@ -38,6 +38,19 @@ class TestSample:
                    "--out", tmp_path / "x.csv")
         assert code == 2
 
+    def test_5000_digit_cpt_entry_exit_2_writes_nothing(self, tmp_path, chain3_file, capsys):
+        """More digits than Python converts to an int: json.loads raises a
+        ValueError that is no JSONDecodeError."""
+        doc = json.loads(open(chain3_file).read())
+        doc["cpt"]["A"][0][0] = "HUGE"
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(doc).replace('"HUGE"', "1" + "0" * 5000))
+        out = tmp_path / "o.csv"
+        assert run("sample", "--network", bad, "--n", 5, "--out", out) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: network file is not valid JSON") and "Traceback" not in err
+        assert not out.exists()
+
     def test_negative_n_exit_2(self, tmp_path, chain3_file, capsys):
         code = run("sample", "--network", chain3_file, "--n", -5, "--out", tmp_path / "x.csv")
         assert code == 2

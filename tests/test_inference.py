@@ -1,5 +1,6 @@
 """Exact inference against enumeration oracles and algebraic identities."""
 
+import math
 import platform
 
 import numpy as np
@@ -24,6 +25,7 @@ from bnfit.inference import (
     log_marginal_likelihood,
     parent_config_marginals,
     posterior_marginal,
+    probe_case_sums,
 )
 from bnfit.model import (
     Network,
@@ -35,6 +37,7 @@ from bnfit.model import (
 )
 from bnfit.netio import MISSING, DataCase, case_from_dict
 from bnfit.networks import chain3, twolayer15
+from bnfit.online import LearningRateSchedule, run_stream
 
 import util
 from util import (
@@ -499,6 +502,16 @@ class TestBatchInvariance:
         assert batch_posterior_marginals(net, values, [4]).shape == (3, net.structure.arity(4))
 
 
+def batch_with_fixed_columns(rng: np.random.Generator, s: NetworkStructure, n_cases: int | None = None) -> np.ndarray:
+    """Two or more partially observed rows, with a random nonempty set of
+    columns observed in every row: a batch the plan conditions on."""
+    n = int(rng.integers(2, 7)) if n_cases is None else n_cases
+    values = np.stack([random_partial_case(rng, s, float(rng.random())).states for _ in range(n)])
+    for v in rng.choice(s.n_vars, size=int(rng.integers(1, s.n_vars + 1)), replace=False):
+        values[:, v] = rng.integers(s.arity(int(v)), size=n)
+    return values
+
+
 def assert_replay_equals_reference(net: Network, values: np.ndarray, var_ids: list[int]) -> None:
     """The compiled plan's replay against the per-call elimination it
     replaced: equal arrays, not merely close ones."""
@@ -526,14 +539,16 @@ class TestPlanReplay:
     @given(
         seed=st.integers(0, 2**32 - 1),
         n_vars=st.integers(1, 8),
-        batch=st.sampled_from(["one", "one_and_missing", "never_observed"]),
+        batch=st.sampled_from(["one", "one_and_missing", "never_observed", "fixed_columns"]),
         n_query=st.integers(1, 3),
     )
     def test_random_dags(self, seed, n_vars, batch, n_query):
         rng = np.random.default_rng(seed)
         net = random_network(rng, n_vars, arities=(2, 3, 4))
         s = net.structure
-        if batch == "never_observed":
+        if batch == "fixed_columns":
+            values = batch_with_fixed_columns(rng, s)
+        elif batch == "never_observed":
             # many cases, and variables no case observes: factors of case length 1
             values = np.stack([random_partial_case(rng, s, 0.7).states for _ in range(25)])
             values[:, rng.choice(n_vars, size=max(1, n_vars // 2), replace=False)] = MISSING
@@ -707,7 +722,7 @@ class TestSummedPosteriors:
     @given(
         seed=st.integers(0, 2**32 - 1),
         n_vars=st.integers(1, 8),
-        batch=st.sampled_from(["partial", "single", "all_missing", "exact_zero", "checked"]),
+        batch=st.sampled_from(["partial", "single", "all_missing", "exact_zero", "checked", "fixed_columns"]),
         n_cases=st.integers(1, 6),
     )
     def test_equals_the_sum_of_the_per_case_posteriors(self, seed, n_vars, batch, n_cases):
@@ -734,6 +749,8 @@ class TestSummedPosteriors:
             values[:] = MISSING
         if batch == "checked":
             values[0] = 0
+        if batch == "fixed_columns":
+            values = batch_with_fixed_columns(rng, s, max(n_cases, 2))
 
         posts, lls = batch_family_posteriors(net, values)
         sums, summed_lls = batch_family_posteriors(net, values, summed=True)
@@ -744,6 +761,157 @@ class TestSummedPosteriors:
         if batch == "checked":
             bound = _safe_total(_plan_of(s, frozenset(range(s.n_vars))), net.theta.tables)
             assert lls[0] < np.log(bound)
+
+
+def weigh_by_probability(lls: np.ndarray) -> np.ndarray:
+    """(2, P, N) weights: P(y_c) under probe p, and 1."""
+    return np.stack([np.exp(lls), np.ones_like(lls)])
+
+
+class TestConditionedBatches:
+    """A batch of two or more rows conditions on the columns every row
+    observes: factors keep only the entries at each case's values, fully
+    fixed families become log terms, and outputs are scattered back.
+    Every output equals the row-by-row one, whose single-row batches are
+    not conditioned, and the enumeration oracle."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        n_vars=st.integers(1, 7),
+        probed_family=st.sampled_from(["folded", "any"]),
+    )
+    def test_equals_row_by_row_and_the_oracle(self, seed, n_vars, probed_family):
+        rng = np.random.default_rng(seed)
+        net = random_network(rng, n_vars, arities=(2, 3, 4))
+        s = net.structure
+        values = batch_with_fixed_columns(rng, s)
+        n = values.shape[0]
+        plan = _plan_of(s, frozenset(range(n_vars)), values)
+        assert plan.fixed and all((values[:, v] >= 0).all() for v in plan.fixed)
+        var_ids = [int(v) for v in rng.choice(n_vars, size=min(2, n_vars), replace=False)]
+
+        posts, lls = batch_family_posteriors(net, values)
+        sums, summed_lls = batch_family_posteriors(net, values, summed=True)
+        ll_only = log_likelihood_cases(net, values)
+        margs = batch_posterior_marginals(net, values, var_ids)
+        for c in range(n):
+            row, case = values[c : c + 1], DataCase(values[c])
+            solo_posts, solo_lls = batch_family_posteriors(net, row)
+            want_ll = np.log(oracle_case_probability(net, case))
+            for got in (lls[c], summed_lls[c], ll_only[c]):
+                assert got == pytest.approx(solo_lls[0], rel=0, abs=1e-12)
+                assert got == pytest.approx(want_ll, rel=0, abs=1e-10)
+            for got, solo, want in zip(posts, solo_posts, oracle_family_posteriors(net, case)):
+                np.testing.assert_allclose(got[c], solo[0], rtol=0, atol=1e-12)
+                np.testing.assert_allclose(got[c], want, rtol=0, atol=1e-10)
+            np.testing.assert_allclose(margs[c], batch_posterior_marginals(net, row, var_ids)[0],
+                                       rtol=0, atol=1e-12)
+            np.testing.assert_allclose(margs[c], oracle_marginal(net, case, var_ids), rtol=0, atol=1e-10)
+        for got, post in zip(sums, posts):
+            np.testing.assert_allclose(got, post.sum(axis=0), rtol=0, atol=1e-12 * n)
+
+        # three probed copies of one table, drawn afresh; "folded" picks a
+        # family with every variable observed in every row when there is one
+        folded = [i for i in range(n_vars) if set(s.parents[i]) | {i} <= set(plan.fixed)]
+        table = int(rng.choice(folded if probed_family == "folded" and folded else n_vars))
+        probed = np.stack([random_tables(rng, s).tables[table] for _ in range(3)])
+        got, weights = probe_case_sums(net, values, table, probed, weigh_by_probability)
+        want_w = np.zeros_like(weights)
+        want = [np.zeros(s.table_shape(i) + (3, 2)) for i in range(n_vars)]
+        solo_sums = [np.zeros_like(w) for w in want]
+        for p in range(3):
+            tables = list(net.theta.tables)
+            tables[table] = probed[p]
+            moved = net.with_theta(ParameterVector(tables))
+            for c in range(n):
+                case = DataCase(values[c])
+                w = weigh_by_probability(np.log(oracle_case_probability(moved, case)))
+                want_w[:, p, c] = w
+                for i, post in enumerate(oracle_family_posteriors(moved, case)):
+                    want[i][..., p, :] += post[..., None] * w
+        for c in range(n):
+            solo, _ = probe_case_sums(net, values[c : c + 1], table, probed, weigh_by_probability)
+            for acc, x in zip(solo_sums, solo):
+                acc += x
+        np.testing.assert_allclose(weights, want_w, rtol=1e-10, atol=0)
+        for i in range(n_vars):
+            assert got[i].shape == s.table_shape(i) + (3, 2)
+            np.testing.assert_allclose(got[i], solo_sums[i], rtol=0, atol=1e-12 * n)
+            np.testing.assert_allclose(got[i], want[i], rtol=0, atol=1e-10 * n)
+
+    def test_fully_observed_rare_chain_sums_the_log_entries(self):
+        """P = 1e-2000 for the all-s0 row of a 1000-link chain: every
+        family is folded, so the log-likelihood is the sum of the logs of
+        the row's entries, with nothing multiplied."""
+        n = 1000
+        net = rare_chain(n, 0.01)
+        likely = np.tile([1, 0], n // 2)
+        values = np.stack([np.zeros(n, dtype=np.int64), likely])
+        assert len(_plan_of(net.structure, frozenset(range(n)), values).folded) == n
+        for lls in (log_likelihood_cases(net, values), batch_family_posteriors(net, values)[1],
+                    batch_family_posteriors(net, values, summed=True)[1]):
+            assert np.all(np.isfinite(lls))
+            for c in range(2):
+                entries = [net.theta.tables[0][0, values[c, 0]]] + [
+                    net.theta.tables[i][values[c, i - 1], values[c, i]] for i in range(1, n)
+                ]
+                assert lls[c] == pytest.approx(math.fsum(np.log(entries)), rel=1e-12)
+        assert lls[0] < -4000.0
+        posts, _ = batch_family_posteriors(net, values)
+        assert posts[0][0, 0, 0] == posts[5][1, 1, 0] == 1.0
+
+    def test_the_last_step_rescales_its_products(self):
+        """A 300-link chain whose second row misses every third variable:
+        the all-s0 first row leaves 100 scalar messages of 1e-4 each in
+        the last step, a product of 1e-400, which the checked replay
+        rescales as it multiplies them."""
+        n = 300
+        net = rare_chain(n, 0.01)
+        values = np.stack([np.zeros(n, dtype=np.int64), np.tile([1, 0], n // 2)])
+        values[1, 1::3] = MISSING
+        plan = _plan_of(net.structure, frozenset(range(n)), values)
+        assert len(plan.steps[-1].ids) == 100
+        lls = log_likelihood_cases(net, values)
+        assert lls[0] == pytest.approx(n * math.log(0.01), rel=1e-12)
+        assert_replay_equals_reference(net, values, [n // 2, 7])
+
+    @pytest.mark.parametrize("family", ["folded", "gathered"])
+    def test_zero_entry_at_the_observed_configuration_names_the_row(self, family):
+        """chain3 with P(B = s1 | M = s1) = 0: row 2 observes M = s1 and
+        B = s1.  B's family is folded when M is observed in every row, and
+        gathered on B otherwise."""
+        net = chain3()
+        tables = [t.copy() for t in net.theta.tables]
+        tables[2][1] = [1.0, 0.0]
+        net = net.with_theta(ParameterVector(tables))
+        values = np.array([[0, 0, 1], [MISSING, 0, 1], [1, 1, 1], [MISSING, 1, 0]])
+        if family == "gathered":
+            values[0, 1] = MISSING
+        plan = _plan_of(net.structure, frozenset(range(3)), values)
+        assert (2 in plan.folded) == (family == "folded")
+        calls = [
+            lambda: batch_family_posteriors(net, values),
+            lambda: batch_family_posteriors(net, values, summed=True),
+            lambda: log_likelihood_cases(net, values),
+            lambda: batch_posterior_marginals(net, values, [0]),
+        ]
+        for call in calls:
+            with pytest.raises(ZeroProbabilityError, match="case 2 has probability 0") as info:
+                call()
+            assert info.value.case_index == 2
+
+    @pytest.mark.parametrize("schedule", [LearningRateSchedule.per_row_count(),
+                                          LearningRateSchedule.inverse_t(2.0, 20.0)])
+    def test_a_stream_compiles_at_most_one_plan(self, schedule):
+        """Online batches are one row, or a row and an all-missing row: no
+        column is observed in every row, so they share one plan."""
+        net = twolayer15()
+        names = tuple(v.name for v in net.structure.variables)
+        data = obscure(forward_sample(net, 300, seed=5), MissingnessSpec(names[:3], 0.2, seed=6))
+        inference._plan.cache_clear()
+        run_stream(net, data, "em", schedule)
+        assert inference._plan.cache_info().misses <= 1
 
 
 @pytest.mark.skipif(platform.libc_ver()[0] != "glibc", reason="heap thresholds are set on glibc only")

@@ -171,6 +171,14 @@ def oracle_marginal(network: Network, case: DataCase, var_ids: list[int]) -> np.
 # bit: same multiplications, in the same order, on arrays of the same
 # shapes.  It shares the library's `_min_degree_order`, which
 # `TestMinDegreeOrder` checks against a reference of its own.
+#
+# A batch of two or more rows conditions on the eliminated variables that
+# every row observes: each CPT factor keeps only the entries at the
+# case's values of those variables, built here entry by entry; a family
+# with all its variables fixed adds the log of its entry to the case's
+# log-likelihood instead; and the last step, which then multiplies
+# scalar messages, rescales each partial product and gives message m the
+# adjoint 1 / m.
 
 
 @dataclass
@@ -189,16 +197,20 @@ def _align(values, scope, union, arities):
     return values.reshape(shape + values.shape[-1:])
 
 
-def _multiply(factors, arities):
+def _multiply(factors, arities, rescale_each=False):
+    if not factors:
+        return _Factor((), np.ones(1), 0.0)
     if len(factors) == 1:
         return factors[0]
     union = tuple(sorted(set().union(*(f.scope for f in factors))))
-    values = _align(factors[0].values, factors[0].scope, union, arities)
-    logscale = factors[0].logscale
+    product = _Factor(union, _align(factors[0].values, factors[0].scope, union, arities),
+                      factors[0].logscale)
     for f in factors[1:]:
-        values = values * _align(f.values, f.scope, union, arities)
-        logscale = logscale + f.logscale
-    return _Factor(union, values, logscale)
+        product = _Factor(union, product.values * _align(f.values, f.scope, union, arities),
+                          product.logscale + f.logscale)
+        if rescale_each:
+            product = _rescaled(product)
+    return product
 
 
 def _case_divisors(values, high=np.inf):
@@ -221,29 +233,61 @@ def _rescaled(factor):
     return _Factor(factor.scope, factor.values / div, factor.logscale + np.log(div))
 
 
-def _reference_factors(network: Network, values: np.ndarray) -> list[_Factor]:
+def _fixed(values: np.ndarray, elim: frozenset[int]) -> frozenset[int]:
+    """The variables of `elim` that every row of a batch of two or more observes."""
+    if values.shape[0] < 2:
+        return frozenset()
+    return frozenset(v for v in elim if (values[:, v] >= 0).all())
+
+
+def _scope_split(s: NetworkStructure, i: int, fixed: frozenset[int]):
+    """CPT i's sorted scope without `fixed`, and its fixed variables."""
+    scope = sorted(list(s.parents[i]) + [i])
+    return tuple(v for v in scope if v not in fixed), [v for v in scope if v in fixed]
+
+
+def _reference_factors(network: Network, values: np.ndarray, fixed: frozenset[int]):
+    """The CPT factors (None for a family with every variable fixed) and
+    the per-case sum of the folded families' log entries."""
     s = network.structure
+    n_cases = values.shape[0]
     missing = values < 0
     observed = ~missing.all(axis=0)
-    factors = []
+    factors, fold = [], 0.0
     for i in range(s.n_vars):
-        axis_vars = list(s.parents[i]) + [i]
-        shape = tuple(s.arity(v) for v in axis_vars)
-        perm = sorted(range(len(axis_vars)), key=lambda p: axis_vars[p])
-        scope = tuple(axis_vars[p] for p in perm)
-        f = network.theta.tables[i].reshape(shape).transpose(tuple(perm))[..., None]
-        if observed[i]:
+        table = network.theta.tables[i]
+        rest, held = _scope_split(s, i, fixed)
+        if held:
+            f = np.empty(tuple(s.arity(v) for v in rest) + (n_cases,))
+            for c in range(n_cases):
+                assignment = values[c].copy()
+                for states in np.ndindex(*f.shape[:-1]):
+                    assignment[list(rest)] = states
+                    f[states + (c,)] = table[parent_row_of(s, i, assignment), assignment[i]]
+            if not rest:
+                assert np.all(f > 0.0)
+                fold = fold + np.log(f)
+                factors.append(None)
+                continue
+            scope = rest
+        else:
+            axis_vars = list(s.parents[i]) + [i]
+            shape = tuple(s.arity(v) for v in axis_vars)
+            perm = sorted(range(len(axis_vars)), key=lambda p: axis_vars[p])
+            scope = tuple(axis_vars[p] for p in perm)
+            f = table.reshape(shape).transpose(tuple(perm))[..., None]
+        if observed[i] and i not in fixed:
             ev = ((values[:, i] == np.arange(s.arity(i))[:, None]) | missing[:, i]).astype(np.float64)
             pos = scope.index(i)
             ev_shape = (1,) * pos + (s.arity(i),) + (1,) * (len(scope) - pos - 1) + ev.shape[-1:]
             f = f * ev.reshape(ev_shape)
         factors.append(_Factor(scope, f, 0.0))
-    return factors
+    return factors, fold
 
 
-def _reference_eliminate(factors, elim, arities, tape=None):
-    order = _min_degree_order(tuple(f.scope for f in factors), elim)
-    live = list(enumerate(factors))
+def _reference_eliminate(factors, elim, arities, tape=None, conditioned=False):
+    order = _min_degree_order(tuple(f.scope for f in factors if f is not None), elim)
+    live = [(k, f) for k, f in enumerate(factors) if f is not None]
     for var in order:
         touching = [kf for kf in live if var in kf[1].scope]
         live = [kf for kf in live if var not in kf[1].scope]
@@ -255,7 +299,7 @@ def _reference_eliminate(factors, elim, arities, tape=None):
             tape.append(([k for k, _ in touching], product.scope, message.scope))
             factors.append(message)
         live.append((len(factors) - 1, message))
-    result = _multiply([f for _, f in live], arities)
+    result = _multiply([f for _, f in live], arities, rescale_each=conditioned)
     if tape is not None:
         tape.append(([k for k, _ in live], result.scope, result.scope))
         factors.append(result)
@@ -275,12 +319,25 @@ def _reference_normalize(joint, n_cases):
     return np.broadcast_to(post, (n_cases,) + post.shape[1:])
 
 
+def _reference_scatter(s: NetworkStructure, i: int, values: np.ndarray, rest, post) -> np.ndarray:
+    """(N, q, r) posteriors of family i, zero off each case's fixed values;
+    `post` is (N, rest...) over the unfixed variables `rest`."""
+    out = np.zeros((values.shape[0],) + s.table_shape(i))
+    for c in range(values.shape[0]):
+        assignment = values[c].copy()
+        for states in np.ndindex(*post.shape[1:]):
+            assignment[list(rest)] = states
+            out[c, parent_row_of(s, i, assignment), assignment[i]] = post[(c,) + states]
+    return out
+
+
 def reference_log_likelihood_cases(network: Network, values: np.ndarray) -> np.ndarray:
     s = network.structure
-    res = _reference_eliminate(
-        _reference_factors(network, values), frozenset(range(s.n_vars)), _arities(s)
-    )
-    return np.log(np.broadcast_to(res.values, (values.shape[0],))) + res.logscale
+    elim = frozenset(range(s.n_vars))
+    fixed = _fixed(values, elim)
+    factors, fold = _reference_factors(network, values, fixed)
+    res = _reference_eliminate(factors, elim - fixed, _arities(s), conditioned=bool(fixed))
+    return np.log(np.broadcast_to(res.values, (values.shape[0],))) + (res.logscale + fold)
 
 
 def reference_family_posteriors(network: Network, values: np.ndarray):
@@ -288,10 +345,12 @@ def reference_family_posteriors(network: Network, values: np.ndarray):
     s = network.structure
     n_cases = values.shape[0]
     arities = _arities(s)
-    factors = _reference_factors(network, values)
+    elim = frozenset(range(s.n_vars))
+    fixed = _fixed(values, elim)
+    factors, fold = _reference_factors(network, values, fixed)
     tape = []
-    root = _reference_eliminate(factors, frozenset(range(s.n_vars)), arities, tape)
-    loglik = np.log(np.broadcast_to(root.values, (n_cases,))) + root.logscale
+    root = _reference_eliminate(factors, elim - fixed, arities, tape, conditioned=bool(fixed))
+    loglik = np.log(np.broadcast_to(root.values, (n_cases,))) + (root.logscale + fold)
     posteriors = [None] * s.n_vars
     adjoints = {len(factors) - 1: np.ones(1)}
     for step in reversed(range(len(tape))):
@@ -300,14 +359,20 @@ def reference_family_posteriors(network: Network, values: np.ndarray):
         aligned = {u: _align(factors[u].values, factors[u].scope, union, arities) for u in touching}
         for t in touching:
             f = factors[t]
-            adj = reduce(np.multiply, [aligned[u] for u in touching if u != t] + [upstream])
+            if fixed and step == len(tape) - 1:
+                adj = 1.0 / aligned[t]
+            else:
+                adj = reduce(np.multiply, [aligned[u] for u in touching if u != t] + [upstream])
             axes = tuple(p for p, v in enumerate(union) if v not in f.scope)
             if axes:
                 adj = adj.sum(axis=axes)
             div = _case_divisors(adj, 1.0 / RESCALE_TRIGGER)
             if div is not None:
                 adj = adj / div
-            if t < s.n_vars:
+            if t < s.n_vars and _scope_split(s, t, fixed)[1]:
+                post = _reference_normalize(f.values * adj, n_cases)
+                posteriors[t] = _reference_scatter(s, t, values, f.scope, post)
+            elif t < s.n_vars:
                 target = list(s.parents[t]) + [t]
                 perm = [f.scope.index(v) for v in target]
                 joint = (f.values * adj).transpose(perm + [len(perm)])
@@ -318,13 +383,18 @@ def reference_family_posteriors(network: Network, values: np.ndarray):
                 adjoints[t] = adj if adj.shape == shape else np.broadcast_to(adj, shape)
         for t in touching:
             factors[t] = None
+    for t in range(s.n_vars):
+        if posteriors[t] is None:
+            posteriors[t] = _reference_scatter(s, t, values, (), np.ones((n_cases,)))
     return posteriors, loglik
 
 
 def reference_posterior_marginals(network: Network, values: np.ndarray, var_ids: list[int]):
     s = network.structure
     elim = frozenset(range(s.n_vars)) - frozenset(var_ids)
-    res = _reference_eliminate(_reference_factors(network, values), elim, _arities(s))
+    fixed = _fixed(values, elim)
+    factors, _ = _reference_factors(network, values, fixed)
+    res = _reference_eliminate(factors, elim - fixed, _arities(s), conditioned=bool(fixed))
     perm = [res.scope.index(v) for v in var_ids]
     return _reference_normalize(res.values.transpose(perm + [len(perm)]), values.shape[0])
 
