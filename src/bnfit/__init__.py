@@ -53,7 +53,6 @@ from .model import (
     Variable,
     ZeroProbabilityError,
     decode_parent_config,
-    param_distance,
     parent_config_index,
     random_init,
     uniform_init,
@@ -61,7 +60,6 @@ from .model import (
 from .netio import (
     DataCase,
     DataSet,
-    case_from_dict,
     dataset_from_cases,
     load_dataset,
     parse_network,

@@ -56,9 +56,16 @@ Two independent routes compute the same quantities:
   sum_c W[k, p, c] P_p(x_i, pa_i | y_c), with weights computed from the
   pass's own log-likelihoods between the two sweeps: the unchecked
   replay contracts each bucket's J with W, the checked one each
-  normalized family posterior.  The E-step, the likelihood pass,
-  queries and the online step are the length-1 case of the same replay,
-  with the same bits as without the axis.
+  normalized family posterior.  Its reverse sweep replays only the
+  probed table's part, the steps whose outputs flow into the probed
+  table's slot of the last step: P(y) is the product of the last step's
+  scalar messages, one per part, and the folded terms, so a family of
+  another part, or a folded one, has the same posteriors under every
+  probe as without it (its second partials with the probed table are
+  zero), and the pass returns none for it.  The forward sweep still runs
+  in full: the weights need every part's message.  The E-step, the
+  likelihood pass, queries and the online step are the length-1 case of
+  the same replay, with every part and the same bits as without the axis.
 
   The rescale checks, a per-case total of every message and adjoint, cost
   more than the arithmetic on a batch of one or two cases, and almost
@@ -226,6 +233,10 @@ class _Plan:
     without conditioning.  A case's flat index into CPT i's fixed axes is
     its row of `values[:, fixed] @ strides`, column i.  The CPTs in
     `folded` have every variable fixed and no factor.
+
+    `part[t]` is the part of factor t, a CPT or a step's output before the
+    last: the slot of the last step that its output flows into, or -1 for
+    a folded CPT.
     """
 
     cpts: tuple[_Cpt, ...]
@@ -237,6 +248,7 @@ class _Plan:
     fixed: tuple[int, ...]
     strides: np.ndarray
     folded: tuple[int, ...]
+    part: tuple[int, ...]
 
 
 def _aligned(values: np.ndarray, shape: tuple[int, ...] | None) -> np.ndarray:
@@ -373,6 +385,12 @@ def _plan(
         live.append((len(parents) + len(steps) - 1, out))
     root = tuple(sorted(set().union(*(sc for _, sc in live))))
     steps.append(_step(live, root, root, None, arities))
+    part = [-1] * (len(parents) + len(steps) - 1)
+    for p, t in enumerate(steps[-1].ids):
+        part[t] = p
+    for k in reversed(range(len(steps) - 1)):
+        for t in steps[k].ids:
+            part[t] = part[len(parents) + k]
     return _Plan(
         tuple(cpts),
         tuple(steps),
@@ -383,6 +401,7 @@ def _plan(
         held_vars,
         strides,
         tuple(i for i, sc in enumerate(scopes) if not sc),
+        tuple(part),
     )
 
 
@@ -669,7 +688,8 @@ def _posteriors(
     values: np.ndarray,
     summed: bool,
     weigh: Callable[[np.ndarray], np.ndarray] | None = None,
-) -> tuple[list[np.ndarray], np.ndarray, np.ndarray | None]:
+    part: int | None = None,
+) -> tuple[list[np.ndarray | None], np.ndarray, np.ndarray | None]:
     """Family posteriors from one forward elimination and its reverse sweep.
 
     Returns per family its (q_i, r_i, P, N) posteriors, or with `summed`
@@ -677,6 +697,12 @@ def _posteriors(
     weights.  `weigh`, called between the sweeps, maps the log-likelihoods
     to (K, P, N) weights W, and the case sums become the (q_i, r_i, P, K)
     weighted ones (`_case_sums`).
+
+    With a `part` (`_Plan.part`), the reverse sweep replays only that
+    part's steps and its slot of the last step, and the other families get
+    None: P(y) is the product of the parts' messages and the folded terms,
+    so a family's posteriors depend on the tables of its own part only.
+    Part -1, a folded table's, replays nothing.
     """
     n_vars = len(plan.cpts)
     n_cases = values.shape[0]
@@ -688,10 +714,19 @@ def _posteriors(
     # The unchecked root has log-scale 0: seeded with 1 / P(y), every
     # bucket product holds posteriors, and CPT factors need no adjoint.
     direct = summed and not checked
-    posteriors: list[np.ndarray] = [np.empty(0)] * n_vars
+    posteriors: list[np.ndarray | None] = [None] * n_vars
     adjoints = {len(factors) - 1: 1.0 / root if direct else np.ones((1, 1))}
+    last = len(plan.steps) - 1
     for k in reversed(range(len(plan.steps))):
         step = plan.steps[k]
+        slots = reversed(range(len(step.ids)))
+        if part is not None:
+            if k == last:
+                if part < 0:
+                    break
+                slots = (part,)
+            elif plan.part[n_vars + k] != part:
+                continue
         upstream = _aligned(adjoints.pop(n_vars + k), step.upstream)
         aligned = [_aligned(factors[u], shape) for u, shape in zip(step.ids, step.shapes)]
         # The last step of a conditioned plan multiplies scalar messages
@@ -704,14 +739,14 @@ def _posteriors(
         # fixed axes takes J per case, summed to its scope, and scatters it.
         joint = counts = None
         gives_counts = direct and min(step.ids, default=n_vars) < n_vars
-        for p in reversed(range(len(step.ids))):
+        for p in slots:
             t = step.ids[p]
             if gives_counts and t < n_vars:
                 if joint is None and counts is None:
                     joint = reduce(np.multiply, aligned + [upstream])
                 if plan.cpts[t].fixed_shape:
-                    part = joint.sum(axis=step.sums[p]) if step.sums[p] else joint
-                    posteriors[t] = _scatter(plan.cpts[t], part, index[t], weights, True)
+                    own = joint.sum(axis=step.sums[p]) if step.sums[p] else joint
+                    posteriors[t] = _scatter(plan.cpts[t], own, index[t], weights, True)
                     continue
                 if counts is None:
                     counts = _case_sums(joint, weights, n_cases)
@@ -745,7 +780,7 @@ def _posteriors(
         for t in step.ids:
             factors[t] = None
     # a folded family's posterior is its case's configuration, one-hot
-    for t in plan.folded:
+    for t in plan.folded if part is None else ():
         posteriors[t] = _scatter(plan.cpts[t], np.ones((1, n_cases)), index[t], weights, summed)
     return posteriors, loglik, weights
 
@@ -802,8 +837,8 @@ def probe_case_sums(
     table: int,
     probed: np.ndarray,
     weigh: Callable[[np.ndarray], np.ndarray],
-) -> tuple[list[np.ndarray], np.ndarray]:
-    """Weighted case sums of every family posterior under P probed copies of one table.
+) -> tuple[list[np.ndarray | None], np.ndarray]:
+    """Weighted case sums of the family posteriors under P probed copies of one table.
 
     `probed` is a (P, q, r) stack of copies of table `table`; every other
     table is the network's.  The stack rides the probe axis, so one replay
@@ -811,11 +846,19 @@ def probe_case_sums(
     (K, P, N) weights W before the reverse sweep, and may raise.  Returns
     per family the (q_i, r_i, P, K) sums sum_c W[k, p, c] P_p(x, pa | y_c),
     and W.  No per-case posterior is returned.
+
+    A family the probed table cannot reach is None: one outside the probed
+    table's part of the batch's plan (a connected part of the variables the
+    batch leaves unfixed, or of the network for a single row), every folded
+    family, and every family at all when the probed table is folded.  Its
+    posteriors are the unprobed ones under every probe, so its sums are
+    those of the unprobed posteriors with the same weights; the reverse
+    sweep does not replay its part.
     """
     plan = _plan_of(network.structure, frozenset(range(network.structure.n_vars)), values)
     tables = list(network.theta.tables)
     tables[table] = probed
-    out, _, weights = _posteriors(plan, tables, values, True, weigh)
+    out, _, weights = _posteriors(plan, tables, values, True, weigh, plan.part[table])
     return out, weights
 
 

@@ -375,19 +375,6 @@ def random_init(structure: NetworkStructure, seed: int) -> ParameterVector:
     return ParameterVector(tables)
 
 
-def param_distance(theta_a: ParameterVector, theta_b: ParameterVector) -> float:
-    """Half the squared L2 distance between two parameter vectors."""
-    if len(theta_a.tables) != len(theta_b.tables):
-        raise ValidationError("parameter vectors have different table counts")
-    total = 0.0
-    for a, b in zip(theta_a.tables, theta_b.tables):
-        if a.shape != b.shape:
-            raise ValidationError("parameter vectors have mismatched table shapes")
-        d = a - b
-        total += float(np.dot(d.ravel(), d.ravel()))
-    return 0.5 * total
-
-
 def param_delta_stats(theta_a: ParameterVector, theta_b: ParameterVector) -> tuple[float, float]:
     """(max absolute entry change, plain L2 norm of the change)."""
     max_d = 0.0

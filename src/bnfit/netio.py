@@ -96,15 +96,6 @@ def dataset_from_cases(structure: NetworkStructure, cases: Sequence[DataCase]) -
     return DataSet(structure, np.stack([c.states for c in cases]))
 
 
-def case_from_dict(structure: NetworkStructure, observed: dict[str, str]) -> DataCase:
-    """Build a case from {variable name: state name}; everything else missing."""
-    states = np.full(structure.n_vars, MISSING, dtype=np.int64)
-    for name, state in observed.items():
-        v = structure.by_name(name)
-        states[v.index] = v.state_index(state)
-    return DataCase(states)
-
-
 # -- network files -------------------------------------------------------
 
 

@@ -143,6 +143,12 @@ def jacobian(network: Network, dataset: DataSet, h: float = FD_STEP) -> np.ndarr
     (probed) entries, so its derivative is the identity on the probed
     coordinate.
 
+    A probe pass replays the reverse sweep over the probed table's part
+    of the pass's plan only (`inference.probe_case_sums`): the families of
+    the other parts, and the folded ones, keep their base posteriors under
+    the probe, so their slopes are exactly 0; an entry of M coupling two
+    tables that no pass puts in one part is exactly 0.
+
     The result does not depend on h beyond rounding.  As a guard against
     a wrong slope, the same passes give the exact slope at +h as well,
     (p1 - p0) / (rho * h), and the mean of the derivatives of the map at 0
@@ -200,13 +206,18 @@ def _probe_passes(
 
     A pass takes at most E_STEP_CHUNK // P cases, so it has at most
     E_STEP_CHUNK (probe, case) columns.  With rho = P(y; +h) / P(y), it
-    returns the sums of rho * p1, p1 / rho and p1 over its cases; one
+    returns the sums of rho * p1, p1 / rho and p1 over its cases for the
+    families the probed table reaches, its part of the pass's plan; one
     product of the block's base posteriors `p0` with the weights turns the
-    first two into the sums of rho * (p1 - p0) and (p1 - p0) / rho.
+    first two into the sums of rho * (p1 - p0) and (p1 - p0) / rho.  Every
+    other family has p1 = p0 exactly: its slope sums stay 0 and its sum at
+    +h is that of `p0`.  The parts are the pass's own: a sub-block can fix
+    more columns than its block, and so have more parts.
     """
     table, probed, cols = group
     block = dataset.values[start : start + len(lls)]
     width = estimation.E_STEP_CHUNK // len(probed)
+    sizes = [t.size for t in network.theta.tables]
     for a in range(0, len(lls), width):
         base_lls = lls[a : a + width]
 
@@ -223,10 +234,17 @@ def _probe_passes(
             out, weights = probe_case_sums(network, block[a : a + width], table, probed, weigh)
         except ZeroProbabilityError as e:
             raise ZeroProbabilityError.of_row(start + a + (e.case_index or 0)) from None
-        # every family's (q_i * r_i, P, 3) sums, on the flat entry axis
-        sums[:, cols] += np.concatenate([o.reshape(-1, *o.shape[-2:]) for o in out]).T
-        shifts = p0[:, a : a + width] @ weights[:2].reshape(2 * len(cols), -1).T
-        sums[:2, cols] -= shifts.T.reshape(2, len(cols), -1)
+        reached = np.repeat([o is not None for o in out], sizes)
+        at, away = cols[:, None], np.flatnonzero(~reached)
+        sums[2, at, away] += p0[away, a : a + width].sum(axis=1)
+        rows = np.flatnonzero(reached)
+        if rows.size:
+            # the reached families' (q_i * r_i, P, 3) sums, on the flat entry axis
+            sums[:, at, rows] += np.concatenate(
+                [o.reshape(-1, *o.shape[-2:]) for o in out if o is not None]
+            ).T
+            shifts = p0[rows, a : a + width] @ weights[:2].reshape(2 * len(cols), -1).T
+            sums[:2, at, rows] -= shifts.T.reshape(2, len(cols), -1)
 
 
 def _jacobian(network: Network, dataset: DataSet, h: float) -> tuple[np.ndarray, float]:

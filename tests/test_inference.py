@@ -35,12 +35,13 @@ from bnfit.model import (
     Variable,
     ZeroProbabilityError,
 )
-from bnfit.netio import MISSING, DataCase, case_from_dict
+from bnfit.netio import MISSING, DataCase
 from bnfit.networks import chain3, twolayer15
 from bnfit.online import LearningRateSchedule, run_stream
 
 import util
 from util import (
+    case_from_dict,
     oracle_case_probability,
     oracle_family_posteriors,
     oracle_marginal,
@@ -817,6 +818,13 @@ class TestConditionedBatches:
         table = int(rng.choice(folded if probed_family == "folded" and folded else n_vars))
         probed = np.stack([random_tables(rng, s).tables[table] for _ in range(3)])
         got, weights = probe_case_sums(net, values, table, probed, weigh_by_probability)
+        # the families of the probed table's part, none for a folded table
+        assert [g is not None for g in got] == [
+            plan.part[i] == plan.part[table] >= 0 for i in range(n_vars)
+        ]
+        if probed_family == "folded" and folded:
+            assert got == [None] * n_vars
+        unprobed = [oracle_family_posteriors(net, DataCase(row)) for row in values]
         want_w = np.zeros_like(weights)
         want = [np.zeros(s.table_shape(i) + (3, 2)) for i in range(n_vars)]
         solo_sums = [np.zeros_like(w) for w in want]
@@ -830,15 +838,44 @@ class TestConditionedBatches:
                 want_w[:, p, c] = w
                 for i, post in enumerate(oracle_family_posteriors(moved, case)):
                     want[i][..., p, :] += post[..., None] * w
+                    if got[i] is None:
+                        # unreached: the probe leaves its posteriors alone
+                        np.testing.assert_allclose(post, unprobed[c][i], rtol=0, atol=1e-10)
         for c in range(n):
             solo, _ = probe_case_sums(net, values[c : c + 1], table, probed, weigh_by_probability)
             for acc, x in zip(solo_sums, solo):
-                acc += x
+                if x is not None:
+                    acc += x
         np.testing.assert_allclose(weights, want_w, rtol=1e-10, atol=0)
         for i in range(n_vars):
+            if got[i] is None:
+                continue
             assert got[i].shape == s.table_shape(i) + (3, 2)
             np.testing.assert_allclose(got[i], solo_sums[i], rtol=0, atol=1e-12 * n)
             np.testing.assert_allclose(got[i], want[i], rtol=0, atol=1e-10 * n)
+
+    def test_a_probe_reaches_its_own_part(self):
+        """twolayer15 with its five roots observed in every row: the roots'
+        families are folded, and each child, whose parents are all roots,
+        is a part of its own.  A child table's probe returns its own family
+        only; a root table's returns none."""
+        net = twolayer15()
+        s = net.structure
+        roots = [i for i in range(s.n_vars) if not s.parents[i]]
+        complete = forward_sample(net, 50, seed=3)
+        values = obscure(complete, MissingnessSpec((), 0.2, seed=4)).values.copy()
+        values[:, roots] = complete.values[:, roots]
+        plan = _plan_of(s, frozenset(range(s.n_vars)), values)
+        assert plan.folded == tuple(roots) and len(plan.steps[-1].ids) == s.n_vars - len(roots)
+        for table in range(s.n_vars):
+            probed = np.stack([net.theta.tables[table]] * 2)
+            got, _ = probe_case_sums(net, values, table, probed, weigh_by_probability)
+            reached = [i for i, g in enumerate(got) if g is not None]
+            if table in roots:
+                assert plan.part[table] == -1 and reached == []
+            else:
+                assert [i for i in range(s.n_vars) if plan.part[i] == plan.part[table]] == [table]
+                assert reached == [table]
 
     def test_fully_observed_rare_chain_sums_the_log_entries(self):
         """P = 1e-2000 for the all-s0 row of a 1000-link chain: every

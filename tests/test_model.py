@@ -1,4 +1,4 @@
-"""Model types: parent-configuration encoding, initializers, distances."""
+"""Model types: parent-configuration encoding, initializers and validation."""
 
 import itertools
 
@@ -17,7 +17,6 @@ from bnfit.model import (
     check_number,
     clamp_rows,
     decode_parent_config,
-    param_distance,
     parent_config_index,
     parent_rows,
     random_init,
@@ -227,30 +226,6 @@ class TestRandomInit:
         s = NetworkStructure((v,), ((),))
         draws = [random_init(s, seed).tables[0][0, 0] for seed in range(10000)]
         assert abs(np.mean(draws) - 0.5) < 0.02
-
-
-class TestParamDistance:
-    def test_identical_zero(self):
-        rng = np.random.default_rng(4)
-        s = random_structure(rng, 5)
-        theta = random_init(s, 0)
-        assert param_distance(theta, theta) == 0.0
-
-    def test_opposite_rows(self):
-        a = ParameterVector([np.array([[1.0, 0.0]])])
-        b = ParameterVector([np.array([[0.0, 1.0]])])
-        assert param_distance(a, b) == pytest.approx(1.0)
-
-    def test_small_perturbation(self):
-        a = ParameterVector([np.array([[0.6, 0.4]])])
-        b = ParameterVector([np.array([[0.5, 0.5]])])
-        assert param_distance(a, b) == pytest.approx(0.01)
-
-    def test_shape_mismatch_rejected(self):
-        a = ParameterVector([np.array([[0.5, 0.5]])])
-        b = ParameterVector([np.array([[0.5, 0.5], [0.5, 0.5]])])
-        with pytest.raises(ValidationError):
-            param_distance(a, b)
 
 
 class TestParameterVector:

@@ -67,6 +67,35 @@ def twolayer15_fixpoint(n=500, seed=0, init_seed=3):
     return net.with_theta(fit(net, data, cfg).theta), data
 
 
+def two_chains(kind, n=400, seed=0, init_seed=5):
+    """Two chain3 copies, A -> M -> B with M hidden and the rest 0.2
+    obscured, at a deeply converged EM(1) fixpoint.  "conditioned": the
+    copies share their root A, observed in every row, so a batch's plan
+    has one part per copy and folds A's family.  "components": each copy
+    has its own root and nothing is observed in every row, so the plan
+    has one part per connected component."""
+    a, m, b = chain3().theta.tables
+    if kind == "conditioned":
+        names = ("A", "M1", "B1", "M2", "B2")
+        parents = ((), (0,), (1,), (0,), (3,))
+        tables = [a, m, b, b[::-1], m]
+    else:
+        names = ("A1", "M1", "B1", "A2", "M2", "B2")
+        parents = ((), (0,), (1,), (), (3,), (4,))
+        tables = [a, m, b, a[:, ::-1], m[:, ::-1], b[:, ::-1]]
+    structure = NetworkStructure(
+        tuple(Variable(i, name, ("s0", "s1")) for i, name in enumerate(names)), parents
+    )
+    net = Network(structure, ParameterVector([t.copy() for t in tables]))
+    complete = forward_sample(net, n, seed=seed)
+    values = obscure(complete, MissingnessSpec(("M1", "M2"), 0.2, seed=seed + 1)).values.copy()
+    if kind == "conditioned":
+        values[:, 0] = complete.values[:, 0]
+    data = DataSet(structure, values)
+    cfg = FitConfig("em", 1.0, 4000, tol_ll=None, tol_param=1e-10, init="random", seed=init_seed)
+    return net.with_theta(fit(net, data, cfg).theta), data
+
+
 @pytest.fixture(scope="module")
 def twolayer15_at_fixpoint():
     return twolayer15_fixpoint()
@@ -245,6 +274,23 @@ class TestProbeReconstruction:
         np.testing.assert_allclose(
             jacobian(net, data), reference_jacobian(net, data), rtol=0, atol=1e-8
         )
+
+    @pytest.mark.parametrize("kind", ["conditioned", "components"])
+    def test_parts_do_not_couple(self, kind):
+        """A probe pass replays only the probed table's part; an entry of M
+        coupling two parts, or a folded table with anything, is exactly 0."""
+        net, data = two_chains(kind)
+        plan = bnfit.inference._plan_of(net.structure, frozenset(range(net.structure.n_vars)),
+                                        data.values)
+        assert len(plan.steps[-1].ids) == 2
+        assert plan.folded == ((0,) if kind == "conditioned" else ())
+        m = jacobian(net, data)
+        np.testing.assert_allclose(m, reference_jacobian(net, data), rtol=0, atol=1e-8)
+        part = np.array([plan.part[i] for i, _, _ in _free_coords(net)])
+        cross = (part[:, None] != part) | (part[:, None] < 0)
+        np.fill_diagonal(cross, False)
+        assert cross.any() and not cross.all()
+        np.testing.assert_array_equal(m[cross], 0.0)
 
     def test_several_blocks_same_matrix(self, monkeypatch):
         net, data = converged_chain3(n=200)

@@ -74,6 +74,15 @@ def random_network(
     return Network(structure, random_tables(rng, structure, alpha))
 
 
+def case_from_dict(structure: NetworkStructure, observed: dict[str, str]) -> DataCase:
+    """Build a case from {variable name: state name}; everything else missing."""
+    states = np.full(structure.n_vars, MISSING, dtype=np.int64)
+    for name, state in observed.items():
+        v = structure.by_name(name)
+        states[v.index] = v.state_index(state)
+    return DataCase(states)
+
+
 def random_partial_case(
     rng: np.random.Generator, structure: NetworkStructure, p_observed: float = 0.5
 ) -> DataCase:
