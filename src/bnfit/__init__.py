@@ -52,7 +52,6 @@ from .model import (
     ValidationError,
     Variable,
     ZeroProbabilityError,
-    decode_parent_config,
     parent_config_index,
     random_init,
     uniform_init,
@@ -60,7 +59,6 @@ from .model import (
 from .netio import (
     DataCase,
     DataSet,
-    dataset_from_cases,
     load_dataset,
     parse_network,
     read_dataset,

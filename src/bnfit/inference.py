@@ -16,31 +16,32 @@ Two independent routes compute the same quantities:
   come from the same elimination differentiated in reverse (Darwiche
   2003): P(x_i, pa_i | y) = theta_i * dP(y)/dtheta_i / P(y).  The
   forward pass keeps every bucket's output; the reverse sweep walks the
-  buckets backwards and gives every factor a bucket consumed an adjoint:
-  the bucket output's adjoint times the bucket's other factors, summed
-  down to the factor's scope.  A family posterior is its evidence-folded
-  CPT factor times that factor's adjoint, normalized per case, so
-  per-case scalars cancel: the forward log-scales, and the rescaling of
-  adjoints that leave float range.  Each message is released once its
+  buckets backwards and gives every message a bucket consumed an
+  adjoint: the bucket output's adjoint times the bucket's other factors,
+  summed down to the message's scope.  Each message is released once its
   bucket's reverse step is done.
 
-  An E-step needs only each family's posteriors summed over the cases,
-  its expected counts, and `summed=True` returns those.  They come from
-  one product per bucket.  A CPT factor f is constant over the bucket's
-  axes outside its scope, so f times its adjoint is the sum over those
-  axes of J = (product of all the bucket's factors) * (output's adjoint):
-  one J serves every CPT factor of the bucket, and only messages still
-  need the product of the others.  The unchecked replay's root carries
-  log-scale 0, so a root adjoint seeded with 1 / P(y) makes J's case
-  entries posteriors already, and a family's expected counts are J
-  summed over its outside axes and the case axis, with no per-case
-  normalization.  The seed cannot overflow: the unchecked result is kept
-  only when P(y) > 2 * RESCALE_TRIGGER * B, and with seed 1 every adjoint
-  total is at most B (`_safe_total`), so with seed 1 / P(y) every
-  adjoint total is below 1 / (2 * RESCALE_TRIGGER) and no entry of J
-  exceeds 1.  The checked replay rescales adjoints by arbitrary per-case
-  divisors, so there each family still divides by its own total per
-  case, and is summed afterwards.
+  Every family posterior takes one route.  A bucket holding a CPT factor
+  forms one product J, its factors times its output's adjoint.  A CPT
+  factor f is constant over the bucket's axes outside its scope, so f
+  times its adjoint is J summed over those axes: a family's posteriors,
+  per case, summed or probe-weighted, are its bucket's J summed to its
+  scope.  In a bucket that also holds a message, J is that message's
+  adjoint product times the message.  The unchecked replay's root
+  carries log-scale 0, so a root adjoint seeded with 1 / P(y) makes J's
+  entries posteriors already, and no family is normalized.  The seed
+  cannot overflow: the unchecked result is kept only when
+  P(y) > 2 * RESCALE_TRIGGER * B, and with seed 1 every adjoint total is
+  at most B (`_safe_total`), so with seed 1 / P(y) every adjoint total is
+  below 1 / (2 * RESCALE_TRIGGER) and no entry of J exceeds 1.  The
+  checked replay seeds 1 and rescales adjoints by arbitrary per-case
+  divisors, so there each family divides its sum of J by its total per
+  (probe, case) column, and per-case scalars cancel: the forward
+  log-scales and the rescaling of adjoints alike.  An E-step needs only
+  each family's posteriors summed over the cases, its expected counts,
+  and `summed=True` returns those; an unchecked, unconditioned replay
+  sums each bucket's J over the cases before its families sum it to
+  their scopes.
 
   A marginal query is batched over cases too: one elimination of every
   variable outside the query answers it for a whole case matrix.
@@ -54,15 +55,14 @@ Two independent routes compute the same quantities:
   normalization are per (probe, case) column.  Such a pass returns no
   per-case posteriors but K weighted case sums per family,
   sum_c W[k, p, c] P_p(x_i, pa_i | y_c), with weights computed from the
-  pass's own log-likelihoods between the two sweeps: the unchecked
-  replay contracts each bucket's J with W, the checked one each
-  normalized family posterior.  Its reverse sweep replays only the
-  probed table's part, the steps whose outputs flow into the probed
-  table's slot of the last step: P(y) is the product of the last step's
-  scalar messages, one per part, and the folded terms, so a family of
-  another part, or a folded one, has the same posteriors under every
-  probe as without it (its second partials with the probed table are
-  zero), and the pass returns none for it.  The forward sweep still runs
+  pass's own log-likelihoods between the two sweeps and taken where the
+  case sums are.  Its reverse sweep replays only the probed table's
+  part, the steps whose outputs flow into the probed table's slot of the
+  last step: P(y) is the product of the last step's scalar messages, one
+  per part, and the folded terms, so a family of another part, or a
+  folded one, has the same posteriors under every probe as without it
+  (its second partials with the probed table are zero), and the pass
+  returns none for it.  The forward sweep still runs
   in full: the weights need every part's message.  The E-step, the
   likelihood pass, queries and the online step are the length-1 case of
   the same replay, with every part and the same bits as without the axis.
@@ -74,7 +74,7 @@ Two independent routes compute the same quantities:
   every message total above P(y) / B and every adjoint total between
   P(y) / B and B (`_safe_total`), so a root total above
   2 * RESCALE_TRIGGER * B proves that no check would have fired: the
-  unchecked replay did exactly the operations of the checked one.
+  unchecked forward sweep did exactly the operations of the checked one.
   Otherwise the call rebuilds the factors and replays the whole batch
   checked.
 
@@ -136,7 +136,7 @@ from typing import Callable, NamedTuple, Sequence
 import numpy as np
 
 from .model import (
-    Network, NetworkStructure, ValidationError, ZeroProbabilityError, parent_rows
+    Network, NetworkStructure, ValidationError, ZeroProbabilityError, check_number, parent_rows
 )
 from .netio import DataCase, MISSING
 
@@ -207,9 +207,10 @@ class _Step(NamedTuple):
     over the bucket's union scope (None: it spans the union already).  The
     last step multiplies the leftover factors and sums nothing (`axis`
     None).  The reverse sweep reshapes the output's adjoint to `upstream`
-    (None: no reshape) and sums each factor's adjoint over its entry of
-    `sums`, the union axes outside that factor's scope.  `out_shape` is
-    the output's shape without the probe and case axes.
+    (None: no reshape) and sums each message's adjoint, and each CPT
+    factor's family from J, over its entry of `sums`, the union axes
+    outside that factor's scope.  `out_shape` is the output's shape
+    without the probe and case axes.
     """
 
     ids: tuple[int, ...]
@@ -497,10 +498,11 @@ def _safe_total(plan: _Plan, tables: Sequence[np.ndarray]) -> float:
     RESCALE_TRIGGER and every adjoint total in
     (RESCALE_TRIGGER, 1 / RESCALE_TRIGGER): no check of the checked
     replay rescales anything, and the unchecked replay, doing the same
-    multiplications in the same order, is bit-identical to it.  The
-    factor 2 covers rounding: a product or sum of nonnegative floats errs
-    by a relative 2**-53, or in the subnormal range by an absolute
-    2**-1075, per operation, both far inside it.
+    multiplications in the same order, has a bit-identical forward
+    sweep; its reverse sweep differs by its 1 / P(y) seed and by
+    normalizing nothing.  The factor 2 covers rounding: a product or sum
+    of nonnegative floats errs by a relative 2**-53, or in the subnormal
+    range by an absolute 2**-1075, per operation, both far inside it.
 
     With a stack of probed tables the bound holds for every probe: every
     one of its entries counts towards M.
@@ -594,11 +596,6 @@ def _family_table(cpt: _Cpt, joint: np.ndarray) -> np.ndarray:
     return joint.reshape(cpt.table_shape + joint.shape[-2:])
 
 
-def _family_posterior(cpt: _Cpt, factor: np.ndarray, adjoint: np.ndarray) -> np.ndarray:
-    """Evidence-folded CPT factor times its adjoint, CPT-shaped and normalized per column."""
-    return _normalize(_family_table(cpt, factor * adjoint), "family posteriors")
-
-
 def _case_sums(columns: np.ndarray, weights: np.ndarray | None, n_cases: int) -> np.ndarray:
     """An array ending in probe and case axes, summed over n_cases cases.
 
@@ -647,11 +644,6 @@ def _scatter(
     return _family_table(cpt, full.reshape(cpt.fixed_shape + full.shape[1:]))
 
 
-def _family_counts(cpt: _Cpt, counts: np.ndarray, outside: tuple[int, ...]) -> np.ndarray:
-    """A family's expected counts, CPT-shaped, from its bucket's case-summed product."""
-    return _family_table(cpt, counts.sum(axis=outside) if outside else counts)
-
-
 def _normalize(joint: np.ndarray, what: str) -> np.ndarray:
     """Each (probe, case) column of `joint` divided by its total."""
     total = _case_totals(joint)
@@ -692,6 +684,13 @@ def _posteriors(
 ) -> tuple[list[np.ndarray | None], np.ndarray, np.ndarray | None]:
     """Family posteriors from one forward elimination and its reverse sweep.
 
+    Every family is its bucket's J summed to its scope, and one output
+    step makes it the result: per (probe, case) column divided by its
+    total in a checked replay only, scattered back over the fixed axes
+    for a gathered family (`_scatter`), and summed over the cases with
+    `summed`, which an unchecked, unconditioned replay does to each
+    bucket's J instead.
+
     Returns per family its (q_i, r_i, P, N) posteriors, or with `summed`
     their case sums, (q_i, r_i, P, 1); the (P, N) log-likelihoods; and the
     weights.  `weigh`, called between the sweeps, maps the log-likelihoods
@@ -712,14 +711,16 @@ def _posteriors(
     index = _fixed_index(plan, values) if plan.fixed else None
 
     # The unchecked root has log-scale 0: seeded with 1 / P(y), every
-    # bucket product holds posteriors, and CPT factors need no adjoint.
-    direct = summed and not checked
+    # bucket's J holds posteriors.  A checked J holds them up to a factor
+    # per column, which each family divides out.
+    adjoints = {len(factors) - 1: np.ones((1, 1)) if checked else 1.0 / root}
+    # an unconditioned E-step sums each J over the cases once per bucket
+    contract = summed and not checked and not plan.fixed
     posteriors: list[np.ndarray | None] = [None] * n_vars
-    adjoints = {len(factors) - 1: 1.0 / root if direct else np.ones((1, 1))}
     last = len(plan.steps) - 1
     for k in reversed(range(len(plan.steps))):
         step = plan.steps[k]
-        slots = reversed(range(len(step.ids)))
+        slots = range(len(step.ids))
         if part is not None:
             if k == last:
                 if part < 0:
@@ -733,24 +734,25 @@ def _posteriors(
         # only: the adjoint of message m is P(y) / m, which is 1 / m with
         # the seed 1 / P(y), and a multiple of it per column otherwise.
         reciprocal = step.axis is None and plan.fixed
-        # A bucket holding a CPT factor gives counts, the case sums of J.
-        # Its factors, CPTs first, go in reverse: a message's product with
-        # the others and upstream, times the message, is J.  A family with
-        # fixed axes takes J per case, summed to its scope, and scatters it.
-        joint = counts = None
-        gives_counts = direct and min(step.ids, default=n_vars) < n_vars
-        for p in slots:
+        # A bucket's CPT factors come before its messages and are taken
+        # after them: a message's product with the others and upstream,
+        # times the message, is J.
+        joint = None
+        for p in reversed(slots):
             t = step.ids[p]
-            if gives_counts and t < n_vars:
-                if joint is None and counts is None:
+            if t < n_vars:
+                if joint is None:
                     joint = reduce(np.multiply, aligned + [upstream])
-                if plan.cpts[t].fixed_shape:
-                    own = joint.sum(axis=step.sums[p]) if step.sums[p] else joint
-                    posteriors[t] = _scatter(plan.cpts[t], own, index[t], weights, True)
-                    continue
-                if counts is None:
-                    counts = _case_sums(joint, weights, n_cases)
-                posteriors[t] = _family_counts(plan.cpts[t], counts, step.sums[p])
+                    joint = _case_sums(joint, weights, n_cases) if contract else joint
+                own = joint.sum(axis=step.sums[p]) if step.sums[p] else joint
+                if checked:
+                    own = _normalize(own, "family posteriors")
+                cpt = plan.cpts[t]
+                if cpt.fixed_shape:
+                    posteriors[t] = _scatter(cpt, own, index[t], weights, summed)
+                else:
+                    own = _family_table(cpt, own)
+                    posteriors[t] = _case_sums(own, weights, n_cases) if summed and not contract else own
                 continue
             if reciprocal:
                 adj = 1.0 / aligned[p]
@@ -758,25 +760,16 @@ def _posteriors(
                 # The bucket's other factors first: their product is mostly
                 # smaller than the union, which the upstream adjoint nearly spans.
                 adj = reduce(np.multiply, aligned[:p] + aligned[p + 1:] + [upstream])
-            if gives_counts and joint is None and counts is None:
-                joint = adj * aligned[p]
-                if not plan.fixed:
-                    # no family needs J per case: keep only its case sums
-                    counts, joint = _case_sums(joint, weights, n_cases), None
+                if joint is None and step.ids[0] < n_vars:
+                    joint = adj * aligned[p]
+                    joint = _case_sums(joint, weights, n_cases) if contract else joint
             if step.sums[p]:
                 adj = adj.sum(axis=step.sums[p])
             div = _case_divisors(adj, 1.0 / RESCALE_TRIGGER) if checked else None
             if div is not None:
                 adj = adj / div
-            if t >= n_vars:
-                shape = plan.steps[t - n_vars].out_shape + adj.shape[-2:]
-                adjoints[t] = adj if adj.shape == shape else np.broadcast_to(adj, shape)
-            elif plan.cpts[t].fixed_shape:
-                post = _normalize(factors[t] * adj, "family posteriors")
-                posteriors[t] = _scatter(plan.cpts[t], post, index[t], weights, summed)
-            else:
-                post = _family_posterior(plan.cpts[t], factors[t], adj)
-                posteriors[t] = _case_sums(post, weights, n_cases) if summed else post
+            shape = plan.steps[t - n_vars].out_shape + adj.shape[-2:]
+            adjoints[t] = adj if adj.shape == shape else np.broadcast_to(adj, shape)
         for t in step.ids:
             factors[t] = None
     # a folded family's posterior is its case's configuration, one-hot
@@ -865,9 +858,12 @@ def probe_case_sums(
 def batch_posterior_marginals(network: Network, values: np.ndarray, var_ids: list[int]) -> np.ndarray:
     """Joint posterior over `var_ids`, axes in the given order, for every
     row of an (N, V) case matrix; a read-only view when no case has evidence."""
+    n_vars = network.structure.n_vars
+    for v in var_ids:
+        check_number(v, "query variable", integer=True, low=0, high=n_vars - 1)
     if len(set(var_ids)) != len(var_ids):
         raise ValidationError("duplicate variables in marginal query")
-    elim = frozenset(range(network.structure.n_vars)) - frozenset(var_ids)
+    elim = frozenset(range(n_vars)) - frozenset(var_ids)
     plan = _plan_of(network.structure, elim, values)
     _, root, _, _ = _forward(plan, network.theta.tables, values, "marginal query")
     n = len(var_ids)

@@ -79,7 +79,8 @@ def check_number(value, what: str, integer: bool = False, low: float | None = No
     if finite and lower_ok and (high is None or value <= high):
         return
     if high is not None:
-        desc = f"a {kind} in " + (f"[{low}" if above is None else f"({above}") + f", {high}]"
+        bounds = (f"[{low}" if above is None else f"({above}") + f", {high}]"
+        desc = f"{'an' if integer else 'a'} {kind} in {bounds}"
     else:
         sign = "nonnegative " if low == 0 else "positive " if above == 0 else ""
         desc = f"a {'' if integer else 'finite '}{sign}{kind}"
@@ -243,19 +244,6 @@ def parent_rows(structure: NetworkStructure, i: int, states: np.ndarray) -> np.n
     for p in structure.parents[i]:
         j = j * structure.variables[p].arity + states[..., p]
     return j
-
-
-def decode_parent_config(structure: NetworkStructure, i: int, j: int) -> dict[int, int]:
-    """Inverse of parent_config_index: row index -> parent assignment."""
-    q = structure.parent_config_count(i)
-    if not (0 <= j < q):
-        raise ValidationError(f"row index {j} out of range [0, {q})")
-    out: dict[int, int] = {}
-    for p in reversed(structure.parents[i]):
-        r = structure.variables[p].arity
-        out[p] = j % r
-        j //= r
-    return out
 
 
 class ParameterVector:

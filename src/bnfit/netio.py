@@ -25,7 +25,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, fields
-from typing import Iterable, Sequence
+from typing import Iterable
 
 import numpy as np
 
@@ -88,12 +88,6 @@ class DataSet:
 
     def cases(self) -> list[DataCase]:
         return [self.case(l) for l in range(len(self))]
-
-
-def dataset_from_cases(structure: NetworkStructure, cases: Sequence[DataCase]) -> DataSet:
-    if not cases:
-        return DataSet(structure, np.zeros((0, structure.n_vars), dtype=np.int64))
-    return DataSet(structure, np.stack([c.states for c in cases]))
 
 
 # -- network files -------------------------------------------------------

@@ -33,7 +33,7 @@ from bnfit.model import (
     clamp_rows,
     random_init,
 )
-from bnfit.netio import MISSING, DataSet, dataset_from_cases
+from bnfit.netio import MISSING, DataSet
 from bnfit.networks import chain3, tree8
 
 from util import (

@@ -444,6 +444,16 @@ class TestBatchPosteriorMarginals:
         with pytest.raises(ValidationError):
             batch_posterior_marginals(chain3(), np.full((2, 3), MISSING), [1, 1])
 
+    @pytest.mark.parametrize("bad", [3, -1, 1.0, True])
+    def test_variable_ids_outside_the_network_rejected(self, bad):
+        """An id must be an integer in [0, n_vars): the error names it."""
+        net = chain3()
+        match = rf"query variable must be an integer( in \[0, 2\])?, got {bad!r}$"
+        with pytest.raises(ValidationError, match=match):
+            batch_posterior_marginals(net, np.full((2, 3), MISSING), [0, bad])
+        with pytest.raises(ValidationError, match=match):
+            posterior_marginal(net, DataCase(np.full(3, MISSING)), [bad])
+
 
 class TestBatchInvariance:
     """Row c of a batched result equals a solo run of row c: the case axis
@@ -515,13 +525,19 @@ def batch_with_fixed_columns(rng: np.random.Generator, s: NetworkStructure, n_ca
 
 def assert_replay_equals_reference(net: Network, values: np.ndarray, var_ids: list[int]) -> None:
     """The compiled plan's replay against the per-call elimination it
-    replaced: equal arrays, not merely close ones."""
+    replaced.  The forward sweep does the same multiplications, so
+    log-likelihoods and marginals are equal arrays, not merely close
+    ones.  The reference gives each CPT factor its own adjoint and
+    normalizes per case; the replay sums its bucket's one product J and,
+    unchecked, reads posteriors off the 1 / P(y) seed: the same values
+    in another order, within 1e-13, float64 rounding over a few dozen
+    operations per entry."""
     posts, lls = batch_family_posteriors(net, values)
     ref_posts, ref_lls = reference_family_posteriors(net, values)
     np.testing.assert_array_equal(lls, ref_lls)
     for got, want in zip(posts, ref_posts):
         assert got.shape == want.shape
-        np.testing.assert_array_equal(got, want)
+        np.testing.assert_allclose(got, want, rtol=0, atol=1e-13)
     np.testing.assert_array_equal(
         log_likelihood_cases(net, values), reference_log_likelihood_cases(net, values)
     )
@@ -617,7 +633,9 @@ def replays(monkeypatch):
 class TestUncheckedReplay:
     """A replay without rescale checks stands in for the checked one only
     when the root proves no check would fire; the results are those of the
-    per-call elimination with every check, bit for bit."""
+    per-call elimination with every check: its log-likelihoods and
+    marginals bit for bit, its family posteriors within 1e-13
+    (`assert_replay_equals_reference`)."""
 
     @pytest.mark.parametrize("which", ["twolayer15", "windowed_dag"])
     def test_likely_batches_run_no_check(self, monkeypatch, replays, which):
@@ -695,6 +713,41 @@ class TestUncheckedReplay:
             assert not any(rescales)
         var_ids = [int(v) for v in rng.choice(s.n_vars, size=min(2, s.n_vars), replace=False)]
         assert_replay_equals_reference(net, values, var_ids)
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        n_vars=st.integers(1, 8),
+        batch=st.sampled_from(["plain", "fixed_columns"]),
+    )
+    def test_per_case_posteriors_sum_to_one(self, seed, n_vars, batch):
+        """The unchecked replay normalizes nothing: seeded with 1 / P(y),
+        each family's J summed to its scope is read as its posteriors, so
+        per case they sum to 1 within float64 rounding, 1e-13.  A plain
+        batch ends in an all-missing row, so that no column is fixed."""
+        rng = np.random.default_rng(seed)
+        net = random_network(rng, n_vars, arities=(2, 3, 4))
+        s = net.structure
+        if batch == "fixed_columns":
+            values = batch_with_fixed_columns(rng, s)
+        else:
+            rows = [random_partial_case(rng, s, float(rng.random())).states for _ in range(rng.integers(0, 5))]
+            values = np.stack(rows + [np.full(n_vars, MISSING)])
+        assert bool(_plan_of(s, frozenset(range(n_vars)), values).fixed) == (batch == "fixed_columns")
+        seen = []
+        eliminate = inference._eliminate
+
+        def recording(plan, factors, keep=False, checked=True):
+            seen.append(checked)
+            return eliminate(plan, factors, keep, checked)
+
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(inference, "_eliminate", recording)
+            posts, _ = batch_family_posteriors(net, values)
+        assert seen == [False]
+        for i, post in enumerate(posts):
+            assert post.shape == (values.shape[0],) + s.table_shape(i)
+            np.testing.assert_allclose(post.sum(axis=(1, 2)), 1.0, rtol=0, atol=1e-13)
 
     def test_one_underflowing_case_sends_the_batch_to_the_checked_replay(self, replays):
         """The all-s0 case of a 300-link chain, P = 1e-600, beside likely

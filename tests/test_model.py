@@ -16,14 +16,13 @@ from bnfit.model import (
     ZeroProbabilityError,
     check_number,
     clamp_rows,
-    decode_parent_config,
     parent_config_index,
     parent_rows,
     random_init,
     uniform_init,
 )
 
-from util import random_structure
+from util import decode_parent_config, random_structure
 
 
 def two_parent_structure():

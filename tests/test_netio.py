@@ -12,7 +12,6 @@ from bnfit.netio import (
     MISSING,
     DataCase,
     DataSet,
-    dataset_from_cases,
     format_dataset,
     format_online_trace,
     format_trace,
@@ -23,7 +22,7 @@ from bnfit.netio import (
 from bnfit.networks import chain3, tree8
 from bnfit.online import LearningRateSchedule, OnlineTraceRecord, run_stream
 
-from util import random_network
+from util import dataset_from_cases, random_network
 
 TWO_NODE = """
 {

@@ -4,7 +4,7 @@ import json
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 import bnfit.estimation
@@ -193,6 +193,7 @@ class TestProbeReconstruction:
         obscure_prob=st.sampled_from([0.0, 0.3, 0.7]),
         n_hidden=st.integers(0, 2),
     )
+    @example(seed=615, n_vars=6, obscure_prob=0.3, n_hidden=0)
     def test_matches_central_differences_of_phi(self, seed, n_vars, obscure_prob, n_hidden):
         rng = np.random.default_rng(seed)
         s = random_structure(rng, n_vars, arities=(2, 3, 4))
@@ -216,21 +217,28 @@ class TestProbeReconstruction:
             m = jacobian(net, data)
 
         coords = _free_coords(net)
-        h = FD_STEP
-        central = np.empty((len(coords), len(coords)))
-        for c, (i, j, k) in enumerate(coords):
-            plus, minus = (
-                phi_apply(net.with_theta(probe(net.theta, i, j, k, step)), data, 1.0, clamp=False)
-                for step in (h, -h)
-            )
-            central[:, c] = (to_free(plus, coords) - to_free(minus, coords)) / (2.0 * h)
+
+        def central(h):
+            slopes = np.empty((len(coords), len(coords)))
+            for c, (i, j, k) in enumerate(coords):
+                plus, minus = (
+                    phi_apply(net.with_theta(probe(net.theta, i, j, k, step)), data, 1.0, clamp=False)
+                    for step in (h, -h)
+                )
+                slopes[:, c] = (to_free(plus, coords) - to_free(minus, coords)) / (2.0 * h)
+            return slopes
+
+        # A central difference errs by O(h^2), up to 6.7e-6 at FD_STEP on
+        # rows of parent mass 0.002, where Phi curves sharply; Richardson
+        # extrapolation from h and 2h cancels that term.
+        slopes = (4.0 * central(FD_STEP) - central(2.0 * FD_STEP)) / 3.0
         # Phi jumps where a probe gives a zero-mass row some mass, from the
         # probed entries to the ratio; at the base point such a row keeps
         # its entries, so its derivative is the identity and its row of M
         # is zero.
         parent = expected_stats(net, data).parent
         moved = np.array([parent[i][j] > 0.0 for i, j, _ in coords])
-        np.testing.assert_allclose(m[moved], np.eye(len(coords))[moved] - central[moved],
+        np.testing.assert_allclose(m[moved], np.eye(len(coords))[moved] - slopes[moved],
                                    rtol=0, atol=1e-6)
         np.testing.assert_array_equal(m[~moved], 0.0)
         assert not moved[coords.index((1, 0, 0))]
@@ -464,6 +472,7 @@ class TestInformationSymmetry:
 
     @settings(max_examples=6, deadline=None)
     @given(seed=st.integers(0, 2**32 - 1), n_vars=st.integers(3, 6))
+    @example(seed=89, n_vars=5)
     def test_random_dags(self, seed, n_vars):
         rng = np.random.default_rng(seed)
         truth = random_network(rng, n_vars)
@@ -472,8 +481,15 @@ class TestInformationSymmetry:
                        MissingnessSpec(hidden, 0.3, seed=seed % 997))
         cfg = FitConfig("em", 1.8, 3000, tol_ll=None, tol_param=1e-11, init="random",
                         seed=seed % 991, warm_start_em1=True)
-        net = truth.with_theta(fit(truth, data, cfg).theta)
-        # EM(1.8) can stop short of a fixpoint: on a slow mode, or with an
+        result = fit(truth, data, cfg)
+        net = truth.with_theta(result.theta)
+        if result.termination == "max_iters":
+            # The gap tracks the distance to the fixpoint: stopped at
+            # max_iters, one draw had drift 6.2e-8 and gap 1.55e-9 (seed
+            # 89), which 2000 EM(1) updates bring to 5.9e-10 and 1.5e-11.
+            polish = FitConfig("em", 1.0, 2000, tol_ll=None, tol_param=0.0)
+            net = net.with_theta(fit(net, data, polish).theta)
+        # EM can stop short of a fixpoint: on a slow mode, or with an
         # entry still sliding toward the floor, whose gap is small in
         # absolute terms only (one draw in 160: gap 1.8e-3 relative, and an
         # asymmetry of 3e-7; at most 1e-9 relative on the others)

@@ -9,13 +9,16 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import reduce
+from typing import Sequence
 
 import numpy as np
 
 from bnfit.estimation import expected_stats, is_fixpoint
 from bnfit.inference import RESCALE_TRIGGER, _min_degree_order
-from bnfit.model import Network, NetworkStructure, ParameterVector, Variable, random_init
-from bnfit.netio import MISSING, DataCase
+from bnfit.model import (
+    Network, NetworkStructure, ParameterVector, ValidationError, Variable, random_init
+)
+from bnfit.netio import MISSING, DataCase, DataSet
 from bnfit.networks import chain3
 from bnfit.spectral import (
     FD_AGREEMENT, FD_STEP, FIXPOINT_TOL, NotAFixpointError, _free_coords, phi_apply
@@ -81,6 +84,25 @@ def case_from_dict(structure: NetworkStructure, observed: dict[str, str]) -> Dat
         v = structure.by_name(name)
         states[v.index] = v.state_index(state)
     return DataCase(states)
+
+
+def dataset_from_cases(structure: NetworkStructure, cases: Sequence[DataCase]) -> DataSet:
+    if not cases:
+        return DataSet(structure, np.zeros((0, structure.n_vars), dtype=np.int64))
+    return DataSet(structure, np.stack([c.states for c in cases]))
+
+
+def decode_parent_config(structure: NetworkStructure, i: int, j: int) -> dict[int, int]:
+    """Inverse of parent_config_index: row index -> parent assignment."""
+    q = structure.parent_config_count(i)
+    if not (0 <= j < q):
+        raise ValidationError(f"row index {j} out of range [0, {q})")
+    out: dict[int, int] = {}
+    for p in reversed(structure.parents[i]):
+        r = structure.variables[p].arity
+        out[p] = j % r
+        j //= r
+    return out
 
 
 def random_partial_case(
