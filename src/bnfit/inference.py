@@ -62,10 +62,14 @@ Two independent routes compute the same quantities:
   per part, and the folded terms, so a family of another part, or a
   folded one, has the same posteriors under every probe as without it
   (its second partials with the probed table are zero), and the pass
-  returns none for it.  The forward sweep still runs
-  in full: the weights need every part's message.  The E-step, the
-  likelihood pass, queries and the online step are the length-1 case of
-  the same replay, with every part and the same bits as without the axis.
+  returns none for it.  The forward sweep still runs in full: the
+  weights need every part's message.  A part's message and posteriors
+  depend on a case only through its values on the part's family
+  variables (`table_parts` gives each table's part), so a caller can run
+  the pass on one case per distinct combination of those values.  The
+  E-step, the likelihood pass, queries and the online step are the
+  length-1 case of the same replay, with every part and the same bits as
+  without the axis.
 
   The rescale checks, a per-case total of every message and adjoint, cost
   more than the arithmetic on a batch of one or two cases, and almost
@@ -853,6 +857,17 @@ def probe_case_sums(
     tables[table] = probed
     out, _, weights = _posteriors(plan, tables, values, True, weigh, plan.part[table])
     return out, weights
+
+
+def table_parts(network: Network, values: np.ndarray) -> tuple[int, ...]:
+    """Each table's part of the plan for the batch `values`, -1 for a folded table.
+
+    Tables of one part share the part's scalar message in the last step,
+    so their posteriors and that message, per case, depend only on the
+    case's values on the part's family variables (see `_Plan.part`).
+    """
+    n_vars = network.structure.n_vars
+    return _plan_of(network.structure, frozenset(range(n_vars)), values).part[:n_vars]
 
 
 def batch_posterior_marginals(network: Network, values: np.ndarray, var_ids: list[int]) -> np.ndarray:

@@ -28,7 +28,11 @@ derivative of every family posterior.  The probes of one table ride one
 inference pass, stacked on its probe axis (see `inference`): the
 quantities they change are second partials of the network polynomial
 (Darwiche 2003), and what does not depend on the probed table is
-computed once for all of them.
+computed once for all of them.  P(y) is the product of one message per
+part of the elimination and the folded terms, so a probe changes only
+its table's part, and what it changes there depends on a case only
+through the case's values on the part's family variables.  Those repeat:
+a pass runs on one case per distinct signature, weighted by its count.
 
 The theory's contraction factor is stated in a reweighted norm; the
 empirical rate reported here is measured in the plain L2 norm, so
@@ -39,6 +43,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
+from itertools import groupby
 
 import numpy as np
 
@@ -51,7 +56,7 @@ from .estimation import (
     expected_stats,
     is_fixpoint,
 )
-from .inference import probe_case_sums
+from .inference import probe_case_sums, table_parts
 from .model import (
     PROB_FLOOR, Network, NumericalError, ParameterVector, ValidationError, ZeroProbabilityError,
     check_number, param_delta_stats,
@@ -125,10 +130,10 @@ def jacobian(network: Network, dataset: DataSet, h: float = FD_STEP) -> np.ndarr
     """M = I - grad(Phi) at eta = 1 on the free-coordinate chart, exactly.
 
     Each coordinate is probed at a step of +h.  The probes of a table share
-    inference passes, one per group of them (`_probe_groups`) and case
-    sub-block (`_probe_passes`), besides the base pass all coordinates
-    share.  A probe moves entries of one table only, and P(y) is
-    multilinear in the tables, so a case's probability and its
+    inference passes, one per group of them (`_probe_groups`) and
+    sub-block of distinct cases (`_probe_passes`), besides the base pass
+    all coordinates share.  A probe moves entries of one table only, and
+    P(y) is multilinear in the tables, so a case's probability and its
     unnormalized family joints are affine in the step: with
     s = delta / h and rho = P(y; +h) / P(y), the family posterior at
     delta is exactly
@@ -143,11 +148,16 @@ def jacobian(network: Network, dataset: DataSet, h: float = FD_STEP) -> np.ndarr
     (probed) entries, so its derivative is the identity on the probed
     coordinate.
 
-    A probe pass replays the reverse sweep over the probed table's part
-    of the pass's plan only (`inference.probe_case_sums`): the families of
-    the other parts, and the folded ones, keep their base posteriors under
-    the probe, so their slopes are exactly 0; an entry of M coupling two
-    tables that no pass puts in one part is exactly 0.
+    The families outside the probed table's part of a block's plan
+    (`inference.table_parts`), and the folded ones, keep their base
+    posteriors under the probe, so their slopes are exactly 0; an entry of
+    M coupling two tables that no block puts in one part is exactly 0.  The
+    part's families, and rho, depend on a case only through its values on
+    the part's family variables (a folded table's own family), so a probe
+    pass runs on one case per distinct signature of those values, weighted
+    by its count, and replays the reverse sweep over the part only
+    (`inference.probe_case_sums`).  Repeated or reordered cases change M
+    only by rounding.
 
     The result does not depend on h beyond rounding.  As a guard against
     a wrong slope, the same passes give the exact slope at +h as well,
@@ -155,8 +165,8 @@ def jacobian(network: Network, dataset: DataSet, h: float = FD_STEP) -> np.ndarr
     and at +h must agree with the secant (Phi(+h) - Phi) / h to
     FD_AGREEMENT entrywise; by the trapezoid rule their gap is O(h^2).  A
     step of +h or -h that would make some case's probability nonpositive
-    raises ZeroProbabilityError naming its row, as evaluating it directly
-    would.
+    raises ZeroProbabilityError naming the first such row, as evaluating
+    it directly would.
     """
     return _jacobian(network, dataset, h)[0]
 
@@ -192,34 +202,69 @@ def _probe_groups(
     return groups
 
 
+def _signatures(
+    network: Network, values: np.ndarray, variables: list[int]
+) -> tuple[np.ndarray, np.ndarray]:
+    """The first row of each distinct signature of `values` on `variables`,
+    in first-occurrence order, and how many rows share it.
+
+    A row's signature is one mixed-radix integer, with MISSING as the digit
+    after a variable's last state.  Before the radix product could pass
+    2**62 the codes so far are renumbered densely, below the row count.
+    """
+    code = np.zeros(len(values), dtype=np.int64)
+    bound = 1
+    for v in variables:
+        radix = network.structure.arity(v) + 1
+        if bound * radix > 2**62:
+            _, code = np.unique(code, return_inverse=True)
+            bound = int(code.max()) + 1
+        column = values[:, v]
+        code = code * radix + np.where(column < 0, radix - 1, column)
+        bound *= radix
+    _, first, counts = np.unique(code, return_index=True, return_counts=True)
+    order = np.argsort(first)
+    return first[order], counts[order]
+
+
 def _probe_passes(
     network: Network,
-    dataset: DataSet,
+    block: np.ndarray,
     start: int,
     group: tuple[int, np.ndarray, np.ndarray],
+    inside: np.ndarray,
+    reps: np.ndarray,
+    counts: np.ndarray,
     p0: np.ndarray,
     lls: np.ndarray,
     sums: np.ndarray,
 ) -> None:
     """Add a probe group's case sums over the block of cases from `start`
-    to its coordinates' rows of `sums`.
+    to its coordinates' rows of `sums`, for the families `inside` the
+    probed table's part of the block's plan.
 
-    A pass takes at most E_STEP_CHUNK // P cases, so it has at most
-    E_STEP_CHUNK (probe, case) columns.  With rho = P(y; +h) / P(y), it
-    returns the sums of rho * p1, p1 / rho and p1 over its cases for the
-    families the probed table reaches, its part of the pass's plan; one
-    product of the block's base posteriors `p0` with the weights turns the
-    first two into the sums of rho * (p1 - p0) and (p1 - p0) / rho.  Every
-    other family has p1 = p0 exactly: its slope sums stay 0 and its sum at
-    +h is that of `p0`.  The parts are the pass's own: a sub-block can fix
-    more columns than its block, and so have more parts.
+    Cases that agree on the part's family variables have the same
+    posteriors of its families and the same rho = P(y; +h) / P(y) under
+    every probe, so the passes run on one row per such signature, `reps`,
+    and weigh it by its `counts`.  A pass takes at most E_STEP_CHUNK // P
+    of them, so it has at most E_STEP_CHUNK (probe, case) columns.  It
+    returns the sums of rho * p1, p1 / rho and p1, times the counts, for
+    the families it reaches; one product of the representatives' base
+    posteriors `p0` with the weights turns the first two into the sums of
+    rho * (p1 - p0) and (p1 - p0) / rho.  A pass on fewer rows can fix
+    more columns, and so split the part or fold the probed table; a family
+    of the part it does not reach has p1 = p0, and its sum at +h is the
+    counted sum of its representatives' `p0`.  A pass can also reach
+    families outside the part (a one-row pass is not conditioned); those
+    are left to the caller.
     """
     table, probed, cols = group
-    block = dataset.values[start : start + len(lls)]
     width = estimation.E_STEP_CHUNK // len(probed)
     sizes = [t.size for t in network.theta.tables]
-    for a in range(0, len(lls), width):
-        base_lls = lls[a : a + width]
+    at = cols[:, None]
+    for a in range(0, len(reps), width):
+        rows, weight = reps[a : a + width], counts[a : a + width]
+        base_lls = lls[rows]
 
         def weigh(moved_lls: np.ndarray) -> np.ndarray:
             rho = np.exp(moved_lls - base_lls)
@@ -228,23 +273,23 @@ def _probe_passes(
             bad = np.flatnonzero(~(rho < 2.0).all(axis=0))
             if bad.size:
                 raise ZeroProbabilityError.of_row(int(bad[0]))
-            return np.stack([rho, 1.0 / rho, np.ones_like(rho)])
+            return np.stack([rho, 1.0 / rho, np.ones_like(rho)]) * weight
 
         try:
-            out, weights = probe_case_sums(network, block[a : a + width], table, probed, weigh)
+            out, weights = probe_case_sums(network, block[rows], table, probed, weigh)
         except ZeroProbabilityError as e:
-            raise ZeroProbabilityError.of_row(start + a + (e.case_index or 0)) from None
-        reached = np.repeat([o is not None for o in out], sizes)
-        at, away = cols[:, None], np.flatnonzero(~reached)
-        sums[2, at, away] += p0[away, a : a + width].sum(axis=1)
-        rows = np.flatnonzero(reached)
-        if rows.size:
-            # the reached families' (q_i * r_i, P, 3) sums, on the flat entry axis
-            sums[:, at, rows] += np.concatenate(
-                [o.reshape(-1, *o.shape[-2:]) for o in out if o is not None]
+            raise ZeroProbabilityError.of_row(start + int(rows[e.case_index or 0])) from None
+        read = inside & np.array([o is not None for o in out])
+        away = np.flatnonzero(np.repeat(inside & ~read, sizes))
+        sums[2, at, away] += p0[np.ix_(away, rows)] @ weight
+        reached = np.flatnonzero(np.repeat(read, sizes))
+        if reached.size:
+            # the read families' (q_i * r_i, P, 3) sums, on the flat entry axis
+            sums[:, at, reached] += np.concatenate(
+                [o.reshape(-1, *o.shape[-2:]) for o, r in zip(out, read) if r]
             ).T
-            shifts = p0[rows, a : a + width] @ weights[:2].reshape(2 * len(cols), -1).T
-            sums[:2, at, rows] -= shifts.T.reshape(2, len(cols), -1)
+            shifts = p0[np.ix_(reached, rows)] @ weights[:2].reshape(2 * len(cols), -1).T
+            sums[:2, at, reached] -= shifts.T.reshape(2, len(cols), -1)
 
 
 def _jacobian(network: Network, dataset: DataSet, h: float) -> tuple[np.ndarray, float]:
@@ -256,7 +301,9 @@ def _jacobian(network: Network, dataset: DataSet, h: float) -> tuple[np.ndarray,
     base pass runs first, so a point off the fixpoint is refused after one
     pass per block.  Then cases are taken one E_STEP_CHUNK block at a
     time; a block's base posteriors fill one (Q, N) matrix, and its probes
-    go one group at a time (`_probe_groups`, `_probe_passes`).  Besides the
+    go one table at a time: the block's signatures on the table's part
+    (`_signatures`), the base sums of the families outside it, then one
+    group at a time (`_probe_groups`, `_probe_passes`).  Besides the
     last block's base matrix, kept from the first sweep, only the block's
     base matrix is held.  Per coordinate the case sums of the slopes at 0
     and at +h and of the posteriors at +h accumulate in one (3, m, Q)
@@ -295,6 +342,9 @@ def _jacobian(network: Network, dataset: DataSet, h: float) -> tuple[np.ndarray,
             f"analysis point has fixpoint residual {residual:.3g} > {FIXPOINT_TOL}"
         )
     groups = _probe_groups(theta, coords, h)
+    table_of = np.array([i for i, _, _ in coords])
+    sizes = [t.size for t in theta.tables]
+    families = [{i, *pa} for i, pa in enumerate(network.structure.parents)]
     sums = np.zeros((3, m, offsets[-1]))
     for start in blocks:
         if start == blocks[-1]:
@@ -303,8 +353,19 @@ def _jacobian(network: Network, dataset: DataSet, h: float) -> tuple[np.ndarray,
             base, lls = _block_posteriors(network, dataset, start)
             p0 = _flat_posteriors(base)
             del base
-        for group in groups:
-            _probe_passes(network, dataset, start, group, p0, lls, sums)
+        block = dataset.values[start : start + len(lls)]
+        parts = np.array(table_parts(network, block))
+        block_sum = p0.sum(axis=1)
+        for table, of_table in groupby(groups, key=lambda g: g[0]):
+            # a folded table's part reaches no family; its rho depends on
+            # its own family's values only
+            inside = (parts == parts[table]) & (parts[table] >= 0)
+            variables = families[table].union(*(families[u] for u in np.flatnonzero(inside)))
+            reps, counts = _signatures(network, block, sorted(variables))
+            outside = np.flatnonzero(np.repeat(~inside, sizes))
+            sums[2, np.flatnonzero(table_of == table)[:, None], outside] += block_sum[outside]
+            for group in of_table:
+                _probe_passes(network, block, start, group, inside, reps, counts, p0, lls, sums)
 
     # Below, row c holds the derivative along coordinate c at every free
     # entry.  An entry whose row has zero parent mass keeps its probed
@@ -340,9 +401,13 @@ def eigen_range(m_matrix: np.ndarray, cutoff: float = EIGEN_CUTOFF) -> tuple[flo
     """(smallest eigenvalue above cutoff, largest eigenvalue, any below cutoff).
 
     The matrix is similar to a symmetric positive-semidefinite one, so
-    eigenvalues are real up to numerical noise; real parts are used.
+    eigenvalues are real up to numerical noise; real parts are used.  A
+    matrix that is not square, or has no entry, is refused.
     """
     check_number(cutoff, "cutoff", low=0)
+    shape = np.shape(m_matrix)
+    if len(shape) != 2 or shape[0] != shape[1] or shape[0] == 0:
+        raise ValidationError(f"eigen_range needs a nonempty square matrix, got shape {shape}")
     try:
         eigs = np.linalg.eigvals(m_matrix).real
     except np.linalg.LinAlgError as e:
@@ -406,10 +471,18 @@ def build_report(
 ) -> SpectralReport:
     """Jacobian, eigenvalue range, eta_star, and a rho table for the etas.
 
-    The etas are checked before any inference pass runs.
+    `empirical` maps some of the etas to measured rates (`empirical_rate`).
+    The etas and the measured rates, finite and nonnegative, are checked
+    before any inference pass runs.
     """
     for eta in etas:
         check_number(eta, "eta", above=0)
+    for eta, rate in (empirical or {}).items():
+        if eta not in etas:
+            raise ValidationError(
+                f"empirical rate given for eta {eta!r}, which is not among the etas"
+            )
+        check_number(rate, "empirical rate", low=0)
     m_matrix, residual = _jacobian(network, dataset, FD_STEP)
     lmin, lmax, deficient = eigen_range(m_matrix)
     entries = []

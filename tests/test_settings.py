@@ -12,7 +12,10 @@ import pytest
 
 from bnfit.estimation import FitConfig
 from bnfit.harness import ExperimentArm, ExperimentConfig, MissingnessSpec, forward_sample
-from bnfit.model import ValidationError, random_init
+from bnfit.model import (
+    Network, NetworkStructure, ParameterVector, ValidationError, Variable, random_init
+)
+from bnfit.netio import DataSet
 from bnfit.networks import chain3
 from bnfit.online import ETA_MAX, LearningRateSchedule
 from bnfit.spectral import build_report, contraction_rate, eigen_range, eta_star, jacobian
@@ -20,6 +23,10 @@ from bnfit.spectral import build_report, contraction_rate, eigen_range, eta_star
 NET = chain3()
 DATA = forward_sample(NET, 20, seed=1)
 TINY = 5e-324  # the smallest positive float
+# one variable at its maximum-likelihood point, so that a report runs through
+ROOT = Network(NetworkStructure((Variable(0, "A", ("a0", "a1")),), ((),)),
+               ParameterVector([np.array([[0.25, 0.75]])]))
+ROOT_DATA = DataSet(ROOT.structure, np.array([[1], [0], [1], [1]]))
 
 # Refused by every setting: the wrong kinds, then the values a real may not
 # take.  A count has no upper bound, so 10**400 is a valid count and a float
@@ -75,6 +82,8 @@ ROWS = (
     ("LearningRateSchedule.inverse_t", "inverse_t t0",
      lambda v: LearningRateSchedule.inverse_t(1.0, v), NONNEGATIVE),
     ("build_report", "eta", lambda v: build_report(NET, DATA, [1.0, v]), POSITIVE),
+    ("build_report", "empirical rate",
+     lambda v: build_report(ROOT, ROOT_DATA, [1.0], {1.0: v}), NONNEGATIVE),
     ("contraction_rate", "eta", lambda v: contraction_rate(v, 0.5, 1.0), POSITIVE),
     ("contraction_rate", "lambda_min", lambda v: contraction_rate(1.0, v, 1.0), POSITIVE),
     ("contraction_rate", "lambda_max", lambda v: contraction_rate(1.0, 0.5, v), POSITIVE),

@@ -1,6 +1,7 @@
 """Learning-rate spectrum: the EM operator, its Jacobian, and rates."""
 
 import json
+import re
 
 import numpy as np
 import pytest
@@ -166,6 +167,50 @@ class TestJacobian:
         m2 = jacobian(net, doubled)
         np.testing.assert_allclose(m1, m2, atol=1e-10)
 
+    @settings(max_examples=12, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        n_vars=st.integers(3, 6),
+        obscure_prob=st.sampled_from([0.1, 0.3, 0.6]),
+        n_hidden=st.integers(0, 2),
+        roots_observed=st.booleans(),
+    )
+    @example(seed=4, n_vars=3, obscure_prob=0.3, n_hidden=1, roots_observed=False)
+    def test_case_counts_and_order(self, seed, n_vars, obscure_prob, n_hidden, roots_observed):
+        """Probe passes run once per distinct case of a part, weighted by its
+        count: M is the same on the fitted dataset, on its rows permuted, and
+        on the dataset stacked on itself, where every count doubles.  Roots
+        observed in every row fold their tables and split the parts."""
+        rng = np.random.default_rng(seed)
+        truth = random_network(rng, n_vars)
+        s = truth.structure
+        hidden = tuple(v.name for v in s.variables[n_vars - n_hidden:])
+        complete = forward_sample(truth, 60, seed=seed % 1000)
+        mask = MissingnessSpec(hidden, obscure_prob, seed=seed % 997)
+        values = obscure(complete, mask).values.copy()
+        if roots_observed:
+            roots = [i for i in range(n_vars) if not s.parents[i]]
+            values[:, roots] = complete.values[:, roots]
+        data = DataSet(s, values)
+        cfg = FitConfig("em", 1.0, 200, tol_ll=None, tol_param=1e-9, init="random", seed=seed % 991)
+        net = truth.with_theta(fit(truth, data, cfg).theta)
+        with pytest.MonkeyPatch.context() as mp:
+            # a fit stopped at max_iters may sit off the fixpoint; the
+            # invariance holds at any point
+            mp.setattr(bnfit.spectral, "FIXPOINT_TOL", np.inf)
+            mp.setattr(bnfit.spectral, "FD_AGREEMENT", np.inf)
+            m = jacobian(net, data)
+            permuted = jacobian(net, DataSet(s, values[rng.permutation(len(values))]))
+            stacked = jacobian(net, DataSet(s, np.vstack([values, values])))
+        # Row c of M is a quotient by the parent mass w of coordinate c's
+        # row, so its rounding grows as 1 / w: on rows with w near 0 (an
+        # entry sliding to the floor) only w * M is held to the bound.
+        w = np.array([expected_stats(net, data).parent[i][j] for i, j, _ in _free_coords(net)])
+        solid = w > 1e-3
+        for other in (permuted, stacked):
+            np.testing.assert_allclose(other[solid], m[solid], rtol=0, atol=1e-10)
+            np.testing.assert_allclose(w[:, None] * other, w[:, None] * m, rtol=0, atol=1e-10)
+
     def test_hidden_middle_eigenvalues_in_unit_interval(self):
         net, data = converged_chain3()
         m = jacobian(net, data)
@@ -300,6 +345,27 @@ class TestProbeReconstruction:
         assert cross.any() and not cross.all()
         np.testing.assert_array_equal(m[cross], 0.0)
 
+    def test_signatures_past_the_radix_limit(self):
+        """Forty ternary variables with MISSING take 4**40 > 2**62 codes, so
+        the codes are renumbered on the way; the signatures are still the
+        distinct rows, in first-occurrence order, with their counts.  Rows
+        that differ in the first variable only would share a code wrapped
+        modulo 2**64 (4**39 is a multiple of it)."""
+        structure = NetworkStructure(
+            tuple(Variable(i, f"X{i}", ("a", "b", "c")) for i in range(40)), ((),) * 40
+        )
+        rng = np.random.default_rng(3)
+        rows = rng.integers(-1, 3, size=(6, 40))
+        twins = rows.copy()
+        twins[:, 0] = (rows[:, 0] + 2) % 4 - 1
+        values = np.vstack([rows, twins])[rng.integers(0, 12, size=300)]
+        net = Network(structure, random_tables(rng, structure))
+        reps, counts = bnfit.spectral._signatures(net, values, list(range(40)))
+        distinct, first, inverse = np.unique(values, axis=0, return_index=True, return_inverse=True)
+        order = np.argsort(first)
+        np.testing.assert_array_equal(reps, first[order])
+        np.testing.assert_array_equal(counts, np.bincount(inverse.ravel())[order])
+
     def test_several_blocks_same_matrix(self, monkeypatch):
         net, data = converged_chain3(n=200)
         one_block = jacobian(net, data)
@@ -329,7 +395,9 @@ class TestProbeReconstruction:
     def test_one_pass_per_probe_group_and_case_block(self, monkeypatch, twolayer15_at_fixpoint):
         """One base pass; then per table one group of the probes that keep
         every entry nonnegative and one of those that move a row's last
-        entry below 0, each over sub-blocks of E_STEP_CHUNK // P cases."""
+        entry below 0, each over sub-blocks of E_STEP_CHUNK // P of the
+        distinct signatures of the cases on the family variables of the
+        table's part of the plan (its own family's when it is folded)."""
         net, data = twolayer15_at_fixpoint
         calls, passes = [], []
         inner = bnfit.estimation.batch_family_posteriors
@@ -347,8 +415,13 @@ class TestProbeReconstruction:
         monkeypatch.setattr(bnfit.spectral, "probe_case_sums", recording)
         build_report(net, data, [1.0])
         assert calls == [len(data)]
-        n, chunk, expected = len(data), bnfit.estimation.E_STEP_CHUNK, []
+        s = net.structure
+        part = bnfit.inference._plan_of(s, frozenset(range(s.n_vars)), data.values).part
+        chunk, expected = bnfit.estimation.E_STEP_CHUNK, []
         for i, table in enumerate(net.theta.tables):
+            tables = [u for u in range(s.n_vars) if part[u] == part[i] >= 0] or [i]
+            variables = sorted({v for u in tables for v in (u, *s.parents[u])})
+            n = len(np.unique(data.values[:, variables], axis=0))
             free = table.shape[1] - 1
             low = free * int(np.count_nonzero(table[:, -1] < FD_STEP))
             for size in (table.shape[0] * free - low, low):
@@ -404,8 +477,16 @@ class TestProbeReconstruction:
             assert replays == [negative]
         np.testing.assert_allclose(m, reference_jacobian(net, data), rtol=0, atol=1e-8)
 
-    @pytest.mark.parametrize("eta", [float("inf"), float("nan"), 0.0])
-    def test_bad_eta_rejected_before_any_e_step(self, monkeypatch, eta):
+    @pytest.mark.parametrize("etas, empirical, match", [
+        pytest.param([1.0, float("inf")], None, "eta must be a finite positive number", id="inf"),
+        pytest.param([1.0, float("nan")], None, "eta must be a finite positive number", id="nan"),
+        pytest.param([1.0, 0.0], None, "eta must be a finite positive number", id="0.0"),
+        pytest.param([1.0], {1.0: float("nan")}, "empirical rate must be a finite nonnegative",
+                     id="empirical-nan"),
+        pytest.param([1.0], {1.8: 0.5}, "eta 1.8, which is not among the etas",
+                     id="empirical-for-another-eta"),
+    ])
+    def test_bad_eta_rejected_before_any_e_step(self, monkeypatch, etas, empirical, match):
         net, data = converged_chain3(n=200)
         calls = []
         inner = bnfit.estimation.batch_family_posteriors
@@ -415,20 +496,22 @@ class TestProbeReconstruction:
             return inner(network, values, **kwargs)
 
         monkeypatch.setattr(bnfit.estimation, "batch_family_posteriors", counting)
-        with pytest.raises(ValidationError, match="eta must be a finite positive number"):
-            build_report(net, data, [1.0, eta])
+        with pytest.raises(ValidationError, match=match):
+            build_report(net, data, etas, empirical)
         assert calls == []
 
     def test_probe_making_a_case_impossible(self):
         """P(A = a0) = 0.25 at the fixpoint; the probe at -h with h = 0.5
-        gives it probability -0.25, so row 1, the first a0 case, is impossible."""
+        gives it probability -0.25, so row 1, the first a0 case, is
+        impossible; a repeat of it further down still leaves row 1 named."""
         structure = NetworkStructure((Variable(0, "A", ("a0", "a1")),), ((),))
         net = Network(structure, ParameterVector([np.array([[0.25, 0.75]])]))
-        data = DataSet(structure, np.array([[1], [0], [1], [1]]))
-        for jac in (jacobian, reference_jacobian):
-            with pytest.raises(ZeroProbabilityError) as info:
-                jac(net, data, h=0.5)
-            assert info.value.case_index == 1
+        for rows in ([1, 0, 1, 1], [1, 0, 1, 1, 1, 0, 1, 1]):
+            data = DataSet(structure, np.array(rows)[:, None])
+            for jac in (jacobian, reference_jacobian):
+                with pytest.raises(ZeroProbabilityError) as info:
+                    jac(net, data, h=0.5)
+                assert info.value.case_index == 1
 
 
 def information_symmetry_gap(network, dataset):
@@ -515,6 +598,11 @@ class TestEigenRange:
     def test_all_below_cutoff_rejected(self):
         with pytest.raises(NumericalError):
             eigen_range(np.zeros((3, 3)))
+
+    @pytest.mark.parametrize("shape", [(2, 3), (0, 0), (3,), (2, 2, 2)])
+    def test_not_a_nonempty_square_matrix_rejected(self, shape):
+        with pytest.raises(ValidationError, match=rf"got shape {re.escape(str(shape))}"):
+            eigen_range(np.ones(shape))
 
 
 class TestRateFormulas:
