@@ -12,7 +12,7 @@ import sys
 
 from .estimation import RULES, FitConfig, fit
 from .harness import EvalSpec, ExperimentConfig, evaluate_queries, run_experiment, sample_obscured
-from .model import NumericalError, ValidationError
+from .model import NumericalError, ValidationError, check_same_structure
 from .netio import (
     read_dataset,
     read_network,
@@ -74,7 +74,8 @@ def _cmd_fit(args) -> int:
     test = read_dataset(args.test, network.structure) if args.test else None
     init = args.init
     if init.startswith("file:"):
-        network, init = network.with_theta(read_network(init.split(":", 1)[1]).theta), "network"
+        network, init = read_network(init.split(":", 1)[1]), "network"
+        check_same_structure(network.structure, data.structure, "the --init file", "the network")
     config = FitConfig(
         rule=args.rule,
         eta=args.eta,
@@ -109,10 +110,11 @@ def _cmd_online(args) -> int:
 
 def _cmd_spectral(args) -> int:
     network = read_network(args.network)
-    theta = read_network(args.theta).theta
+    point = read_network(args.theta)
+    check_same_structure(point.structure, network.structure, "the --theta file", "the network")
     data = read_dataset(args.data, network.structure)
     etas = [_number(x, "an --etas entry") for x in args.etas.split(",") if x]
-    report = build_report(network.with_theta(theta), data, etas)
+    report = build_report(point, data, etas)
     write_text(args.out, report_to_json(report))
     print(
         f"lambda=[{report.lambda_min:.6f}, {report.lambda_max:.6f}], "

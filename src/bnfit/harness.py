@@ -24,7 +24,7 @@ from dataclasses import dataclass, fields
 import numpy as np
 
 from .estimation import RULES, FitConfig, fit
-from .inference import batch_posterior_marginals, posterior_marginal
+from .inference import _case_row, batch_posterior_marginals, posterior_marginal
 from .model import (
     BnError, Network, ValidationError, ZeroProbabilityError, check_number, check_same_structure,
     parent_rows,
@@ -155,6 +155,7 @@ def query_error(
     learned: Network, truth: Network, case: DataCase, target: str
 ) -> QueryError:
     check_same_structure(learned.structure, truth.structure, "the learned network", "the true network")
+    _case_row(truth, case)
     v = truth.structure.by_name(target)
     if case.states[v.index] != MISSING:
         raise ValidationError(f"target {target!r} is observed in the case")

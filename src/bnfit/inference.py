@@ -65,11 +65,11 @@ Two independent routes compute the same quantities:
   returns none for it.  The forward sweep still runs in full: the
   weights need every part's message.  A part's message and posteriors
   depend on a case only through its values on the part's family
-  variables (`table_parts` gives each table's part), so a caller can run
-  the pass on one case per distinct combination of those values.  The
-  E-step, the likelihood pass, queries and the online step are the
-  length-1 case of the same replay, with every part and the same bits as
-  without the axis.
+  variables (`table_parts` gives each table's part), so a caller can
+  replay a batch's plan on one case per distinct combination of those
+  values: the cases observe the batch's fixed set.  The E-step, the
+  likelihood pass, queries and the online step are the length-1 case of
+  the same replay, with every part and the same bits as without the axis.
 
   The rescale checks, a per-case total of every message and adjoint, cost
   more than the arithmetic on a batch of one or two cases, and almost
@@ -119,7 +119,7 @@ Two independent routes compute the same quantities:
 
 * The oracle route (`enumerate_*`) sums over all joint completions.  It
   exists for tests and sanity checks and shares no code with the main
-  route beyond the model module.
+  route beyond the model module and the check of its case.
 
 A "family" is a variable together with its parents; the family posterior
 for case y is P(X_i = k, Pa_i = j | y), stored in the same (q_i, r_i)
@@ -142,7 +142,7 @@ import numpy as np
 from .model import (
     Network, NetworkStructure, ValidationError, ZeroProbabilityError, check_number, parent_rows
 )
-from .netio import DataCase, MISSING
+from .netio import DataCase, MISSING, _check_states
 
 MAX_ENUM_STATES = 1 << 20
 
@@ -168,9 +168,9 @@ if hasattr(_libc, "gnu_get_libc_version"):
 
 # -- elimination plans ------------------------------------------------------
 
-# Plans kept: a fit, an online stream and a spectral analysis use one
-# each, plus one per fixed set their batches condition on; a query
-# evaluation uses one per target variable and fixed set.
+# Plans kept: a fit, an online stream and a spectral analysis (its probe
+# passes replay their block's) use one per fixed set their batches condition
+# on; a query evaluation uses one per target variable and fixed set.
 PLAN_CACHE_SIZE = 128
 
 
@@ -785,16 +785,22 @@ def _posteriors(
 # -- public single-case operations ----------------------------------------
 
 
+def _case_row(network: Network, case: DataCase) -> np.ndarray:
+    """The case as a one-row batch, checked against the network's structure."""
+    _check_states(network.structure, case.states[None], "the case")
+    return case.states[None]
+
+
 def joint_probability(network: Network, case: DataCase) -> float:
     """Chain-rule product for a fully observed case."""
-    if np.any(case.states < 0):
+    if np.any(_case_row(network, case) < 0):
         raise ValidationError("joint_probability requires a fully observed case")
     return float(_assignment_weights(network, case.states[None, :])[0])
 
 
 def log_marginal_likelihood(network: Network, case: DataCase) -> float:
     """log P(observed part of the case), by variable elimination."""
-    lls = log_likelihood_cases(network, case.states[None, :])
+    lls = log_likelihood_cases(network, _case_row(network, case))
     return float(lls[0])
 
 
@@ -807,7 +813,7 @@ def log_likelihood_cases(network: Network, values: np.ndarray) -> np.ndarray:
 
 def family_posteriors(network: Network, case: DataCase) -> list[np.ndarray]:
     """P(X_i = k, Pa_i = j | case) for every family, CPT-shaped."""
-    post, _ = batch_family_posteriors(network, case.states[None, :])
+    post, _ = batch_family_posteriors(network, _case_row(network, case))
     return [p[0] for p in post]
 
 
@@ -830,32 +836,31 @@ def batch_family_posteriors(
 
 def probe_case_sums(
     network: Network,
-    values: np.ndarray,
+    block: np.ndarray,
+    rows: np.ndarray,
     table: int,
     probed: np.ndarray,
     weigh: Callable[[np.ndarray], np.ndarray],
 ) -> tuple[list[np.ndarray | None], np.ndarray]:
-    """Weighted case sums of the family posteriors under P probed copies of one table.
+    """Weighted case sums of the family posteriors under P probed copies of
+    one table, over the cases `rows` of the batch `block`.
 
     `probed` is a (P, q, r) stack of copies of table `table`; every other
     table is the network's.  The stack rides the probe axis, so one replay
-    answers every probe.  `weigh` maps the (P, N) log-likelihoods to
-    (K, P, N) weights W before the reverse sweep, and may raise.  Returns
-    per family the (q_i, r_i, P, K) sums sum_c W[k, p, c] P_p(x, pa | y_c),
-    and W.  No per-case posterior is returned.
+    of the plan of `block`, on `block[rows]`, answers every probe.  `weigh`
+    maps the (P, N) log-likelihoods to (K, P, N) weights W before the
+    reverse sweep, and may raise.  Returns per family the (q_i, r_i, P, K)
+    sums sum_c W[k, p, c] P_p(x, pa | y_c), and W.
 
-    A family the probed table cannot reach is None: one outside the probed
-    table's part of the batch's plan (a connected part of the variables the
-    batch leaves unfixed, or of the network for a single row), every folded
-    family, and every family at all when the probed table is folded.  Its
-    posteriors are the unprobed ones under every probe, so its sums are
-    those of the unprobed posteriors with the same weights; the reverse
-    sweep does not replay its part.
+    The families outside the probed table's part (`table_parts(network,
+    block)`; all of them for a folded table) are None: their posteriors
+    are the unprobed ones under every probe, and the reverse sweep does
+    not replay their parts.
     """
-    plan = _plan_of(network.structure, frozenset(range(network.structure.n_vars)), values)
+    plan = _plan_of(network.structure, frozenset(range(network.structure.n_vars)), block)
     tables = list(network.theta.tables)
     tables[table] = probed
-    out, _, weights = _posteriors(plan, tables, values, True, weigh, plan.part[table])
+    out, _, weights = _posteriors(plan, tables, block[rows], True, weigh, plan.part[table])
     return out, weights
 
 
@@ -888,7 +893,7 @@ def batch_posterior_marginals(network: Network, values: np.ndarray, var_ids: lis
 
 def posterior_marginal(network: Network, case: DataCase, var_ids: list[int]) -> np.ndarray:
     """Joint posterior over the given variables, axes in the given order."""
-    return batch_posterior_marginals(network, case.states[None, :], var_ids)[0]
+    return batch_posterior_marginals(network, _case_row(network, case), var_ids)[0]
 
 
 def parent_config_marginals(network: Network) -> list[np.ndarray]:
@@ -929,14 +934,14 @@ def _assignment_weights(network: Network, full: np.ndarray) -> np.ndarray:
 
 def enumerate_case_probability(network: Network, case: DataCase) -> float:
     """P(observed part of the case) by summing all completions."""
-    full = _completions(network.structure, case.states)
+    full = _completions(network.structure, _case_row(network, case)[0])
     return float(_assignment_weights(network, full).sum())
 
 
 def enumerate_family_posteriors(network: Network, case: DataCase) -> list[np.ndarray]:
     """Same contract as family_posteriors, via exhaustive summation."""
     s = network.structure
-    full = _completions(s, case.states)
+    full = _completions(s, _case_row(network, case)[0])
     w = _assignment_weights(network, full)
     total = w.sum()
     if not total > 0.0:

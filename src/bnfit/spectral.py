@@ -12,10 +12,10 @@ over the nonzero eigenvalues, which is minimized at
 
 This module computes M at eta = 1 on a simplex chart (per row of r
 states, r - 1 free coordinates, the last entry absorbing the step so
-probes stay on the simplex).  Eigenvalues below a cutoff are treated as
-a rank-deficient subspace and excluded, mirroring the restriction to the
-span of the per-case posterior vectors; the report flags when that
-happens.
+probes stay on the simplex).  Eigenvalues at or below a cutoff are
+treated as a rank-deficient subspace and excluded, mirroring the
+restriction to the span of the per-case posterior vectors; the report
+flags when that happens.
 
 Each coordinate's column of M is exact.  P(y; theta) is multilinear in
 the CPT entries: every term of the sum over completions holds exactly
@@ -155,9 +155,9 @@ def jacobian(network: Network, dataset: DataSet, h: float = FD_STEP) -> np.ndarr
     part's families, and rho, depend on a case only through its values on
     the part's family variables (a folded table's own family), so a probe
     pass runs on one case per distinct signature of those values, weighted
-    by its count, and replays the reverse sweep over the part only
-    (`inference.probe_case_sums`).  Repeated or reordered cases change M
-    only by rounding.
+    by its count, and replays the block's plan with the reverse sweep over
+    the part only (`inference.probe_case_sums`).  Repeated or reordered
+    cases change M only by rounding.
 
     The result does not depend on h beyond rounding.  As a guard against
     a wrong slope, the same passes give the exact slope at +h as well,
@@ -247,20 +247,15 @@ def _probe_passes(
     posteriors of its families and the same rho = P(y; +h) / P(y) under
     every probe, so the passes run on one row per such signature, `reps`,
     and weigh it by its `counts`.  A pass takes at most E_STEP_CHUNK // P
-    of them, so it has at most E_STEP_CHUNK (probe, case) columns.  It
-    returns the sums of rho * p1, p1 / rho and p1, times the counts, for
-    the families it reaches; one product of the representatives' base
-    posteriors `p0` with the weights turns the first two into the sums of
-    rho * (p1 - p0) and (p1 - p0) / rho.  A pass on fewer rows can fix
-    more columns, and so split the part or fold the probed table; a family
-    of the part it does not reach has p1 = p0, and its sum at +h is the
-    counted sum of its representatives' `p0`.  A pass can also reach
-    families outside the part (a one-row pass is not conditioned); those
-    are left to the caller.
+    of them, so it has at most E_STEP_CHUNK (probe, case) columns, and
+    replays the block's plan.  It returns the sums of rho * p1, p1 / rho
+    and p1, times the counts, for the part's families; one product of the
+    representatives' base posteriors `p0` with the weights turns the first
+    two into the sums of rho * (p1 - p0) and (p1 - p0) / rho.
     """
     table, probed, cols = group
     width = estimation.E_STEP_CHUNK // len(probed)
-    sizes = [t.size for t in network.theta.tables]
+    reached = np.flatnonzero(np.repeat(inside, [t.size for t in network.theta.tables]))
     at = cols[:, None]
     for a in range(0, len(reps), width):
         rows, weight = reps[a : a + width], counts[a : a + width]
@@ -276,17 +271,13 @@ def _probe_passes(
             return np.stack([rho, 1.0 / rho, np.ones_like(rho)]) * weight
 
         try:
-            out, weights = probe_case_sums(network, block[rows], table, probed, weigh)
+            out, weights = probe_case_sums(network, block, rows, table, probed, weigh)
         except ZeroProbabilityError as e:
             raise ZeroProbabilityError.of_row(start + int(rows[e.case_index or 0])) from None
-        read = inside & np.array([o is not None for o in out])
-        away = np.flatnonzero(np.repeat(inside & ~read, sizes))
-        sums[2, at, away] += p0[np.ix_(away, rows)] @ weight
-        reached = np.flatnonzero(np.repeat(read, sizes))
         if reached.size:
-            # the read families' (q_i * r_i, P, 3) sums, on the flat entry axis
+            # the part's families' (q_i * r_i, P, 3) sums, on the flat entry axis
             sums[:, at, reached] += np.concatenate(
-                [o.reshape(-1, *o.shape[-2:]) for o, r in zip(out, read) if r]
+                [o.reshape(-1, *o.shape[-2:]) for o in out if o is not None]
             ).T
             shifts = p0[np.ix_(reached, rows)] @ weights[:2].reshape(2 * len(cols), -1).T
             sums[:2, at, reached] -= shifts.T.reshape(2, len(cols), -1)
@@ -397,14 +388,13 @@ def _jacobian(network: Network, dataset: DataSet, h: float) -> tuple[np.ndarray,
     return np.eye(m) - grad, residual
 
 
-def eigen_range(m_matrix: np.ndarray, cutoff: float = EIGEN_CUTOFF) -> tuple[float, float, bool]:
-    """(smallest eigenvalue above cutoff, largest eigenvalue, any below cutoff).
+def eigen_range(m_matrix: np.ndarray) -> tuple[float, float, bool]:
+    """(smallest eigenvalue above EIGEN_CUTOFF, largest one, any at or below it).
 
     The matrix is similar to a symmetric positive-semidefinite one, so
     eigenvalues are real up to numerical noise; real parts are used.  A
     matrix that is not square, or has no entry, is refused.
     """
-    check_number(cutoff, "cutoff", low=0)
     shape = np.shape(m_matrix)
     if len(shape) != 2 or shape[0] != shape[1] or shape[0] == 0:
         raise ValidationError(f"eigen_range needs a nonempty square matrix, got shape {shape}")
@@ -412,10 +402,10 @@ def eigen_range(m_matrix: np.ndarray, cutoff: float = EIGEN_CUTOFF) -> tuple[flo
         eigs = np.linalg.eigvals(m_matrix).real
     except np.linalg.LinAlgError as e:
         raise NumericalError(f"eigenvalue solve failed: {e}") from None
-    above = eigs[eigs > cutoff]
+    above = eigs[eigs > EIGEN_CUTOFF]
     if above.size == 0:
         raise NumericalError("all eigenvalues fall below the cutoff")
-    return float(above.min()), float(eigs.max()), bool(np.any(eigs < cutoff))
+    return float(above.min()), float(eigs.max()), bool(np.any(eigs <= EIGEN_CUTOFF))
 
 
 def _check_range(lambda_min: float, lambda_max: float) -> None:

@@ -107,7 +107,7 @@ class TestFit:
 
     @pytest.mark.parametrize("init, message", [
         ("bogus", "unknown init 'bogus'"),
-        ("file:", "table count != number of variables"),
+        ("file:", "the --init file and the network have different structures"),
     ])
     def test_bad_init_exit_2_writes_nothing(self, tmp_path, chain3_file, capsys, init, message):
         """An unknown init name, or a `file:` network of another structure (here tree8)."""

@@ -9,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from bnfit import inference
-from bnfit.harness import MissingnessSpec, forward_sample, obscure
+from bnfit.harness import MissingnessSpec, forward_sample, obscure, query_error
 from bnfit.inference import (
     _min_degree_order,
     _plan_of,
@@ -93,6 +93,33 @@ class TestJointProbability:
         net = chain3()
         with pytest.raises(ValidationError):
             joint_probability(net, case_from_dict(net.structure, {"A": "s0"}))
+
+
+@pytest.mark.parametrize("call", [
+    log_marginal_likelihood,
+    family_posteriors,
+    lambda net, case: posterior_marginal(net, case, [0]),
+    joint_probability,
+    enumerate_case_probability,
+    enumerate_family_posteriors,
+    lambda net, case: query_error(net, net, case, "A"),
+], ids=["log_marginal_likelihood", "family_posteriors", "posterior_marginal", "joint_probability",
+        "enumerate_case_probability", "enumerate_family_posteriors", "query_error"])
+@pytest.mark.parametrize("states, message", [
+    # unchecked: IndexError
+    ([MISSING, 0], "does not have one entry per variable"),
+    # unchecked: read as [MISSING, 0, 0], log P = -0.669
+    ([MISSING, 0, 0, 0], "does not have one entry per variable"),
+    # unchecked: ZeroProbabilityError, or IndexError in the oracle
+    ([MISSING, 5, 0], "has out-of-range states for variable 'M'"),
+    # unchecked: read as missing
+    ([MISSING, -2, 0], "has out-of-range states for variable 'M'"),
+], ids=["short", "long", "state-5", "state-minus-2"])
+def test_single_case_entry_points_check_the_case(call, states, message):
+    """A single-case call refuses a case that is not one of the network's
+    structure with a ValidationError, before any arithmetic."""
+    with pytest.raises(ValidationError, match=f"^the case {message}"):
+        call(chain3(), DataCase(np.array(states)))
 
 
 class TestLogMarginalLikelihood:
@@ -870,7 +897,7 @@ class TestConditionedBatches:
         folded = [i for i in range(n_vars) if set(s.parents[i]) | {i} <= set(plan.fixed)]
         table = int(rng.choice(folded if probed_family == "folded" and folded else n_vars))
         probed = np.stack([random_tables(rng, s).tables[table] for _ in range(3)])
-        got, weights = probe_case_sums(net, values, table, probed, weigh_by_probability)
+        got, weights = probe_case_sums(net, values, np.arange(n), table, probed, weigh_by_probability)
         # the families of the probed table's part, none for a folded table
         assert [g is not None for g in got] == [
             plan.part[i] == plan.part[table] >= 0 for i in range(n_vars)
@@ -895,7 +922,9 @@ class TestConditionedBatches:
                         # unreached: the probe leaves its posteriors alone
                         np.testing.assert_allclose(post, unprobed[c][i], rtol=0, atol=1e-10)
         for c in range(n):
-            solo, _ = probe_case_sums(net, values[c : c + 1], table, probed, weigh_by_probability)
+            # one case replays the whole batch's plan: it reaches the same families
+            solo, _ = probe_case_sums(net, values, [c], table, probed, weigh_by_probability)
+            assert [x is not None for x in solo] == [g is not None for g in got]
             for acc, x in zip(solo_sums, solo):
                 if x is not None:
                     acc += x
@@ -922,7 +951,8 @@ class TestConditionedBatches:
         assert plan.folded == tuple(roots) and len(plan.steps[-1].ids) == s.n_vars - len(roots)
         for table in range(s.n_vars):
             probed = np.stack([net.theta.tables[table]] * 2)
-            got, _ = probe_case_sums(net, values, table, probed, weigh_by_probability)
+            got, _ = probe_case_sums(net, values, np.arange(len(values)), table, probed,
+                                     weigh_by_probability)
             reached = [i for i, g in enumerate(got) if g is not None]
             if table in roots:
                 assert plan.part[table] == -1 and reached == []

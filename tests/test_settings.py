@@ -18,7 +18,7 @@ from bnfit.model import (
 from bnfit.netio import DataSet
 from bnfit.networks import chain3
 from bnfit.online import ETA_MAX, LearningRateSchedule
-from bnfit.spectral import build_report, contraction_rate, eigen_range, eta_star, jacobian
+from bnfit.spectral import build_report, contraction_rate, eta_star, jacobian
 
 NET = chain3()
 DATA = forward_sample(NET, 20, seed=1)
@@ -90,7 +90,6 @@ ROWS = (
     ("eta_star", "lambda_min", lambda v: eta_star(v, 1.0), POSITIVE),
     ("eta_star", "lambda_max", lambda v: eta_star(0.5, v), POSITIVE),
     ("jacobian", "h", lambda v: jacobian(NET, DATA, h=v), POSITIVE),
-    ("eigen_range", "cutoff", lambda v: eigen_range(np.eye(2), cutoff=v), NONNEGATIVE),
 )
 
 

@@ -27,6 +27,7 @@ from bnfit.model import (
 from bnfit.netio import DataSet
 from bnfit.networks import chain3, twolayer15
 from bnfit.spectral import (
+    EIGEN_CUTOFF,
     FD_AGREEMENT,
     FD_STEP,
     FIXPOINT_TOL,
@@ -311,8 +312,8 @@ class TestProbeReconstruction:
         net, data = converged_chain3()
         passes = bnfit.spectral.probe_case_sums
 
-        def wrong_ratio(network, values, table, probed, weigh):
-            return passes(network, values, table, probed, lambda lls: weigh(lls + np.log(0.5)))
+        def wrong_ratio(network, block, rows, table, probed, weigh):
+            return passes(network, block, rows, table, probed, lambda lls: weigh(lls + np.log(0.5)))
 
         monkeypatch.setattr(bnfit.spectral, "probe_case_sums", wrong_ratio)
         with pytest.raises(NumericalError, match="disagree"):
@@ -407,9 +408,9 @@ class TestProbeReconstruction:
             calls.append(len(values))
             return inner(network, values, **kwargs)
 
-        def recording(network, values, table, probed, weigh):
-            passes.append((table, len(probed), len(values)))
-            return probes(network, values, table, probed, weigh)
+        def recording(network, block, rows, table, probed, weigh):
+            passes.append((table, len(probed), len(rows)))
+            return probes(network, block, rows, table, probed, weigh)
 
         monkeypatch.setattr(bnfit.estimation, "batch_family_posteriors", counting)
         monkeypatch.setattr(bnfit.spectral, "probe_case_sums", recording)
@@ -441,14 +442,32 @@ class TestProbeReconstruction:
         columns = []
         probes = bnfit.spectral.probe_case_sums
 
-        def recording(network, values, table, probed, weigh):
-            columns.append(len(probed) * len(values))
-            return probes(network, values, table, probed, weigh)
+        def recording(network, block, rows, table, probed, weigh):
+            columns.append(len(probed) * len(rows))
+            return probes(network, block, rows, table, probed, weigh)
 
         monkeypatch.setattr(bnfit.spectral, "probe_case_sums", recording)
         monkeypatch.setattr(bnfit.estimation, "E_STEP_CHUNK", chunk)
         np.testing.assert_allclose(jacobian(net, data), one_block, rtol=0, atol=1e-9)
         assert 0 < max(columns) <= chunk
+
+    def test_one_plan_per_block_fixed_set(self, monkeypatch, twolayer15_at_fixpoint):
+        """Probe passes replay their block's plan, whatever columns their
+        few representative cases happen to share: a report compiles one
+        plan per distinct fixed set of its E-step blocks."""
+        plans = bnfit.inference._plan
+        net, data = twolayer15_at_fixpoint
+        plans.cache_clear()
+        build_report(net, data, [1.0])
+        assert plans.cache_info().currsize == 1
+
+        net, data = twolayer15_fixpoint(n=200)
+        monkeypatch.setattr(bnfit.estimation, "E_STEP_CHUNK", 37)
+        fixed_sets = {frozenset(np.flatnonzero((data.values[a : a + 37] >= 0).all(axis=0)))
+                      for a in range(0, len(data), 37)}
+        plans.cache_clear()
+        build_report(net, data, [1.0])
+        assert plans.cache_info().currsize == len(fixed_sets)
 
     def test_negative_probes_take_the_checked_replay(self, monkeypatch, twolayer15_at_fixpoint):
         """The fixture has rows whose last entry sits at PROB_FLOOR, below
@@ -460,9 +479,9 @@ class TestProbeReconstruction:
         probes = bnfit.spectral.probe_case_sums
         eliminate = bnfit.inference._eliminate
 
-        def recording(network, values, table, probed, weigh):
+        def recording(network, block, rows, table, probed, weigh):
             passes.append((bool(probed.min() < 0.0), []))
-            return probes(network, values, table, probed, weigh)
+            return probes(network, block, rows, table, probed, weigh)
 
         def replaying(plan, factors, keep=False, checked=True):
             if passes:
@@ -591,9 +610,12 @@ class TestEigenRange:
         assert (lmin, lmax, deficient) == (0.5, 1.0, False)
 
     def test_zero_filtered_and_flagged(self):
-        lmin, lmax, deficient = eigen_range(np.diag([0.0, 0.5, 1.0]), cutoff=1e-8)
-        assert (lmin, lmax) == (0.5, 1.0)
-        assert deficient
+        """An eigenvalue equal to the cutoff is left out of the range and
+        flagged, as 0 is."""
+        for low in (0.0, EIGEN_CUTOFF):
+            lmin, lmax, deficient = eigen_range(np.diag([low, 0.5, 1.0]))
+            assert (lmin, lmax) == (0.5, 1.0)
+            assert deficient
 
     def test_all_below_cutoff_rejected(self):
         with pytest.raises(NumericalError):

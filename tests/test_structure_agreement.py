@@ -8,7 +8,7 @@ import pytest
 from bnfit.cli import main
 from bnfit.estimation import FitConfig, expected_stats, fit
 from bnfit.harness import EvalSpec, evaluate_queries, forward_sample, query_error, sample_obscured
-from bnfit.model import ValidationError
+from bnfit.model import Network, NetworkStructure, ValidationError, Variable
 from bnfit.netio import DataCase, write_dataset, write_network
 from bnfit.networks import chain3, tree8, twolayer15
 from bnfit.online import LearningRateSchedule, run_stream
@@ -118,3 +118,46 @@ class TestCliEval:
         assert code == 2, err
         assert err.startswith("error: the learned network and the true network")
         assert not out.exists()
+
+
+def chain3_variant(kind):
+    """chain3's tables on another structure of the same table shapes: B's
+    parent is A instead of M, or B is renamed."""
+    net = chain3()
+    variables, parents = net.structure.variables, net.structure.parents
+    if kind == "reparented":
+        parents = (*parents[:2], (0,))
+    else:
+        variables = (*variables[:2], Variable(2, "B2", variables[2].states))
+    return Network(NetworkStructure(variables, parents), net.theta)
+
+
+class TestCliNetworkFiles:
+    """`bnfit fit --init file:PATH` and `bnfit spectral --theta PATH` refuse a
+    network file of another structure with exit 2 and write no --out, even
+    when its tables have the --network file's shapes."""
+
+    @pytest.mark.parametrize("kind", ["reparented", "renamed"])
+    @pytest.mark.parametrize("command, flag", [
+        # unchecked: exit 0, a fit from the other network's tables
+        ("fit", "--init"),
+        # unchecked: exit 3, the point is not a fixpoint
+        ("spectral", "--theta"),
+    ], ids=["fit", "spectral"])
+    def test_exit_2_writes_nothing(self, tmp_path, capsys, command, flag, kind):
+        network, other = tmp_path / "chain3.json", tmp_path / "other.json"
+        write_network(chain3(), str(network))
+        write_network(chain3_variant(kind), str(other))
+        data = tmp_path / "data.csv"
+        write_dataset(forward_sample(chain3(), 40, seed=1), str(data))
+        out, trace = tmp_path / "out.json", tmp_path / "trace.csv"
+        argv = [command, "--network", str(network), "--data", str(data), "--out", str(out)]
+        if command == "fit":
+            argv += ["--init", f"file:{other}", "--trace", str(trace)]
+        else:
+            argv += ["--theta", str(other)]
+        code = main(argv)
+        err = capsys.readouterr().err
+        assert code == 2, err
+        assert err.startswith(f"error: the {flag} file and the network {MISMATCH}")
+        assert not out.exists() and not trace.exists()
