@@ -104,7 +104,16 @@ def sample_obscured(
 
 @dataclass(frozen=True)
 class EvalSpec:
+    """The target variables of a query evaluation, by name, each once."""
+
     targets: tuple[str, ...]
+
+    def __post_init__(self):
+        if not (isinstance(self.targets, tuple) and all(isinstance(x, str) for x in self.targets)):
+            raise ValidationError(f"targets must be a tuple of variable names, got {self.targets!r}")
+        twice = sorted({x for x in self.targets if self.targets.count(x) > 1})
+        if twice:
+            raise ValidationError(f"targets name {', '.join(map(repr, twice))} more than once")
 
 
 @dataclass(frozen=True)
@@ -259,6 +268,7 @@ class ExperimentConfig:
         check_number(self.seed, "seed", integer=True, low=0)
         check_number(self.init_seed, "init_seed", integer=True, low=0)
         MissingnessSpec(self.hidden, self.obscure_prob, self.seed + 1)
+        EvalSpec(self.targets)
         for arm in self.arms:
             self.fit_config(arm)
 

@@ -21,23 +21,27 @@ Two independent routes compute the same quantities:
   summed down to the message's scope.  Each message is released once its
   bucket's reverse step is done.
 
+  The last step of a full elimination multiplies scalars, one per part
+  of the elimination: the message of each connected component of the
+  eliminated variables, and the entry of each family whose variables
+  are all fixed (see below).  A checked replay rescales each of those
+  entries and each partial product, so no product underflows.  The
+  reverse sweep differentiates log P(y), the sum of the scalars' logs:
+  scalar m takes the adjoint 1 / m.
+
   Every family posterior takes one route.  A bucket holding a CPT factor
-  forms one product J, its factors times its output's adjoint.  A CPT
-  factor f is constant over the bucket's axes outside its scope, so f
-  times its adjoint is J summed over those axes: a family's posteriors,
-  per case, summed or probe-weighted, are its bucket's J summed to its
-  scope.  In a bucket that also holds a message, J is that message's
-  adjoint product times the message.  The unchecked replay's root
-  carries log-scale 0, so a root adjoint seeded with 1 / P(y) makes J's
-  entries posteriors already, and no family is normalized.  The seed
-  cannot overflow: the unchecked result is kept only when
-  P(y) > 2 * RESCALE_TRIGGER * B, and with seed 1 every adjoint total is
-  at most B (`_safe_total`), so with seed 1 / P(y) every adjoint total is
-  below 1 / (2 * RESCALE_TRIGGER) and no entry of J exceeds 1.  The
-  checked replay seeds 1 and rescales adjoints by arbitrary per-case
-  divisors, so there each family divides its sum of J by its total per
-  (probe, case) column, and per-case scalars cancel: the forward
-  log-scales and the rescaling of adjoints alike.  An E-step needs only
+  forms one product J, its factors times its output's adjoint (in the
+  last step, a family's entry times 1 / entry).  A CPT factor f is
+  constant over the bucket's axes outside its scope, so f times its
+  adjoint is J summed over those axes: a family's posteriors, per case,
+  summed or probe-weighted, are its bucket's J summed to its scope.  In
+  a bucket that also holds a message, J is that message's adjoint
+  product times the message.  Unchecked, with log-scales 0, J's entries
+  are posteriors already, and no adjoint total exceeds
+  1 / (2 * RESCALE_TRIGGER) (`_safe_total`).  In the checked replay,
+  log-scales and the rescaling of adjoints make each adjoint right up
+  to a factor per (probe, case) column, so each family divides its sum
+  of J by its total per column.  An E-step needs only
   each family's posteriors summed over the cases, its expected counts,
   and `summed=True` returns those; an unchecked, unconditioned replay
   sums each bucket's J over the cases before its families sum it to
@@ -58,18 +62,19 @@ Two independent routes compute the same quantities:
   pass's own log-likelihoods between the two sweeps and taken where the
   case sums are.  Its reverse sweep replays only the probed table's
   part, the steps whose outputs flow into the probed table's slot of the
-  last step: P(y) is the product of the last step's scalar messages, one
-  per part, and the folded terms, so a family of another part, or a
-  folded one, has the same posteriors under every probe as without it
-  (its second partials with the probed table are zero), and the pass
-  returns none for it.  The forward sweep still runs in full: the
-  weights need every part's message.  A part's message and posteriors
-  depend on a case only through its values on the part's family
-  variables (`table_parts` gives each table's part), so a caller can
-  replay a batch's plan on one case per distinct combination of those
-  values: the cases observe the batch's fixed set.  The E-step, the
-  likelihood pass, queries and the online step are the length-1 case of
-  the same replay, with every part and the same bits as without the axis.
+  last step: P(y) is the product of the last step's scalars, one per
+  part, so a family of another part has the same posteriors under every
+  probe as without it (its second partials with the probed table are
+  zero), and the pass returns none for it.  A family with every
+  variable fixed is a part of its own: its pass replays its slot only.
+  The forward sweep still runs in full: the weights need every part's
+  scalar.  A part's scalar and posteriors depend on a case only through
+  its values on the part's family variables (`table_parts` gives each
+  table's part), so a caller can replay a batch's plan on one case per
+  distinct combination of those values: the cases observe the batch's
+  fixed set.  The E-step, the likelihood pass, queries and the online
+  step are the length-1 case of the same replay, with every part and the
+  same bits as without the axis.
 
   The rescale checks, a per-case total of every message and adjoint, cost
   more than the arithmetic on a batch of one or two cases, and almost
@@ -88,19 +93,12 @@ Two independent routes compute the same quantities:
   A factor drops a fixed variable's axis by taking, per case, its
   entries at the case's values, one flat index per case into the CPT's
   fixed axes, and the elimination runs over the other variables only.
-  A family whose variables are all fixed has no axis left: the log of
-  its entry joins the case's log-scale, so the root, and the
-  `_safe_total` bound checked against it, leave it out, and its
-  posterior is the one-hot of the case's configuration.  The other
-  families' outputs are scattered back to the (q, r) layout: per case at
-  the case's fixed values, and as case sums by one product with the
-  one-hot matrix of those values.  Conditioning leaves a scalar message
-  per connected part of the unfixed variables in the last step; there a
-  checked replay rescales every partial product, and the reverse sweep
-  gives message m the adjoint 1 / m instead of multiplying all the
-  others for each: the product of the others is P(y) / m, so 1 / m is
-  exact under the seed 1 / P(y) and a per-case multiple of the adjoint,
-  which normalization cancels, otherwise.  Single rows are not
+  A family whose variables are all fixed has no axis left: its factor is
+  its entry per case, one more scalar of the last step.  A family with
+  fixed axes is scattered back to the (q, r) layout: per case at the
+  case's fixed values, and as case sums by one product with the one-hot
+  matrix of those values; with every variable fixed, J is 1 and that is
+  the one-hot of the case's configuration.  Single rows are not
   conditioned: their observed variables change from row to row, and a
   plan per pattern would take longer to compile than the online step it
   serves.
@@ -190,8 +188,8 @@ class _Cpt(NamedTuple):
     arities, are transposed after the probe axis instead and flattened to
     one axis, which the case's flat index gathers; the factor's scope is
     the rest, `rest_shape`.  Its family joint comes back over the fixed
-    axes, then the rest, before `post_perm`.  A family with no rest is
-    folded: no factor, a log term per case.
+    axes, then the rest, before `post_perm`.  A family with no rest is a
+    factor of empty scope, its entry per case.
     """
 
     shape: tuple[int, ...]
@@ -210,8 +208,9 @@ class _Step(NamedTuple):
     Each factor is reshaped to its entry of `shapes` so that it broadcasts
     over the bucket's union scope (None: it spans the union already).  The
     last step multiplies the leftover factors and sums nothing (`axis`
-    None).  The reverse sweep reshapes the output's adjoint to `upstream`
-    (None: no reshape) and sums each message's adjoint, and each CPT
+    None); its reverse step gives each factor the adjoint 1 / factor.
+    Another step's reshapes the output's adjoint to `upstream` (None: no
+    reshape) and sums each message's adjoint, and each CPT
     factor's family from J, over its entry of `sums`, the union axes
     outside that factor's scope.  `out_shape` is the output's shape
     without the probe and case axes.
@@ -236,12 +235,11 @@ class _Plan:
 
     `fixed` are the variables conditioned on, sorted; empty for a plan
     without conditioning.  A case's flat index into CPT i's fixed axes is
-    its row of `values[:, fixed] @ strides`, column i.  The CPTs in
-    `folded` have every variable fixed and no factor.
+    its row of `values[:, fixed] @ strides`, column i.
 
     `part[t]` is the part of factor t, a CPT or a step's output before the
-    last: the slot of the last step that its output flows into, or -1 for
-    a folded CPT.
+    last: the slot of the last step that its output flows into.  A CPT
+    with every variable fixed is a slot, and a part, of its own.
     """
 
     cpts: tuple[_Cpt, ...]
@@ -252,7 +250,6 @@ class _Plan:
     log_states: float
     fixed: tuple[int, ...]
     strides: np.ndarray
-    folded: tuple[int, ...]
     part: tuple[int, ...]
 
 
@@ -379,7 +376,7 @@ def _plan(
         ))
         scopes.append(scope)
 
-    live = [(i, sc) for i, sc in enumerate(scopes) if sc]
+    live = list(enumerate(scopes))
     steps = []
     for var in _min_degree_order(tuple(scopes), elim - fixed):
         touching = [kf for kf in live if var in kf[1]]
@@ -390,7 +387,7 @@ def _plan(
         live.append((len(parents) + len(steps) - 1, out))
     root = tuple(sorted(set().union(*(sc for _, sc in live))))
     steps.append(_step(live, root, root, None, arities))
-    part = [-1] * (len(parents) + len(steps) - 1)
+    part = [0] * (len(parents) + len(steps) - 1)
     for p, t in enumerate(steps[-1].ids):
         part[t] = p
     for k in reversed(range(len(steps) - 1)):
@@ -405,7 +402,6 @@ def _plan(
         math.fsum(math.log(r) for r in arities),
         held_vars,
         strides,
-        tuple(i for i, sc in enumerate(scopes) if not sc),
         tuple(part),
     )
 
@@ -432,18 +428,15 @@ def _fixed_index(plan: _Plan, values: np.ndarray) -> np.ndarray:
     return (values[:, plan.fixed] @ plan.strides).T.astype(np.intp)
 
 
-def _cpt_factors(
-    plan: _Plan, tables: Sequence[np.ndarray], values: np.ndarray, what: str
-) -> tuple[list[np.ndarray | None], np.ndarray | float]:
+def _cpt_factors(plan: _Plan, tables: Sequence[np.ndarray], values: np.ndarray) -> list[np.ndarray | None]:
     """Every CPT as a factor ending in probe and case axes, with its
-    variable's evidence folded in, and the folded families' log terms.
+    variable's evidence folded in.
 
     A (P, q, r) stack in `tables` gives its factor a probe axis of length
     P; every other factor's has length 1.  A variable no row of `values`
     observes keeps a case axis of length 1.  In a conditioned plan a
     factor with fixed axes takes, per case, the entries at the case's
-    fixed values; a folded family leaves None and adds the log of its
-    entry to the (P, N) log terms, which are 0.0 when none is folded.
+    fixed values: a (P, N) factor for a family with every variable fixed.
     """
     missing = values < 0
     observed = (~missing.all(axis=0)).tolist()
@@ -453,23 +446,17 @@ def _cpt_factors(
     ).astype(np.float64)
     index = _fixed_index(plan, values) if plan.fixed else None
     factors: list[np.ndarray | None] = []
-    logs: np.ndarray | float = 0.0
     for i, (table, cpt, seen) in enumerate(zip(tables, plan.cpts, observed)):
         f = table.reshape(cpt.shape).transpose(cpt.perm)
         if not cpt.fixed_shape:
             f = f[..., None]
         else:
             f = f.reshape(cpt.rest_shape + (-1, math.prod(cpt.fixed_shape)))[..., index[i]]
-            if not cpt.rest_shape:
-                _raise_zero(f, what)
-                logs = logs + np.log(f)
-                factors.append(None)
-                continue
         if seen and cpt.ev_rows is not None:
             ev = evidence[cpt.ev_rows]
             f = f * ev.reshape(cpt.ev_shape + ev.shape[-1:])
         factors.append(f)
-    return factors, logs
+    return factors
 
 
 def _safe_total(plan: _Plan, tables: Sequence[np.ndarray]) -> float:
@@ -481,32 +468,31 @@ def _safe_total(plan: _Plan, tables: Sequence[np.ndarray]) -> float:
     of evidence-folded CPT entries, at most one per table, is at most B.
     A gathered factor of a conditioned plan is an evidence-folded one with
     its zero terms dropped, so the same holds for sums over the rest of
-    its variables, and the folded families' entries are simply left out.
-    Let R be the replay's own root total: P(y), without the folded terms
-    in a conditioned plan.  A factor f of the replay (a CPT factor or a
-    message) is such a sum over the CPT factors below it; its adjoint a,
-    as the reverse sweep forms it before broadcasting, is such a sum over
-    the other CPT factors; and per case, R is the sum of f * a over f's
-    scope.  Bounding one side of that sum by B gives, per case:
+    its variables; a family with every variable fixed keeps one entry.
+    Let R be the replay's root total, P(y).  A factor f of the replay (a
+    CPT factor, a message or a partial product of the last step) is such
+    a sum over the CPT factors below it; its adjoint a under the seed 1
+    at the root, before broadcasting, is such a sum over the other CPT
+    factors; and per case, R is the sum of f * a over f's scope.
+    Bounding one side of that sum by B gives, per case:
 
-    * total(f) >= R / B for every message f;
+    * total(f) >= R / B for every factor f;
     * R / B <= total(a) <= B for every adjoint a.
 
-    The partial products of a conditioned plan's last step are messages of
-    this kind too.  The adjoint that step gives a message m is 1 / m, the
-    adjoint above divided by R, so it and every adjoint below it have
-    totals in [1 / B, B / R].
+    The reverse sweep differentiates log P(y), so the adjoint the last
+    step gives its scalar m is 1 / m, the adjoint above divided by R: it
+    and every adjoint below it have totals in [1 / B, B / R].
 
     So if R > 2 * RESCALE_TRIGGER * B for every case, with
-    B < 0.5 / RESCALE_TRIGGER, every message total is above
-    RESCALE_TRIGGER and every adjoint total in
+    B < 0.5 / RESCALE_TRIGGER, every message and partial product total is
+    above RESCALE_TRIGGER and every adjoint total in
     (RESCALE_TRIGGER, 1 / RESCALE_TRIGGER): no check of the checked
     replay rescales anything, and the unchecked replay, doing the same
-    multiplications in the same order, has a bit-identical forward
-    sweep; its reverse sweep differs by its 1 / P(y) seed and by
-    normalizing nothing.  The factor 2 covers rounding: a product or sum
-    of nonnegative floats errs by a relative 2**-53, or in the subnormal
-    range by an absolute 2**-1075, per operation, both far inside it.
+    multiplications in the same order, has bit-identical forward and
+    reverse sweeps; it differs only by normalizing no family.  The
+    factor 2 covers rounding: a product or sum of nonnegative floats errs
+    by a relative 2**-53, or in the subnormal range by an absolute
+    2**-1075, per operation, both far inside it.
 
     With a stack of probed tables the bound holds for every probe: every
     one of its entries counts towards M.
@@ -540,20 +526,20 @@ def _eliminate(
     Factor `k` times exp(its log-scale) is its exact value, per (probe,
     case) column; a log-scale is the scalar 0.0 until a rescale makes it
     a per-column array.  Only a `checked` replay rescales: each step's
-    output, and in a conditioned plan, whose last step may multiply a
-    scalar message per connected part of the unfixed variables, each
-    product of that step too.  Each step's output is appended to
-    `factors`; a last step with no factor gives ones.  Without `keep`,
-    the factors a step consumes are released.
+    output, and in the last step, which multiplies a scalar per part in a
+    full elimination, each CPT factor, in place, and each partial product:
+    with every operand above RESCALE_TRIGGER no product underflows.  Each
+    step's output is appended to `factors`.  Without `keep`, the factors
+    a step consumes are released.
     """
     logscales: list = [0.0] * len(factors)
     for step in plan.steps:
-        if step.ids:
-            values = _aligned(factors[step.ids[0]], step.shapes[0])
-            logscale = logscales[step.ids[0]]
-        else:
-            values, logscale = np.ones((1, 1)), 0.0
-        check_each = checked and step.axis is None and plan.fixed
+        check_each = checked and step.axis is None
+        for k in step.ids if check_each else ():
+            if k < len(plan.cpts):
+                factors[k], logscales[k] = _rescaled(factors[k], 0.0)
+        values = _aligned(factors[step.ids[0]], step.shapes[0])
+        logscale = logscales[step.ids[0]]
         for k, shape in zip(step.ids[1:], step.shapes[1:]):
             values = values * _aligned(factors[k], shape)
             logscale = logscale + logscales[k]
@@ -572,26 +558,24 @@ def _eliminate(
 
 
 def _forward(
-    plan: _Plan, tables: Sequence[np.ndarray], values: np.ndarray, what: str, keep: bool = False
+    plan: _Plan, tables: Sequence[np.ndarray], values: np.ndarray, keep: bool = False
 ) -> tuple[list[np.ndarray | None], np.ndarray, np.ndarray | float, bool]:
     """The checked replay's (factors, root, root log-scales), and whether it ran.
 
     The unchecked replay stands in for it when every column's root total
     is above `_safe_total`, which proves that no check would have fired.
     A total at or below it, 0 and NaN included, sends the whole batch to
-    the checked replay on freshly built factors.  The log-scales include
-    the folded families' log terms; a nonpositive folded entry raises
-    ZeroProbabilityError for its case, `what` naming the operation.
+    the checked replay on freshly built factors.
     """
     bound = _safe_total(plan, tables)
     if bound < math.inf:
-        factors, logs = _cpt_factors(plan, tables, values, what)
+        factors = _cpt_factors(plan, tables, values)
         root, logscale = _eliminate(plan, factors, keep, checked=False)
         if _case_totals(root).min() > bound:
-            return factors, root, logscale + logs if plan.folded else logscale, False
-    factors, logs = _cpt_factors(plan, tables, values, what)
+            return factors, root, logscale, False
+    factors = _cpt_factors(plan, tables, values)
     root, logscale = _eliminate(plan, factors, keep)
-    return factors, root, logscale + logs if plan.folded else logscale, True
+    return factors, root, logscale, True
 
 
 def _family_table(cpt: _Cpt, joint: np.ndarray) -> np.ndarray:
@@ -703,21 +687,19 @@ def _posteriors(
 
     With a `part` (`_Plan.part`), the reverse sweep replays only that
     part's steps and its slot of the last step, and the other families get
-    None: P(y) is the product of the parts' messages and the folded terms,
-    so a family's posteriors depend on the tables of its own part only.
-    Part -1, a folded table's, replays nothing.
+    None: P(y) is the product of the parts' scalars, so a family's
+    posteriors depend on the tables of its own part only.
     """
     n_vars = len(plan.cpts)
     n_cases = values.shape[0]
-    factors, root, logscale, checked = _forward(plan, tables, values, "family posteriors", keep=True)
+    factors, root, logscale, checked = _forward(plan, tables, values, keep=True)
     loglik = _root_loglik(root, logscale, n_cases, "family posteriors")
     weights = None if weigh is None else weigh(loglik)
     index = _fixed_index(plan, values) if plan.fixed else None
 
-    # The unchecked root has log-scale 0: seeded with 1 / P(y), every
-    # bucket's J holds posteriors.  A checked J holds them up to a factor
-    # per column, which each family divides out.
-    adjoints = {len(factors) - 1: np.ones((1, 1)) if checked else 1.0 / root}
+    # The sweep differentiates log P(y): slot m of the last step takes the
+    # adjoint 1 / m.  Checked, J holds posteriors up to a factor per column.
+    adjoints = {}
     # an unconditioned E-step sums each J over the cases once per bucket
     contract = summed and not checked and not plan.fixed
     posteriors: list[np.ndarray | None] = [None] * n_vars
@@ -727,27 +709,32 @@ def _posteriors(
         slots = range(len(step.ids))
         if part is not None:
             if k == last:
-                if part < 0:
-                    break
                 slots = (part,)
             elif plan.part[n_vars + k] != part:
                 continue
-        upstream = _aligned(adjoints.pop(n_vars + k), step.upstream)
+        upstream = _aligned(adjoints.pop(n_vars + k), step.upstream) if k < last else None
         aligned = [_aligned(factors[u], shape) for u, shape in zip(step.ids, step.shapes)]
-        # The last step of a conditioned plan multiplies scalar messages
-        # only: the adjoint of message m is P(y) / m, which is 1 / m with
-        # the seed 1 / P(y), and a multiple of it per column otherwise.
-        reciprocal = step.axis is None and plan.fixed
         # A bucket's CPT factors come before its messages and are taken
         # after them: a message's product with the others and upstream,
         # times the message, is J.
         joint = None
         for p in reversed(slots):
             t = step.ids[p]
-            if t < n_vars:
-                if joint is None:
-                    joint = reduce(np.multiply, aligned + [upstream])
+            if k == last:
+                adj = 1.0 / aligned[p]
+                if t < n_vars:
+                    joint = aligned[p] * adj
+            elif t >= n_vars:
+                # The bucket's other factors first: their product is mostly
+                # smaller than the union, which the upstream adjoint nearly spans.
+                adj = reduce(np.multiply, aligned[:p] + aligned[p + 1:] + [upstream])
+                if joint is None and step.ids[0] < n_vars:
+                    joint = adj * aligned[p]
                     joint = _case_sums(joint, weights, n_cases) if contract else joint
+            elif joint is None:
+                joint = reduce(np.multiply, aligned + [upstream])
+                joint = _case_sums(joint, weights, n_cases) if contract else joint
+            if t < n_vars:
                 own = joint.sum(axis=step.sums[p]) if step.sums[p] else joint
                 if checked:
                     own = _normalize(own, "family posteriors")
@@ -758,15 +745,6 @@ def _posteriors(
                     own = _family_table(cpt, own)
                     posteriors[t] = _case_sums(own, weights, n_cases) if summed and not contract else own
                 continue
-            if reciprocal:
-                adj = 1.0 / aligned[p]
-            else:
-                # The bucket's other factors first: their product is mostly
-                # smaller than the union, which the upstream adjoint nearly spans.
-                adj = reduce(np.multiply, aligned[:p] + aligned[p + 1:] + [upstream])
-                if joint is None and step.ids[0] < n_vars:
-                    joint = adj * aligned[p]
-                    joint = _case_sums(joint, weights, n_cases) if contract else joint
             if step.sums[p]:
                 adj = adj.sum(axis=step.sums[p])
             div = _case_divisors(adj, 1.0 / RESCALE_TRIGGER) if checked else None
@@ -776,9 +754,6 @@ def _posteriors(
             adjoints[t] = adj if adj.shape == shape else np.broadcast_to(adj, shape)
         for t in step.ids:
             factors[t] = None
-    # a folded family's posterior is its case's configuration, one-hot
-    for t in plan.folded if part is None else ():
-        posteriors[t] = _scatter(plan.cpts[t], np.ones((1, n_cases)), index[t], weights, summed)
     return posteriors, loglik, weights
 
 
@@ -807,7 +782,7 @@ def log_marginal_likelihood(network: Network, case: DataCase) -> float:
 def log_likelihood_cases(network: Network, values: np.ndarray) -> np.ndarray:
     """log P(y) for every row of an (N, V) case matrix."""
     plan = _plan_of(network.structure, frozenset(range(network.structure.n_vars)), values)
-    _, root, logscale, _ = _forward(plan, network.theta.tables, values, "log-likelihood")
+    _, root, logscale, _ = _forward(plan, network.theta.tables, values)
     return _root_loglik(root, logscale, values.shape[0], "log-likelihood")[0]
 
 
@@ -853,9 +828,8 @@ def probe_case_sums(
     sums sum_c W[k, p, c] P_p(x, pa | y_c), and W.
 
     The families outside the probed table's part (`table_parts(network,
-    block)`; all of them for a folded table) are None: their posteriors
-    are the unprobed ones under every probe, and the reverse sweep does
-    not replay their parts.
+    block)`) are None: their posteriors are the unprobed ones under every
+    probe, and the reverse sweep does not replay their parts.
     """
     plan = _plan_of(network.structure, frozenset(range(network.structure.n_vars)), block)
     tables = list(network.theta.tables)
@@ -865,11 +839,12 @@ def probe_case_sums(
 
 
 def table_parts(network: Network, values: np.ndarray) -> tuple[int, ...]:
-    """Each table's part of the plan for the batch `values`, -1 for a folded table.
+    """Each table's part of the plan for the batch `values`.
 
-    Tables of one part share the part's scalar message in the last step,
-    so their posteriors and that message, per case, depend only on the
-    case's values on the part's family variables (see `_Plan.part`).
+    Tables of one part share the part's scalar in the last step, so their
+    posteriors and that scalar, per case, depend only on the case's values
+    on the part's family variables (see `_Plan.part`).  A table whose
+    variables the batch all fixes is a part of its own.
     """
     n_vars = network.structure.n_vars
     return _plan_of(network.structure, frozenset(range(n_vars)), values).part[:n_vars]
@@ -885,7 +860,7 @@ def batch_posterior_marginals(network: Network, values: np.ndarray, var_ids: lis
         raise ValidationError("duplicate variables in marginal query")
     elim = frozenset(range(n_vars)) - frozenset(var_ids)
     plan = _plan_of(network.structure, elim, values)
-    _, root, _, _ = _forward(plan, network.theta.tables, values, "marginal query")
+    _, root, _, _ = _forward(plan, network.theta.tables, values)
     n = len(var_ids)
     joint = root.transpose([plan.root_scope.index(v) for v in var_ids] + [n, n + 1])
     return _case_first(_normalize(joint, "marginal query")[..., 0, :], values.shape[0])

@@ -52,9 +52,23 @@ class DataCase:
     states: np.ndarray
 
     def __post_init__(self):
-        a = np.asarray(self.states, dtype=np.int64)
+        a = _state_indices(self.states, "the case")
         a.setflags(write=False)
         object.__setattr__(self, "states", a)
+
+
+def _state_indices(values, where: str) -> np.ndarray:
+    """`values` as an int64 array, refusing any value the conversion would
+    change (a fraction, NaN, a value out of int64 range) and strings and
+    booleans, which are no state indices."""
+    raw = np.asarray(values)
+    if raw.dtype.kind not in "iuf":
+        raise ValidationError(f"{where} holds {raw.dtype} values, not state indices")
+    with np.errstate(invalid="ignore"):
+        a = raw.astype(np.int64, copy=False)
+    if raw.dtype.kind != "i" and not np.all(a == raw):
+        raise ValidationError(f"{where} holds values that are not integers in the int64 range")
+    return a
 
 
 def _check_states(structure: NetworkStructure, values: np.ndarray, where: str) -> None:
@@ -75,7 +89,7 @@ class DataSet:
     values: np.ndarray
 
     def __post_init__(self):
-        a = np.asarray(self.values, dtype=np.int64)
+        a = _state_indices(self.values, "dataset")
         _check_states(self.structure, a, "dataset")
         a.setflags(write=False)
         object.__setattr__(self, "values", a)

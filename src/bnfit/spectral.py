@@ -28,10 +28,10 @@ derivative of every family posterior.  The probes of one table ride one
 inference pass, stacked on its probe axis (see `inference`): the
 quantities they change are second partials of the network polynomial
 (Darwiche 2003), and what does not depend on the probed table is
-computed once for all of them.  P(y) is the product of one message per
-part of the elimination and the folded terms, so a probe changes only
-its table's part, and what it changes there depends on a case only
-through the case's values on the part's family variables.  Those repeat:
+computed once for all of them.  P(y) is the product of one scalar per
+part of the elimination, so a probe changes only its table's part, and
+what it changes there depends on a case only through the case's values
+on the part's family variables.  Those repeat:
 a pass runs on one case per distinct signature, weighted by its count.
 
 The theory's contraction factor is stated in a reweighted norm; the
@@ -149,15 +149,16 @@ def jacobian(network: Network, dataset: DataSet, h: float = FD_STEP) -> np.ndarr
     coordinate.
 
     The families outside the probed table's part of a block's plan
-    (`inference.table_parts`), and the folded ones, keep their base
-    posteriors under the probe, so their slopes are exactly 0; an entry of
-    M coupling two tables that no block puts in one part is exactly 0.  The
-    part's families, and rho, depend on a case only through its values on
-    the part's family variables (a folded table's own family), so a probe
-    pass runs on one case per distinct signature of those values, weighted
-    by its count, and replays the block's plan with the reverse sweep over
-    the part only (`inference.probe_case_sums`).  Repeated or reordered
-    cases change M only by rounding.
+    (`inference.table_parts`) keep their base posteriors under the probe,
+    so their slopes are exactly 0; an entry of M coupling two tables that
+    no block puts in one part is exactly 0.  In a block of two or more
+    rows that all observe a table's variables, that table is a part of
+    its own.  The part's families, and rho, depend on a case only through
+    its values on the part's family variables, so a probe pass runs on
+    one case per distinct signature of those values, weighted by its
+    count, and replays the block's plan with the reverse sweep over the
+    part only (`inference.probe_case_sums`).  Repeated or reordered cases
+    change M only by rounding.
 
     The result does not depend on h beyond rounding.  As a guard against
     a wrong slope, the same passes give the exact slope at +h as well,
@@ -348,9 +349,7 @@ def _jacobian(network: Network, dataset: DataSet, h: float) -> tuple[np.ndarray,
         parts = np.array(table_parts(network, block))
         block_sum = p0.sum(axis=1)
         for table, of_table in groupby(groups, key=lambda g: g[0]):
-            # a folded table's part reaches no family; its rho depends on
-            # its own family's values only
-            inside = (parts == parts[table]) & (parts[table] >= 0)
+            inside = parts == parts[table]
             variables = families[table].union(*(families[u] for u in np.flatnonzero(inside)))
             reps, counts = _signatures(network, block, sorted(variables))
             outside = np.flatnonzero(np.repeat(~inside, sizes))

@@ -9,7 +9,7 @@ from bnfit.cli import main
 from bnfit.estimation import FitConfig, fit
 from bnfit.harness import forward_sample
 from bnfit.netio import read_dataset, read_network, write_dataset, write_network
-from bnfit.networks import chain3, tree8
+from bnfit.networks import chain3, tree8, twolayer15
 
 
 @pytest.fixture
@@ -291,6 +291,19 @@ class TestEval:
         assert doc["targets"]["M"]["n_cases"] == 40
         assert doc["overall"]["mean_abs"] == pytest.approx(0.0, abs=1e-12)
 
+    def test_duplicate_targets_exit_2_writes_nothing(self, tmp_path, capsys):
+        net = tmp_path / "twolayer15.json"
+        write_network(twolayer15(), str(net))
+        data = tmp_path / "d.csv"
+        run("sample", "--network", net, "--n", 40, "--obscure", "0.5", "--seed", 9, "--out", data)
+        out = tmp_path / "errors.json"
+        code = run("eval", "--learned", net, "--truth", net, "--data", data,
+                   "--targets", "V4,V7,V7", "--out", out)
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: targets name 'V7' more than once") and "Traceback" not in err
+        assert not out.exists()
+
     def test_zero_probability_case_exit_3(self, tmp_path, chain3_file, capsys):
         """Case 1 has A = s1, which the true network rules out."""
         det = chain3().with_theta(
@@ -364,6 +377,7 @@ class TestExperiment:
         pytest.param("arms", [{"rule": "em", "eta": True}], id="arms-boolean-eta"),
         ("obscure_prob", "0.2"),
         ("network", 5),
+        pytest.param("targets", ["B", "B"], id="targets-duplicate"),
     ])
     def test_bad_field_exit_2_writes_nothing(self, tmp_path, capsys, key, value):
         cfg_path = tmp_path / "exp.json"

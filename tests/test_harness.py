@@ -357,6 +357,17 @@ class TestEvaluateQueries:
         assert "'M'" in str(info.value) and f"{which} network" in str(info.value)
         assert "case 2 " in str(info.value)
 
+    @pytest.mark.parametrize("targets, message", [
+        (("V4", "V7", "V7"), "targets name 'V7' more than once"),
+        ("V4", "targets must be a tuple of variable names"),
+        (("V4", 7), "targets must be a tuple of variable names"),
+    ], ids=["duplicate", "bare-string", "non-string"])
+    def test_spec_refuses_targets(self, targets, message):
+        """A target named twice would count its cases twice in the overall
+        means; a bare string would be read letter by letter."""
+        with pytest.raises(ValidationError, match=message):
+            EvalSpec(targets)
+
 
 class TestRunExperiment:
     def small_config(self, tmp_path, arms, seed=5, n_train=150, targets=("B",)):
@@ -576,6 +587,10 @@ class TestRunExperiment:
             ExperimentConfig.from_json(json.dumps(doc))
         doc["warm_start_em1"] = False
         assert ExperimentConfig.from_json(json.dumps(doc)).warm_start_em1 is False
+
+    def test_config_duplicate_targets_rejected(self):
+        with pytest.raises(ValidationError, match="targets name 'B' more than once"):
+            ExperimentConfig.from_json(json.dumps({**self.MINIMAL, "targets": ["B", "M", "B"]}))
 
     def test_config_unknown_key_rejected(self):
         doc = {**self.MINIMAL, "max_iter": 5}

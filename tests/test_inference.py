@@ -5,10 +5,11 @@ import platform
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from bnfit import inference
+from bnfit.estimation import FitConfig, fit
 from bnfit.harness import MissingnessSpec, forward_sample, obscure, query_error
 from bnfit.inference import (
     _min_degree_order,
@@ -35,7 +36,7 @@ from bnfit.model import (
     Variable,
     ZeroProbabilityError,
 )
-from bnfit.netio import MISSING, DataCase
+from bnfit.netio import MISSING, DataCase, DataSet
 from bnfit.networks import chain3, twolayer15
 from bnfit.online import LearningRateSchedule, run_stream
 
@@ -556,9 +557,9 @@ def assert_replay_equals_reference(net: Network, values: np.ndarray, var_ids: li
     log-likelihoods and marginals are equal arrays, not merely close
     ones.  The reference gives each CPT factor its own adjoint and
     normalizes per case; the replay sums its bucket's one product J and,
-    unchecked, reads posteriors off the 1 / P(y) seed: the same values
-    in another order, within 1e-13, float64 rounding over a few dozen
-    operations per entry."""
+    unchecked, reads posteriors off the last step's 1 / m adjoints: the
+    same values in another order, within 1e-13, float64 rounding over a
+    few dozen operations per entry."""
     posts, lls = batch_family_posteriors(net, values)
     ref_posts, ref_lls = reference_family_posteriors(net, values)
     np.testing.assert_array_equal(lls, ref_lls)
@@ -748,10 +749,11 @@ class TestUncheckedReplay:
         batch=st.sampled_from(["plain", "fixed_columns"]),
     )
     def test_per_case_posteriors_sum_to_one(self, seed, n_vars, batch):
-        """The unchecked replay normalizes nothing: seeded with 1 / P(y),
-        each family's J summed to its scope is read as its posteriors, so
-        per case they sum to 1 within float64 rounding, 1e-13.  A plain
-        batch ends in an all-missing row, so that no column is fixed."""
+        """The unchecked replay normalizes nothing: with the last step's
+        1 / m adjoints, each family's J summed to its scope is read as its
+        posteriors, so per case they sum to 1 within float64 rounding,
+        1e-13.  A plain batch ends in an all-missing row, so that no
+        column is fixed."""
         rng = np.random.default_rng(seed)
         net = random_network(rng, n_vars, arities=(2, 3, 4))
         s = net.structure
@@ -852,9 +854,9 @@ def weigh_by_probability(lls: np.ndarray) -> np.ndarray:
 class TestConditionedBatches:
     """A batch of two or more rows conditions on the columns every row
     observes: factors keep only the entries at each case's values, fully
-    fixed families become log terms, and outputs are scattered back.
-    Every output equals the row-by-row one, whose single-row batches are
-    not conditioned, and the enumeration oracle."""
+    fixed families become scalar factors of the last step, and outputs
+    are scattered back.  Every output equals the row-by-row one, whose
+    single-row batches are not conditioned, and the enumeration oracle."""
 
     @settings(max_examples=60, deadline=None)
     @given(
@@ -898,12 +900,10 @@ class TestConditionedBatches:
         table = int(rng.choice(folded if probed_family == "folded" and folded else n_vars))
         probed = np.stack([random_tables(rng, s).tables[table] for _ in range(3)])
         got, weights = probe_case_sums(net, values, np.arange(n), table, probed, weigh_by_probability)
-        # the families of the probed table's part, none for a folded table
-        assert [g is not None for g in got] == [
-            plan.part[i] == plan.part[table] >= 0 for i in range(n_vars)
-        ]
+        # the families of the probed table's part; a folded table is a part of its own
+        assert [g is not None for g in got] == [plan.part[i] == plan.part[table] for i in range(n_vars)]
         if probed_family == "folded" and folded:
-            assert got == [None] * n_vars
+            assert [i for i, g in enumerate(got) if g is not None] == [table]
         unprobed = [oracle_family_posteriors(net, DataCase(row)) for row in values]
         want_w = np.zeros_like(weights)
         want = [np.zeros(s.table_shape(i) + (3, 2)) for i in range(n_vars)]
@@ -938,9 +938,9 @@ class TestConditionedBatches:
 
     def test_a_probe_reaches_its_own_part(self):
         """twolayer15 with its five roots observed in every row: the roots'
-        families are folded, and each child, whose parents are all roots,
-        is a part of its own.  A child table's probe returns its own family
-        only; a root table's returns none."""
+        families are scalar factors of the last step, and each child, whose
+        parents are all roots, leaves a scalar message there: every table
+        is a part of its own, and its probe returns its own family only."""
         net = twolayer15()
         s = net.structure
         roots = [i for i in range(s.n_vars) if not s.parents[i]]
@@ -948,27 +948,27 @@ class TestConditionedBatches:
         values = obscure(complete, MissingnessSpec((), 0.2, seed=4)).values.copy()
         values[:, roots] = complete.values[:, roots]
         plan = _plan_of(s, frozenset(range(s.n_vars)), values)
-        assert plan.folded == tuple(roots) and len(plan.steps[-1].ids) == s.n_vars - len(roots)
+        assert plan.steps[-1].ids[: len(roots)] == tuple(roots)
+        assert len(plan.steps[-1].ids) == s.n_vars
         for table in range(s.n_vars):
             probed = np.stack([net.theta.tables[table]] * 2)
             got, _ = probe_case_sums(net, values, np.arange(len(values)), table, probed,
                                      weigh_by_probability)
             reached = [i for i, g in enumerate(got) if g is not None]
-            if table in roots:
-                assert plan.part[table] == -1 and reached == []
-            else:
-                assert [i for i in range(s.n_vars) if plan.part[i] == plan.part[table]] == [table]
-                assert reached == [table]
+            assert [i for i in range(s.n_vars) if plan.part[i] == plan.part[table]] == [table]
+            assert reached == [table]
 
     def test_fully_observed_rare_chain_sums_the_log_entries(self):
         """P = 1e-2000 for the all-s0 row of a 1000-link chain: every
-        family is folded, so the log-likelihood is the sum of the logs of
-        the row's entries, with nothing multiplied."""
+        family is fixed, so the plan's one step multiplies the row's 1000
+        entries, rescaling as it goes, and the log-likelihood is the sum
+        of their logs."""
         n = 1000
         net = rare_chain(n, 0.01)
         likely = np.tile([1, 0], n // 2)
         values = np.stack([np.zeros(n, dtype=np.int64), likely])
-        assert len(_plan_of(net.structure, frozenset(range(n)), values).folded) == n
+        plan = _plan_of(net.structure, frozenset(range(n)), values)
+        assert len(plan.steps) == 1 and plan.steps[0].ids == tuple(range(n))
         for lls in (log_likelihood_cases(net, values), batch_family_posteriors(net, values)[1],
                     batch_family_posteriors(net, values, summed=True)[1]):
             assert np.all(np.isfinite(lls))
@@ -983,24 +983,42 @@ class TestConditionedBatches:
 
     def test_the_last_step_rescales_its_products(self):
         """A 300-link chain whose second row misses every third variable:
-        the all-s0 first row leaves 100 scalar messages of 1e-4 each in
-        the last step, a product of 1e-400, which the checked replay
-        rescales as it multiplies them."""
+        the all-s0 first row leaves, in the last step, the 100 entries of
+        0.01 of the families with every variable fixed and 100 scalar
+        messages of 1e-4 each, a product of 1e-600, which the checked
+        replay rescales as it multiplies them."""
         n = 300
         net = rare_chain(n, 0.01)
         values = np.stack([np.zeros(n, dtype=np.int64), np.tile([1, 0], n // 2)])
         values[1, 1::3] = MISSING
         plan = _plan_of(net.structure, frozenset(range(n)), values)
-        assert len(plan.steps[-1].ids) == 100
+        ids = plan.steps[-1].ids
+        assert ids[:100] == tuple(range(0, n, 3)) and len(ids) == 200
         lls = log_likelihood_cases(net, values)
         assert lls[0] == pytest.approx(n * math.log(0.01), rel=1e-12)
         assert_replay_equals_reference(net, values, [n // 2, 7])
 
+    def test_tiny_entries_of_fixed_families_do_not_underflow(self):
+        """R -> C with P(R = s0) = 1e-99 and P(C = s0 | R = s0) = 1e-300,
+        both observed in both rows: the last step multiplies the two
+        entries, whose product, P(y) = 1e-399, is below the smallest
+        float.  The checked replay rescales each entry before it
+        multiplies."""
+        v = (Variable(0, "R", ("s0", "s1")), Variable(1, "C", ("s0", "s1")))
+        tables = [np.array([[1e-99, 1.0 - 1e-99]]), np.array([[1e-300, 1.0 - 1e-300], [0.5, 0.5]])]
+        net = Network(NetworkStructure(v, ((), (0,))), ParameterVector(tables))
+        values = np.zeros((2, 2), dtype=np.int64)
+        want = math.log(1e-99) + math.log(1e-300)
+        for lls in (log_likelihood_cases(net, values), batch_family_posteriors(net, values)[1]):
+            np.testing.assert_allclose(lls, want, rtol=1e-14)
+        posts, _ = batch_family_posteriors(net, values)
+        np.testing.assert_array_equal(posts[1][:, 0, 0], 1.0)
+
     @pytest.mark.parametrize("family", ["folded", "gathered"])
     def test_zero_entry_at_the_observed_configuration_names_the_row(self, family):
         """chain3 with P(B = s1 | M = s1) = 0: row 2 observes M = s1 and
-        B = s1.  B's family is folded when M is observed in every row, and
-        gathered on B otherwise."""
+        B = s1.  B's family is a scalar factor of the last step when M is
+        observed in every row, and gathered on B otherwise."""
         net = chain3()
         tables = [t.copy() for t in net.theta.tables]
         tables[2][1] = [1.0, 0.0]
@@ -1009,7 +1027,7 @@ class TestConditionedBatches:
         if family == "gathered":
             values[0, 1] = MISSING
         plan = _plan_of(net.structure, frozenset(range(3)), values)
-        assert (2 in plan.folded) == (family == "folded")
+        assert (2 in plan.steps[-1].ids) == (family == "folded")
         calls = [
             lambda: batch_family_posteriors(net, values),
             lambda: batch_family_posteriors(net, values, summed=True),
@@ -1032,6 +1050,104 @@ class TestConditionedBatches:
         inference._plan.cache_clear()
         run_stream(net, data, "em", schedule)
         assert inference._plan.cache_info().misses <= 1
+
+
+def disjoint_union(components: list[Network]) -> Network:
+    """The networks side by side: variables renumbered, no edge between them."""
+    variables, parents, tables = [], [], []
+    for net in components:
+        base = len(variables)
+        s = net.structure
+        variables += [Variable(base + i, f"C{base + i}", v.states) for i, v in enumerate(s.variables)]
+        parents += [tuple(base + p for p in pa) for pa in s.parents]
+        tables += net.theta.tables
+    return Network(NetworkStructure(tuple(variables), tuple(parents)), ParameterVector(tables))
+
+
+def rare_pairs(n_pairs: int = 4, p_rare: float = 1e-99) -> Network:
+    """n_pairs disconnected A -> B pairs with P(A = s1) = p_rare."""
+    pair = NetworkStructure(
+        (Variable(0, "A", ("s0", "s1")), Variable(1, "B", ("s0", "s1"))), ((), (0,))
+    )
+    tables = [np.array([[1.0 - p_rare, p_rare]]), np.array([[0.7, 0.3], [0.4, 0.6]])]
+    return disjoint_union([Network(pair, ParameterVector(tables))] * n_pairs)
+
+
+class TestDisjointComponents:
+    """A network that is a disjoint union of components factorizes: P(y)
+    is the product of the components' likelihoods, and each family's
+    posteriors are its component's.  Each component's likelihood here
+    lands within a few decades of RESCALE_TRIGGER, so their product sinks
+    far below float underflow, and the last step, one scalar per
+    component, must rescale as it multiplies whether or not the batch
+    conditions."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        n_components=st.integers(2, 4),
+        batch=st.sampled_from(["single", "conditioned", "with_missing_row"]),
+    )
+    @example(seed=1, n_components=4, batch="single")
+    @example(seed=2, n_components=4, batch="with_missing_row")
+    def test_equals_its_components(self, seed, n_components, batch):
+        rng = np.random.default_rng(seed)
+        n = 1 if batch == "single" else int(rng.integers(2, 5))
+        components, columns, start = [], [], 0
+        for _ in range(n_components):
+            net = random_network(rng, int(rng.integers(1, 4)))
+            values = np.stack([random_partial_case(rng, net.structure, 0.6).states for _ in range(n)])
+            # X0 is a root, observed at s0 in every row; P(X0 = s0) scales
+            # the first row's likelihood to 10**(-100 + u), 0.5 <= u <= 3
+            values[:, 0] = 0
+            tables = list(net.theta.tables)
+            r = tables[0].shape[1]
+            tables[0] = np.array([[1.0] + [0.0] * (r - 1)])
+            rest = log_likelihood_cases(net.with_theta(ParameterVector(tables)), values[:1])[0]
+            x = 10.0 ** (rng.uniform(-99.5, -97.0) - rest / math.log(10.0))
+            tables[0] = np.array([[x] + [(1.0 - x) / (r - 1)] * (r - 1)])
+            components.append(net.with_theta(ParameterVector(tables)))
+            columns.append(values)
+        union = disjoint_union(components)
+        values = np.hstack(columns)
+        columns = np.split(np.arange(values.shape[1]), np.cumsum([c.shape[1] for c in columns])[:-1])
+        if batch == "with_missing_row":
+            # no column observed in every row: the plan does not condition
+            values = np.vstack([values, np.full(values.shape[1], MISSING)])
+
+        posts, lls = batch_family_posteriors(union, values)
+        sums, summed_lls = batch_family_posteriors(union, values, summed=True)
+        want_lls = np.zeros(len(values))
+        for net, cols in zip(components, columns):
+            own_posts, own_lls = batch_family_posteriors(net, values[:, cols])
+            want_lls += own_lls
+            for i, own in zip(cols, own_posts):
+                np.testing.assert_allclose(posts[i], own, rtol=0, atol=1e-12)
+                np.testing.assert_allclose(sums[i], own.sum(axis=0), rtol=0, atol=1e-12 * len(values))
+        assert want_lls[0] < -200.0
+        for got in (lls, summed_lls, log_likelihood_cases(union, values)):
+            np.testing.assert_allclose(got, want_lls, rtol=1e-12, atol=1e-12)
+
+    def test_rare_pairs(self):
+        """Four disconnected A -> B pairs with P(A = s1) = 1e-99, and rows
+        that observe every A at s1: log P = 4 log(1e-99) for a single row,
+        a batch of the row and an all-missing row, and a fit on the row;
+        an online stream of two such rows skips neither."""
+        net = rare_pairs()
+        row = np.array([1, MISSING] * 4)
+        want = 4 * math.log(1e-99)
+        assert log_likelihood_cases(net, row[None])[0] == pytest.approx(want, rel=1e-12)
+        for values in (row[None], np.stack([row, np.full(8, MISSING)])):
+            posts, lls = batch_family_posteriors(net, values)
+            assert lls[0] == pytest.approx(want, rel=1e-12)
+            for a, b in zip(posts[::2], posts[1::2]):
+                np.testing.assert_allclose(a[0], [[0.0, 1.0]], rtol=0, atol=1e-15)
+                np.testing.assert_allclose(b[0], [[0.0, 0.0], [0.4, 0.6]], rtol=0, atol=1e-15)
+        result = fit(net, DataSet(net.structure, row[None]), FitConfig("em", 1.0, 3))
+        assert result.trace[0].train_ll == pytest.approx(want, rel=1e-12)
+        data = DataSet(net.structure, np.stack([row, row]))
+        stream = run_stream(net, data, "em", LearningRateSchedule.per_row_count())
+        assert stream.n_skipped == 0
 
 
 @pytest.mark.skipif(platform.libc_ver()[0] != "glibc", reason="heap thresholds are set on glibc only")

@@ -114,6 +114,36 @@ class TestSerializeNetwork:
         assert result2.trace[0].train_ll == pytest.approx(result.trace[-1].train_ll, abs=1e-12)
 
 
+class TestStateArrays:
+    """A DataSet or DataCase holds int64 state indices.  A value the
+    conversion would change, and a string or boolean array, is refused
+    rather than truncated or parsed: -0.5 would become state 0, not
+    missing."""
+
+    @pytest.mark.parametrize("values, message", [
+        ([[0.5, 1.7, 0.0]], "not integers"),
+        ([[0.0, -0.5, 1.0]], "not integers"),
+        ([[0.0, np.nan, 1.0]], "not integers"),
+        ([[0.0, 1e30, 1.0]], "not integers"),
+        (np.array([[0, 1, 2**64 - 1]], dtype=np.uint64), "not integers"),
+        ([["0", "1", "0"]], "values, not state indices"),
+        ([[True, False, True]], "values, not state indices"),
+        ([[0, None, 1]], "values, not state indices"),
+    ])
+    def test_refused(self, values, message):
+        with pytest.raises(ValidationError, match=f"dataset holds .*{message}"):
+            DataSet(chain3().structure, values)
+        with pytest.raises(ValidationError, match=f"the case holds .*{message}"):
+            DataCase(np.asarray(values)[0])
+
+    @pytest.mark.parametrize("values", [
+        [[0, -1, 1]], [[0.0, -1.0, 1.0]], np.array([[0, -1, 1]], dtype=np.int8),
+    ], ids=["int", "integral-float", "int8"])
+    def test_integral_values_kept(self, values):
+        assert DataSet(chain3().structure, values).values.tolist() == [[0, -1, 1]]
+        assert DataCase(np.asarray(values)[0]).states.tolist() == [0, -1, 1]
+
+
 class TestLoadDataset:
     def test_missing_token(self):
         net = parse_network(TWO_NODE)

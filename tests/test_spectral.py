@@ -73,9 +73,10 @@ def two_chains(kind, n=400, seed=0, init_seed=5):
     """Two chain3 copies, A -> M -> B with M hidden and the rest 0.2
     obscured, at a deeply converged EM(1) fixpoint.  "conditioned": the
     copies share their root A, observed in every row, so a batch's plan
-    has one part per copy and folds A's family.  "components": each copy
-    has its own root and nothing is observed in every row, so the plan
-    has one part per connected component."""
+    has one part per copy and A's family, a scalar factor of the last
+    step, is a third.  "components": each copy has its own root and
+    nothing is observed in every row, so the plan has one part per
+    connected component."""
     a, m, b = chain3().theta.tables
     if kind == "conditioned":
         names = ("A", "M1", "B1", "M2", "B2")
@@ -181,7 +182,7 @@ class TestJacobian:
         """Probe passes run once per distinct case of a part, weighted by its
         count: M is the same on the fitted dataset, on its rows permuted, and
         on the dataset stacked on itself, where every count doubles.  Roots
-        observed in every row fold their tables and split the parts."""
+        observed in every row split the parts, each root a part of its own."""
         rng = np.random.default_rng(seed)
         truth = random_network(rng, n_vars)
         s = truth.structure
@@ -332,17 +333,17 @@ class TestProbeReconstruction:
     @pytest.mark.parametrize("kind", ["conditioned", "components"])
     def test_parts_do_not_couple(self, kind):
         """A probe pass replays only the probed table's part; an entry of M
-        coupling two parts, or a folded table with anything, is exactly 0."""
+        coupling two parts is exactly 0."""
         net, data = two_chains(kind)
         plan = bnfit.inference._plan_of(net.structure, frozenset(range(net.structure.n_vars)),
                                         data.values)
-        assert len(plan.steps[-1].ids) == 2
-        assert plan.folded == ((0,) if kind == "conditioned" else ())
+        ids = plan.steps[-1].ids
+        assert len(ids) == 2 + (kind == "conditioned")
+        assert (ids[0] == 0) == (kind == "conditioned")
         m = jacobian(net, data)
         np.testing.assert_allclose(m, reference_jacobian(net, data), rtol=0, atol=1e-8)
         part = np.array([plan.part[i] for i, _, _ in _free_coords(net)])
-        cross = (part[:, None] != part) | (part[:, None] < 0)
-        np.fill_diagonal(cross, False)
+        cross = part[:, None] != part
         assert cross.any() and not cross.all()
         np.testing.assert_array_equal(m[cross], 0.0)
 
@@ -398,7 +399,7 @@ class TestProbeReconstruction:
         every entry nonnegative and one of those that move a row's last
         entry below 0, each over sub-blocks of E_STEP_CHUNK // P of the
         distinct signatures of the cases on the family variables of the
-        table's part of the plan (its own family's when it is folded)."""
+        table's part of the plan."""
         net, data = twolayer15_at_fixpoint
         calls, passes = [], []
         inner = bnfit.estimation.batch_family_posteriors
@@ -420,7 +421,7 @@ class TestProbeReconstruction:
         part = bnfit.inference._plan_of(s, frozenset(range(s.n_vars)), data.values).part
         chunk, expected = bnfit.estimation.E_STEP_CHUNK, []
         for i, table in enumerate(net.theta.tables):
-            tables = [u for u in range(s.n_vars) if part[u] == part[i] >= 0] or [i]
+            tables = [u for u in range(s.n_vars) if part[u] == part[i]]
             variables = sorted({v for u in tables for v in (u, *s.parents[u])})
             n = len(np.unique(data.values[:, variables], axis=0))
             free = table.shape[1] - 1

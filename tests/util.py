@@ -205,11 +205,11 @@ def oracle_marginal(network: Network, case: DataCase, var_ids: list[int]) -> np.
 #
 # A batch of two or more rows conditions on the eliminated variables that
 # every row observes: each CPT factor keeps only the entries at the
-# case's values of those variables, built here entry by entry; a family
-# with all its variables fixed adds the log of its entry to the case's
-# log-likelihood instead; and the last step, which then multiplies
-# scalar messages, rescales each partial product and gives message m the
-# adjoint 1 / m.
+# case's values of those variables, built here entry by entry, and a
+# family with all its variables fixed is a factor of empty scope.  The
+# last step of a full elimination multiplies scalars, one per connected
+# part; it rescales each CPT factor and each partial product and gives
+# scalar m the adjoint 1 / m.
 
 
 @dataclass
@@ -229,8 +229,6 @@ def _align(values, scope, union, arities):
 
 
 def _multiply(factors, arities, rescale_each=False):
-    if not factors:
-        return _Factor((), np.ones(1), 0.0)
     if len(factors) == 1:
         return factors[0]
     union = tuple(sorted(set().union(*(f.scope for f in factors))))
@@ -278,13 +276,12 @@ def _scope_split(s: NetworkStructure, i: int, fixed: frozenset[int]):
 
 
 def _reference_factors(network: Network, values: np.ndarray, fixed: frozenset[int]):
-    """The CPT factors (None for a family with every variable fixed) and
-    the per-case sum of the folded families' log entries."""
+    """The CPT factors, of empty scope for a family with every variable fixed."""
     s = network.structure
     n_cases = values.shape[0]
     missing = values < 0
     observed = ~missing.all(axis=0)
-    factors, fold = [], 0.0
+    factors = []
     for i in range(s.n_vars):
         table = network.theta.tables[i]
         rest, held = _scope_split(s, i, fixed)
@@ -295,11 +292,6 @@ def _reference_factors(network: Network, values: np.ndarray, fixed: frozenset[in
                 for states in np.ndindex(*f.shape[:-1]):
                     assignment[list(rest)] = states
                     f[states + (c,)] = table[parent_row_of(s, i, assignment), assignment[i]]
-            if not rest:
-                assert np.all(f > 0.0)
-                fold = fold + np.log(f)
-                factors.append(None)
-                continue
             scope = rest
         else:
             axis_vars = list(s.parents[i]) + [i]
@@ -313,12 +305,13 @@ def _reference_factors(network: Network, values: np.ndarray, fixed: frozenset[in
             ev_shape = (1,) * pos + (s.arity(i),) + (1,) * (len(scope) - pos - 1) + ev.shape[-1:]
             f = f * ev.reshape(ev_shape)
         factors.append(_Factor(scope, f, 0.0))
-    return factors, fold
+    return factors
 
 
-def _reference_eliminate(factors, elim, arities, tape=None, conditioned=False):
-    order = _min_degree_order(tuple(f.scope for f in factors if f is not None), elim)
-    live = [(k, f) for k, f in enumerate(factors) if f is not None]
+def _reference_eliminate(factors, elim, arities, tape=None):
+    n_cpts = len(factors)
+    order = _min_degree_order(tuple(f.scope for f in factors), elim)
+    live = list(enumerate(factors))
     for var in order:
         touching = [kf for kf in live if var in kf[1].scope]
         live = [kf for kf in live if var not in kf[1].scope]
@@ -328,9 +321,10 @@ def _reference_eliminate(factors, elim, arities, tape=None, conditioned=False):
         message = _rescaled(_Factor(scope, summed, product.logscale))
         if tape is not None:
             tape.append(([k for k, _ in touching], product.scope, message.scope))
-            factors.append(message)
+        factors.append(message)
         live.append((len(factors) - 1, message))
-    result = _multiply([f for _, f in live], arities, rescale_each=conditioned)
+    live = [(k, _rescaled(f) if k < n_cpts else f) for k, f in live]
+    result = _multiply([f for _, f in live], arities, rescale_each=True)
     if tape is not None:
         tape.append(([k for k, _ in live], result.scope, result.scope))
         factors.append(result)
@@ -366,9 +360,9 @@ def reference_log_likelihood_cases(network: Network, values: np.ndarray) -> np.n
     s = network.structure
     elim = frozenset(range(s.n_vars))
     fixed = _fixed(values, elim)
-    factors, fold = _reference_factors(network, values, fixed)
-    res = _reference_eliminate(factors, elim - fixed, _arities(s), conditioned=bool(fixed))
-    return np.log(np.broadcast_to(res.values, (values.shape[0],))) + (res.logscale + fold)
+    factors = _reference_factors(network, values, fixed)
+    res = _reference_eliminate(factors, elim - fixed, _arities(s))
+    return np.log(np.broadcast_to(res.values, (values.shape[0],))) + res.logscale
 
 
 def reference_family_posteriors(network: Network, values: np.ndarray):
@@ -378,19 +372,21 @@ def reference_family_posteriors(network: Network, values: np.ndarray):
     arities = _arities(s)
     elim = frozenset(range(s.n_vars))
     fixed = _fixed(values, elim)
-    factors, fold = _reference_factors(network, values, fixed)
+    factors = _reference_factors(network, values, fixed)
     tape = []
-    root = _reference_eliminate(factors, elim - fixed, arities, tape, conditioned=bool(fixed))
-    loglik = np.log(np.broadcast_to(root.values, (n_cases,))) + (root.logscale + fold)
+    root = _reference_eliminate(factors, elim - fixed, arities, tape)
+    loglik = np.log(np.broadcast_to(root.values, (n_cases,))) + root.logscale
     posteriors = [None] * s.n_vars
-    adjoints = {len(factors) - 1: np.ones(1)}
+    adjoints = {}
     for step in reversed(range(len(tape))):
         touching, union, out_scope = tape[step]
-        upstream = _align(adjoints.pop(s.n_vars + step), out_scope, union, arities)
+        last = step == len(tape) - 1
+        upstream = None if last else _align(adjoints.pop(s.n_vars + step), out_scope, union, arities)
         aligned = {u: _align(factors[u].values, factors[u].scope, union, arities) for u in touching}
         for t in touching:
             f = factors[t]
-            if fixed and step == len(tape) - 1:
+            if last:
+                # the derivative of log P(y), the sum of the scalars' logs
                 adj = 1.0 / aligned[t]
             else:
                 adj = reduce(np.multiply, [aligned[u] for u in touching if u != t] + [upstream])
@@ -414,9 +410,6 @@ def reference_family_posteriors(network: Network, values: np.ndarray):
                 adjoints[t] = adj if adj.shape == shape else np.broadcast_to(adj, shape)
         for t in touching:
             factors[t] = None
-    for t in range(s.n_vars):
-        if posteriors[t] is None:
-            posteriors[t] = _reference_scatter(s, t, values, (), np.ones((n_cases,)))
     return posteriors, loglik
 
 
@@ -424,8 +417,8 @@ def reference_posterior_marginals(network: Network, values: np.ndarray, var_ids:
     s = network.structure
     elim = frozenset(range(s.n_vars)) - frozenset(var_ids)
     fixed = _fixed(values, elim)
-    factors, _ = _reference_factors(network, values, fixed)
-    res = _reference_eliminate(factors, elim - fixed, _arities(s), conditioned=bool(fixed))
+    factors = _reference_factors(network, values, fixed)
+    res = _reference_eliminate(factors, elim - fixed, _arities(s))
     perm = [res.scope.index(v) for v in var_ids]
     return _reference_normalize(res.values.transpose(perm + [len(perm)]), values.shape[0])
 
